@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import Chunk, EntitySpan
 from .errors import InvalidConfig, NonPositiveTemperature, PassMisalignment
+from .features import token_entropies
 
 # Printed probability tables contain exact zeros; flooring keeps the
 # recovered log-probabilities finite without disturbing the ordering.
@@ -66,13 +67,19 @@ def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
     logits = np.log(p) / temperature
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
+    # Every step is monotone, but rounding can tie the top class with an
+    # earlier one; give it back a one-ulp lead so the argmax is preserved.
+    top = np.argmax(p, axis=-1)[..., None]
+    tied = np.argmax(out, axis=-1)[..., None] != top
+    if tied.any():
+        lead = np.nextafter(out.max(axis=-1, keepdims=True), np.inf)
+        np.put_along_axis(out, top, np.where(tied, lead, np.take_along_axis(out, top, -1)), -1)
+    return out
 
 
 def mean_span_entropy(chunk: Chunk, span: EntitySpan) -> float:
-    sub = chunk.probs[span.start : span.end + 1]
-    token_entropies = -(sub * np.log(np.maximum(sub, 1e-300))).sum(axis=1)
-    return float(token_entropies.mean())
+    return float(token_entropies(chunk.probs[span.start : span.end + 1]).mean())
 
 
 def entropy_filter(span: EntitySpan, chunk: Chunk, cutoff: float) -> bool:

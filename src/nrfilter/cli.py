@@ -37,15 +37,20 @@ from .errors import (
 )
 from .baselines import baseline_grid
 from .features import (
-    assemble_features,
-    build_feature_schema,
+    FeatureVector,
     feature_row_obj,
     read_feature_csv,
     write_feature_csv,
 )
 from .metrics import drop_rates, entity_f1, format_drop_table
-from .pdm import compute_pdm, grid_to_obj
-from .pipeline import PipelineConfig, run_pipeline, span_is_tp, stream_classify
+from .pdm import ProbabilityDensityMap, grid_to_obj
+from .pipeline import (
+    PipelineConfig,
+    featurize_records,
+    run_pipeline,
+    span_is_tp,
+    stream_classify,
+)
 from .synth import SynthConfig, iter_generate
 from .tree import (
     TrainConfig,
@@ -130,21 +135,20 @@ def cmd_decode(args) -> int:
 
 def cmd_featurize(args) -> int:
     config = _pipeline_config(args)
-    fconfig = config.feature_config
+    decay = config.feature_config.decay
     dump = open(args.dump_pdm, "w", encoding="utf-8") if args.dump_pdm else None
 
     def rows():
-        for record in iter_records(args.input):
-            chunk = record.chunk
-            schema = build_feature_schema(chunk.schema, fconfig)
-            for span in decode_spans(chunk, config.orphan_policy):
-                fv = assemble_features(chunk, span, fconfig, schema)
+        for record, spans, schema, matrix in featurize_records(iter_records(args.input), config):
+            K = record.chunk.schema.K
+            for span, values in zip(spans, matrix):
                 if dump is not None:
-                    pdm = compute_pdm(chunk, span.anchor, fconfig.decay,
-                                      exclude=span.positions)
-                    obj = {"chunk_id": chunk.id, **grid_to_obj(pdm)}
+                    # The density block is class-major: (K, bins) -> (bins, K).
+                    grid = values[: decay.bins * K].reshape(K, decay.bins).T
+                    pdm = ProbabilityDensityMap(grid, decay, span.anchor)
+                    obj = {"chunk_id": record.chunk.id, **grid_to_obj(pdm)}
                     dump.write(json.dumps(obj) + "\n")
-                yield span, record.label, fv
+                yield span, record.label, FeatureVector(schema, values)
 
     try:
         if args.format == "csv":
@@ -245,27 +249,24 @@ def cmd_classify(args) -> int:
 
 def cmd_explain(args) -> int:
     config = _pipeline_config(args)
-    fconfig = config.feature_config
     model = load_model(args.model)
-    records = list(iter_records(args.record))
-    if not records:
-        raise InvalidConfig(f"no records in {args.record}")
-    shown = 0
-    for record in records:
-        chunk = record.chunk
-        schema = build_feature_schema(chunk.schema, fconfig)
-        spans = decode_spans(chunk, config.orphan_policy)
-        for i, span in enumerate(spans):
+    n_records = shown = 0
+    for record, spans, _, matrix in featurize_records(
+        iter_records(args.record), config, model.feature_names
+    ):
+        n_records += 1
+        for i, (span, values) in enumerate(zip(spans, matrix)):
             if args.span_index is not None and i != args.span_index:
                 continue
-            fv = assemble_features(chunk, span, fconfig, schema)
-            path = explain_instance(model, fv)
-            print(f"chunk {chunk.id} span [{span.start}, {span.end}] "
+            path = explain_instance(model, values)
+            print(f"chunk {record.chunk.id} span [{span.start}, {span.end}] "
                   f"{span.text!r} -> {path.verdict} (p_weak={path.p_weak!r})")
             print("Decision Path:")
             print(path.serialize())
             print()
             shown += 1
+    if n_records == 0:
+        raise InvalidConfig(f"no records in {args.record}")
     if shown == 0:
         raise InvalidConfig("no span matched --span-index")
     return EXIT_OK

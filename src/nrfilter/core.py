@@ -9,7 +9,9 @@ strong/weak classifier) consumes these types.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -221,8 +223,9 @@ def validate_chunk(chunk: Chunk) -> Chunk:
         raise SchemaMismatch(
             f"chunk {chunk.id!r}: {probs.shape[1]} classes vs schema K={chunk.schema.K}"
         )
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        t, k = np.argwhere((probs < 0.0) | (probs > 1.0))[0]
+    # Written so that NaN, which fails every comparison, fails the check.
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        t, k = np.argwhere(~((probs >= 0.0) & (probs <= 1.0)))[0]
         raise ProbabilityOutOfRange(chunk.id, int(t), float(probs[t, k]))
     sums = probs.sum(axis=1)
     deviation = np.abs(sums - 1.0)
@@ -292,6 +295,43 @@ def retag_spans(chunk_len: int, schema: ClassSchema, spans: Iterable[EntitySpan]
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _class_schema(names: tuple) -> ClassSchema:
+    # A corpus repeats one class list on every line; parse it once.
+    return ClassSchema.from_class_names(names)
+
+
+def _probability_matrix(rows: list, fail) -> np.ndarray:
+    """The (T, K) matrix of parsed probability rows; ``fail`` on any entry
+    that is not a number.
+
+    numpy's own dtype discovery screens the rows: strings, None and
+    nested lists give a non-numeric or non-2-D array. Booleans would
+    pass as 0 and 1, so a matrix holding an exact 0 or 1 gets the exact
+    per-entry type check.
+    """
+    try:
+        probs = np.array(rows)
+    except ValueError:  # nested lists of differing lengths
+        probs = None
+    if (
+        probs is None
+        or probs.ndim != 2
+        or probs.dtype.kind not in "fi"
+        or probs.min() == 0.0
+        or probs.max() == 1.0
+    ):
+        for i, row in enumerate(rows):
+            for value in row:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    fail(f"token {i} probability {value!r} is not a number")
+        try:
+            probs = np.array(rows, dtype=np.float64)
+        except OverflowError:
+            fail("a probability is too large to convert to a float")
+    return probs
+
+
 def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> CorpusRecord:
     """Build a CorpusRecord from one decoded JSON object."""
 
@@ -302,15 +342,18 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(f"record must be an object, got {type(obj).__name__}")
     try:
         chunk_id = str(obj["id"])
-        schema = ClassSchema.from_class_names(obj["classes"])
+        schema = _class_schema(tuple(obj["classes"]))
         raw_tokens = obj["tokens"]
     except KeyError as exc:
         fail(f"missing field {exc.args[0]!r}")
     except SchemaMismatch as exc:
         fail(str(exc))
+    except (TypeError, AttributeError):
+        fail("'classes' must be a list of class-name strings")
     if not raw_tokens:
         fail("record has no tokens")
 
+    K = schema.K
     texts = []
     word_ids = []
     rows = []
@@ -321,14 +364,17 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
             row = tok["probs"]
         except (KeyError, TypeError):
             fail(f"token {i} missing 'text' or 'probs'")
-        if len(row) != schema.K:
-            fail(f"token {i} has {len(row)} probabilities, schema K={schema.K}")
+        try:
+            n_probs = len(row)
+        except TypeError:
+            fail(f"token {i} probabilities must be a list, got {type(row).__name__}")
+        if n_probs != K:
+            fail(f"token {i} has {n_probs} probabilities, schema K={K}")
         rows.append(row)
         wid = tok.get("word_id")
         has_word_ids = has_word_ids or wid is not None
         word_ids.append(wid if wid is not None else i)
-    probs = np.array(rows, dtype=np.float64)
-
+    probs = _probability_matrix(rows, fail)
     chunk = Chunk(
         chunk_id,
         schema,

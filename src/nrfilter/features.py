@@ -17,13 +17,13 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import Chunk, ClassSchema, EntitySpan
-from .errors import InvalidConfig, SchemaMismatch
-from .pdm import DecayConfig, bin_edges, compute_pdm
+from .errors import AnchorOutOfRange, InvalidConfig, SchemaMismatch
+from .pdm import DecayConfig, bin_edges, binned_mass, decay_weights
 
 SCOPE_TOKEN = "Token"
 SCOPE_WORD = "Word"
@@ -159,105 +159,239 @@ class FeatureVector:
         return {n: float(v) for n, v in zip(self.schema.names, self.values)}
 
 
-def build_scopes(
-    chunk: Chunk, span: EntitySpan, neighbor_window: int = 1
-) -> dict[str, SpanScope]:
-    """The five operand scopes for one predicted span.
-
-    Token <= Word <= Phrase by construction; Neighbor takes up to
-    ``neighbor_window`` tokens on each side of the phrase; Context is
-    everything outside the phrase.
-    """
-    T = chunk.n_tokens
-    phrase = tuple(span.positions)
-    if chunk.word_ids is not None:
-        anchor_word = chunk.word_ids[span.anchor]
-        word = tuple(t for t in phrase if chunk.word_ids[t] == anchor_word)
-    else:
-        word = (span.anchor,)
-    before = range(max(0, span.start - neighbor_window), span.start)
-    after = range(span.end + 1, min(T, span.end + 1 + neighbor_window))
-    in_phrase = set(phrase)
-    context = tuple(t for t in range(T) if t not in in_phrase)
-    return {
-        SCOPE_TOKEN: SpanScope(SCOPE_TOKEN, (span.anchor,)),
-        SCOPE_WORD: SpanScope(SCOPE_WORD, word),
-        SCOPE_PHRASE: SpanScope(SCOPE_PHRASE, phrase),
-        SCOPE_NEIGHBOR: SpanScope(SCOPE_NEIGHBOR, tuple(before) + tuple(after)),
-        SCOPE_CONTEXT: SpanScope(SCOPE_CONTEXT, context),
-    }
+def token_entropies(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy (natural log) of each probability row; 0 ln 0 = 0."""
+    # p * log(max(p, tiny)) is exactly 0 at p = 0, so 0 log 0 := 0 holds.
+    return -(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=-1)
 
 
 def entropy(probs: np.ndarray) -> float:
     """Shannon entropy (natural log) of one probability vector; 0 ln 0 = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(token_entropies(np.asarray(probs, dtype=np.float64)))
 
 
-def max_probability(chunk: Chunk, scope: SpanScope, class_index: int) -> float:
-    """Max probability of one class over a scope; 0 for an empty scope."""
-    if scope.size == 0:
-        return 0.0
-    return float(chunk.probs[list(scope.positions), class_index].max())
+# ---------------------------------------------------------------------------
+# The feature kernel
+#
+# Every scope statistic is a sum or a maximum of a per-token column over
+# the scope, so one table per chunk serves every span: its columns are
+#   [p (K) | top1 - top2 | p^2 (K) | argmax one-hot (K) |
+#    top2 / top1 | top3 / top2 | entropy | 1]
+# and maxima read the first K + 1. A scope is at most two half-open
+# segments [lo, hi) of token positions, so all scopes of all spans reduce
+# in one np.add.reduceat and one np.maximum.reduceat.
+# ---------------------------------------------------------------------------
 
 
-class _ChunkStats:
-    """Per-token quantities shared by every scope of one chunk."""
+def _token_table(probs: np.ndarray) -> np.ndarray:
+    """(T + 1, 3K + 5) per-token table; the last row is a zero pad so a
+    segment may start at T."""
+    T, K = probs.shape
+    ordered = np.sort(probs, axis=1)
+    top1, top2, top3 = ordered[:, -1], ordered[:, -2], ordered[:, -3]
+    table = np.zeros((T + 1, 3 * K + 5), dtype=np.float64)
+    table[:T, :K] = probs
+    table[:T, K] = top1 - top2
+    table[:T, K + 1 : 2 * K + 1] = probs * probs
+    table[np.arange(T), 2 * K + 1 + probs.argmax(axis=1)] = 1.0
+    # top1 >= 1/K > 0 always; top2 can be 0 (one-hot rows), guard that one.
+    table[:T, 3 * K + 1] = top2 / top1
+    np.divide(top3, top2, out=table[:T, 3 * K + 2], where=top2 > 0)
+    table[:T, 3 * K + 3] = token_entropies(probs)
+    table[:T, 3 * K + 4] = 1.0
+    return table
 
-    def __init__(self, chunk: Chunk):
-        probs = chunk.probs
-        self.argmax = chunk.argmax_classes()
-        ordered = np.sort(probs, axis=1)
-        self.top1 = ordered[:, -1]
-        self.top2 = ordered[:, -2]
-        self.top3 = ordered[:, -3]
-        # p * log(max(p, tiny)) is exactly 0 at p = 0, so 0 log 0 := 0 holds.
-        self.entropies = -(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=1)
+
+def _segment_reduce(table: np.ndarray, bounds: np.ndarray, K: int):
+    """Column sums and maxima of ``table`` rows over each [lo, hi) segment
+    of ``bounds`` (shape (..., 2)); an empty segment reduces to zeros.
+
+    reduceat returns the row at the start of an empty segment, so those
+    results are masked; the odd results (gaps between segments) are
+    never read.
+    """
+    idx = bounds.ravel()
+    sums = np.add.reduceat(table, idx)[::2]
+    maxs = np.maximum.reduceat(table[:, : K + 1], idx)[::2]
+    empty = idx[1::2] <= idx[::2]
+    sums[empty] = 0.0
+    maxs[empty] = 0.0
+    return sums, maxs
 
 
-def _scope_block(chunk: Chunk, scope: SpanScope, stats: _ChunkStats) -> np.ndarray:
-    """Statistical block for one scope in canonical order: per class
+def _scope_statistics(sums: np.ndarray, maxs: np.ndarray, K: int, out: np.ndarray) -> None:
+    """Write statistical blocks from reduced sums (..., 3K + 5) and maxima
+    (..., K + 1) into ``out`` (..., 5K + 6), in canonical order: per class
     (count, ratio, max, mean, CoV), then the six scope-level statistics.
     Empty scopes yield all zeros, with the trailing size making emptiness
     visible to the tree."""
-    K = chunk.schema.K
-    out = np.zeros(5 * K + 6, dtype=np.float64)
-    if scope.size == 0:
-        return out
-    idx = np.asarray(scope.positions, dtype=np.int64)
-    sub = chunk.probs[idx]
-    n = scope.size
-    size = float(n)
-
-    counts = np.bincount(stats.argmax[idx], minlength=K).astype(np.float64)
-    sums = sub.sum(axis=0)
-    meanp = sums / n
-    var = np.maximum((sub * sub).sum(axis=0) / n - meanp * meanp, 0.0)
-    block = np.empty((K, 5), dtype=np.float64)
-    block[:, 0] = counts
-    block[:, 1] = counts / size
-    block[:, 2] = sub.max(axis=0)
-    block[:, 3] = meanp
+    size = sums[..., -1:]
+    means = sums / np.maximum(size, 1.0)
+    mean = means[..., :K]
+    var = np.maximum(means[..., K + 1 : 2 * K + 1] - mean * mean, 0.0)
+    c = 5 * K
+    out[..., 0:c:5] = sums[..., 2 * K + 1 : 3 * K + 1]
+    out[..., 1:c:5] = means[..., 2 * K + 1 : 3 * K + 1]
+    out[..., 2:c:5] = maxs[..., :K]
+    out[..., 3:c:5] = mean
     # Population CoV; a zero mean implies an all-zero column, so CoV = 0.
-    block[:, 4] = np.divide(
-        np.sqrt(var), meanp, out=np.zeros(K, dtype=np.float64), where=meanp > 0
-    )
-    out[: 5 * K] = block.ravel()
+    out[..., 4:c:5] = 0.0
+    np.divide(np.sqrt(var), mean, out=out[..., 4:c:5], where=mean > 0)
+    out[..., c] = means[..., K]  # prob_diff_mean
+    out[..., c + 1] = maxs[..., K]  # prob_diff_max
+    out[..., c + 2 : c + 5] = means[..., 3 * K + 1 : 3 * K + 4]  # ratios, mean entropy
+    out[..., c + 5] = size[..., 0]
 
-    top1, top2, top3 = stats.top1[idx], stats.top2[idx], stats.top3[idx]
-    diff = top1 - top2
-    base = 5 * K
-    out[base] = diff.sum() / n
-    out[base + 1] = diff.max()
-    # top1 >= 1/K > 0 always; top2 can be 0 (one-hot rows), guard that one.
-    out[base + 2] = (top2 / top1).sum() / n
-    out[base + 3] = (
-        np.divide(top3, top2, out=np.zeros(n, dtype=np.float64), where=top2 > 0).sum() / n
-    )
-    out[base + 4] = stats.entropies[idx].sum() / n
-    out[base + 5] = size
+
+# Columns of the per-span bound rows _span_rows builds.
+_ZERO, _T, _START, _STOP, _ANCHOR, _AFTER_ANCHOR, _BEFORE, _AFTER = range(8)
+# Each scope as two [lo, hi) segments over those columns. Word is the
+# anchor token here; with word ids the kernel gathers it instead.
+_SEGMENTS = {
+    SCOPE_TOKEN: ((_ANCHOR, _AFTER_ANCHOR), (_STOP, _STOP)),
+    SCOPE_WORD: ((_ANCHOR, _AFTER_ANCHOR), (_STOP, _STOP)),
+    SCOPE_PHRASE: ((_START, _STOP), (_STOP, _STOP)),
+    SCOPE_NEIGHBOR: ((_BEFORE, _START), (_STOP, _AFTER)),
+    SCOPE_CONTEXT: ((_ZERO, _START), (_STOP, _T)),
+}
+
+
+def _span_rows(chunk: Chunk, spans: Sequence[EntitySpan], neighbor_window: int) -> np.ndarray:
+    """(n, 8) bound rows, one per span: 0, T, start, end + 1, anchor,
+    anchor + 1 and the Neighbor reach on either side."""
+    T = chunk.n_tokens
+    rows = []
+    for s in spans:
+        if s.start < 0 or s.end >= T:
+            raise AnchorOutOfRange(
+                f"span [{s.start}, {s.end}] outside chunk {chunk.id!r} of {T} tokens"
+            )
+        stop = s.end + 1
+        rows.append((0, T, s.start, stop, s.anchor, s.anchor + 1,
+                     max(s.start - neighbor_window, 0), min(stop + neighbor_window, T)))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), 8)
+
+
+def _segments(rows: np.ndarray, kinds: tuple[str, ...]) -> np.ndarray:
+    """(n_spans, len(kinds), 2, 2) segment bounds: per span and scope, two
+    half-open [lo, hi) token ranges whose union is the scope.
+
+    Token <= Word <= Phrase; Neighbor takes up to the neighbor window on
+    each side of the phrase; Context is everything outside the phrase,
+    [0, start) plus (end, T).
+    """
+    return rows[:, np.array([_SEGMENTS[kind] for kind in kinds], dtype=np.intp)]
+
+
+def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Word scope under word ids: the phrase positions that share the
+    anchor's word id, and the span each belongs to, in span order.
+
+    A span's Word scope can be non-contiguous when word ids interleave;
+    it always holds the anchor.
+    """
+    try:
+        wid = np.asarray(word_ids)
+    except ValueError:  # ids of differing shapes, such as lists
+        wid = None
+    if wid is None or wid.ndim != 1 or wid.dtype.kind not in "biuf":
+        # Compare ids as Python objects, so that 5 and "5" stay distinct.
+        wid = np.fromiter(word_ids, dtype=object, count=len(word_ids))
+    starts, lengths = rows[:, _START], rows[:, _STOP] - rows[:, _START]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    pos = np.arange(owner.size) + (starts - (np.cumsum(lengths) - lengths))[owner]
+    keep = wid[pos] == wid[rows[owner, _ANCHOR]]
+    return pos[keep], owner[keep]
+
+
+def featurize_chunk(
+    chunk: Chunk,
+    spans: Sequence[EntitySpan],
+    config: FeatureConfig = FeatureConfig(),
+    schema: FeatureSchema | None = None,
+) -> np.ndarray:
+    """Feature matrix (n_spans, n_features) for spans of one chunk:
+    density cells then every configured scope, in schema order.
+
+    Per-chunk work (argmax, top-3, entropies, bin indices) is done once;
+    the density maps of all spans are one bincount and all scope
+    statistics two segment reductions. A span's density map is anchored
+    at its opening token with the whole span excluded.
+    """
+    if schema is None:
+        schema = build_feature_schema(chunk.schema, config)
+    probs = chunk.probs
+    T, K = probs.shape
+    bins = config.decay.bins
+    kinds = config.scopes
+    step = 5 * K + 6
+    width = bins * K + len(kinds) * step
+    if width != len(schema):
+        raise SchemaMismatch(f"assembling {width} features, schema expects {len(schema)}")
+    n = len(spans)
+    out = np.empty((n, width), dtype=np.float64)
+    if n == 0:
+        return out
+    rows = _span_rows(chunk, spans, config.neighbor_window)
+
+    t = np.arange(T)
+    weights = decay_weights(T, rows[:, _ANCHOR], config.decay.decay_rate)
+    weights[(t >= rows[:, _START, None]) & (t < rows[:, _STOP, None])] = 0.0
+    # Density block: class-major, bins ascending -- matches schema layout.
+    pdm = binned_mass(probs, weights, bins, T)
+    out[:, : bins * K] = pdm.transpose(0, 2, 1).reshape(n, K * bins)
+
+    if kinds:
+        table = _token_table(probs)
+        sums, maxs = _segment_reduce(table, _segments(rows, kinds), K)
+        sums = sums.reshape(n, len(kinds), 2, -1)
+        maxs = maxs.reshape(n, len(kinds), 2, -1)
+        if chunk.word_ids is not None and SCOPE_WORD in kinds:
+            w = kinds.index(SCOPE_WORD)
+            pos, owner = _word_positions(chunk.word_ids, rows)
+            firsts = np.searchsorted(owner, np.arange(n))
+            sums[:, w, 0] = np.add.reduceat(table[pos], firsts)
+            maxs[:, w, 0] = np.maximum.reduceat(table[pos, : K + 1], firsts)
+        blocks = np.empty((n, len(kinds), step), dtype=np.float64)
+        _scope_statistics(
+            sums[:, :, 0] + sums[:, :, 1], np.maximum(maxs[:, :, 0], maxs[:, :, 1]), K, blocks
+        )
+        out[:, bins * K :] = blocks.reshape(n, -1)
+
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = schema.names[int(np.argmin(finite.all(axis=0)))]
+        raise ValueError(f"non-finite feature value for {bad!r}")
     return out
+
+
+def assemble_features(
+    chunk: Chunk,
+    span: EntitySpan,
+    config: FeatureConfig = FeatureConfig(),
+    schema: FeatureSchema | None = None,
+) -> FeatureVector:
+    """Full feature vector for one span: featurize_chunk on that span."""
+    if schema is None:
+        schema = build_feature_schema(chunk.schema, config)
+    return FeatureVector(schema, featurize_chunk(chunk, (span,), config, schema)[0])
+
+
+def build_scopes(
+    chunk: Chunk, span: EntitySpan, neighbor_window: int = 1
+) -> dict[str, SpanScope]:
+    """The five operand scopes of one span as explicit positions: a view
+    of the segments featurize_chunk reduces over."""
+    rows = _span_rows(chunk, (span,), neighbor_window)
+    (bounds,) = _segments(rows, SCOPE_ORDER).tolist()
+    scopes = {
+        kind: SpanScope(kind, tuple(range(lo1, hi1)) + tuple(range(lo2, hi2)))
+        for kind, ((lo1, hi1), (lo2, hi2)) in zip(SCOPE_ORDER, bounds)
+    }
+    if chunk.word_ids is not None:
+        pos, _ = _word_positions(chunk.word_ids, rows)
+        scopes[SCOPE_WORD] = SpanScope(SCOPE_WORD, tuple(pos.tolist()))
+    return scopes
 
 
 def scope_feature_names(class_schema: ClassSchema, kind: str) -> tuple[str, ...]:
@@ -270,41 +404,27 @@ def scope_feature_names(class_schema: ClassSchema, kind: str) -> tuple[str, ...]
     return tuple(names)
 
 
+def _scope_block(chunk: Chunk, scope: SpanScope) -> np.ndarray:
+    """Statistical block of one arbitrary scope: the kernel's reduction
+    over the gathered rows as a single segment."""
+    K = chunk.schema.K
+    table = _token_table(chunk.probs)
+    rows = table[list(scope.positions) + [chunk.n_tokens]]  # keep the zero pad row
+    sums, maxs = _segment_reduce(rows, np.array([0, scope.size]), K)
+    block = np.empty(5 * K + 6, dtype=np.float64)
+    _scope_statistics(sums[0], maxs[0], K, block)
+    return block
+
+
 def statistical_features(chunk: Chunk, scope: SpanScope) -> dict[str, float]:
     """Statistical feature block for one scope, keyed by canonical name."""
-    block = _scope_block(chunk, scope, _ChunkStats(chunk))
     names = scope_feature_names(chunk.schema, scope.kind)
-    return {name: float(value) for name, value in zip(names, block)}
+    return {name: float(value) for name, value in zip(names, _scope_block(chunk, scope))}
 
 
-def assemble_features(
-    chunk: Chunk,
-    span: EntitySpan,
-    config: FeatureConfig = FeatureConfig(),
-    schema: FeatureSchema | None = None,
-) -> FeatureVector:
-    """Full feature vector for one span: density cells then all scopes."""
-    if schema is None:
-        schema = build_feature_schema(chunk.schema, config)
-    pdm = compute_pdm(chunk, span.anchor, config.decay, exclude=span.positions)
-    values = np.empty(len(schema), dtype=np.float64)
-    # Density block: class-major, bins ascending -- matches schema layout.
-    n_bins = config.decay.bins
-    K = chunk.schema.K
-    values[: n_bins * K] = pdm.values.T.ravel()
-    pos = n_bins * K
-    stats = _ChunkStats(chunk)
-    scopes = build_scopes(chunk, span, config.neighbor_window)
-    step = 5 * K + 6
-    for kind in config.scopes:
-        values[pos : pos + step] = _scope_block(chunk, scopes[kind], stats)
-        pos += step
-    if pos != len(schema):
-        raise SchemaMismatch(f"assembled {pos} features, schema expects {len(schema)}")
-    if not np.all(np.isfinite(values)):
-        bad = schema.names[int(np.argmin(np.isfinite(values)))]
-        raise ValueError(f"non-finite feature value for {bad!r}")
-    return FeatureVector(schema, values)
+def max_probability(chunk: Chunk, scope: SpanScope, class_index: int) -> float:
+    """Max probability of one class over a scope; 0 for an empty scope."""
+    return float(_scope_block(chunk, scope)[5 * class_index + 2])
 
 
 # ---------------------------------------------------------------------------

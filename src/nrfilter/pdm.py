@@ -75,6 +75,32 @@ def _bin_indices(probs: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum(idx, bins - 1)
 
 
+def binned_mass(
+    probs: np.ndarray, weights: np.ndarray, bins: int, norm: float = 1.0
+) -> np.ndarray:
+    """(n, bins, K) grids in one bincount: grid j gets
+    ``weights[j, t] * probs[t, k] / norm`` in the bin of ``probs[t, k]``.
+
+    This is the one density-map implementation. A token with weight 0
+    adds exactly 0.0, so zeroing a weight excludes that token.
+    """
+    n = weights.shape[0]
+    K = probs.shape[1]
+    contrib = weights[:, :, None] * probs / norm
+    cell = _bin_indices(probs, bins) * K + np.arange(K)
+    flat = cell + (np.arange(n) * (bins * K))[:, None, None]
+    return np.bincount(
+        flat.ravel(), weights=contrib.ravel(), minlength=n * bins * K
+    ).reshape(n, bins, K)
+
+
+def decay_weights(T: int, anchors: np.ndarray, decay_rate: float) -> np.ndarray:
+    """(n, T) Gaussian weights exp(-d^2 / (2 R^2)) of each token around
+    each anchor."""
+    d = np.abs(np.arange(T) - anchors[:, None]).astype(np.float64)
+    return np.exp(-(d * d) / (2.0 * decay_rate * decay_rate))
+
+
 def compute_pdm(
     chunk: Chunk,
     t_predicted: int,
@@ -90,21 +116,12 @@ def compute_pdm(
     token itself, e.g. to all tokens of a multi-token predicted span.
     """
     _check_anchor(chunk, t_predicted)
-    excluded = {t_predicted} if exclude is None else set(exclude) | {t_predicted}
     T = chunk.n_tokens
-    K = chunk.probs.shape[1]
-    grid = np.zeros((config.bins, K), dtype=np.float64)
-
-    keep = np.array([t for t in range(T) if t not in excluded], dtype=np.int64)
-    if keep.size:
-        probs = chunk.probs[keep]
-        d = np.abs(keep - t_predicted).astype(np.float64)
-        weights = np.exp(-(d * d) / (2.0 * config.decay_rate * config.decay_rate))
-        contrib = weights[:, None] * probs / T
-        flat = _bin_indices(probs, config.bins) * K + np.arange(K)
-        grid = np.bincount(
-            flat.ravel(), weights=contrib.ravel(), minlength=config.bins * K
-        ).reshape(config.bins, K)
+    weights = decay_weights(T, np.array([t_predicted]), config.decay_rate)
+    weights[0, t_predicted] = 0.0
+    if exclude is not None:
+        weights[0, [t for t in exclude if 0 <= t < T]] = 0.0
+    grid = binned_mass(chunk.probs, weights, config.bins, T)[0]
     return ProbabilityDensityMap(grid, config, t_predicted)
 
 
@@ -116,7 +133,7 @@ def compute_pdm_for_span(
 
     Excluding the span's own I tokens (not just the anchor) keeps the
     span's high-confidence mass from flooding the top bins and masking
-    the neighborhood signal. This is the one place that choice lives.
+    the neighborhood signal. The feature kernel applies the same rule.
     """
     return compute_pdm(chunk, span.anchor, config, exclude=span.positions)
 
@@ -128,16 +145,9 @@ def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = DEFAULT_BINS) ->
     no decay weight, no division by the token count.
     """
     _check_anchor(chunk, t_predicted)
-    K = chunk.probs.shape[1]
-    grid = np.zeros((bins, K), dtype=np.float64)
-    keep = np.array([t for t in range(chunk.n_tokens) if t != t_predicted], dtype=np.int64)
-    if keep.size:
-        probs = chunk.probs[keep]
-        flat = _bin_indices(probs, bins) * K + np.arange(K)
-        grid = np.bincount(
-            flat.ravel(), weights=probs.ravel(), minlength=bins * K
-        ).reshape(bins, K)
-    return grid
+    weights = np.ones((1, chunk.n_tokens))
+    weights[0, t_predicted] = 0.0
+    return binned_mass(chunk.probs, weights, bins)[0]
 
 
 def bin_edges(bins: int) -> list[tuple[float, float]]:

@@ -25,13 +25,14 @@ from .core import (
     iter_records,
     span_to_obj,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SchemaMismatch
 from .features import (
     SCOPE_ORDER,
     FeatureConfig,
+    FeatureSchema,
     FeatureVector,
-    assemble_features,
     build_feature_schema,
+    featurize_chunk,
     write_feature_csv,
 )
 from .metrics import EntityCounts, drop_rates, entity_f1
@@ -184,6 +185,34 @@ def assign_validation(seed: int, index: int, fraction: float) -> bool:
     return bool(np.random.default_rng([seed, _SPLIT_SALT, index]).random() < fraction)
 
 
+def featurize_records(
+    records: Iterable[CorpusRecord],
+    config: PipelineConfig,
+    feature_names: tuple[str, ...] | None = None,
+) -> Iterator[tuple[CorpusRecord, list[EntitySpan], FeatureSchema, np.ndarray]]:
+    """Decode and featurize one record at a time: yields each record with
+    its decoded spans, feature schema and (n_spans, n_features) matrix.
+
+    ``feature_names``, when given, must equal every record's schema (a
+    model's training schema); records are featurized on
+    ``config.threads`` threads, in order.
+    """
+    fconfig = config.feature_config
+
+    def featurize(record: CorpusRecord):
+        chunk = record.chunk
+        schema = build_feature_schema(chunk.schema, fconfig)
+        if feature_names is not None and schema.names != feature_names:
+            raise SchemaMismatch(
+                f"record {chunk.id!r}: the model was trained under a different "
+                "feature schema than this corpus/configuration produces"
+            )
+        spans = decode_spans(chunk, config.orphan_policy)
+        return record, spans, schema, featurize_chunk(chunk, spans, fconfig, schema)
+
+    return bounded_parallel_map(featurize, records, config.threads)
+
+
 @dataclass
 class PipelineResult:
     report: dict
@@ -203,26 +232,22 @@ def run_pipeline(
     under ``out_dir``; reruns with identical inputs produce byte-identical
     artifacts. The returned report carries validation drop rates.
     """
-    fconfig = config.feature_config
     rows: list[tuple[EntitySpan, FeatureVector, str | None, bool, bool]] = []
     val_gold: list[EntitySpan] = []
     val_base: list[EntitySpan] = []
     any_gold = False
     n_records = 0
-    for index, record in enumerate(iter_records(corpus)):
+    featurized = featurize_records(iter_records(corpus), config)
+    for index, (record, spans, schema, matrix) in enumerate(featurized):
         n_records += 1
-        chunk = record.chunk
-        schema = build_feature_schema(chunk.schema, fconfig)
         is_val = assign_validation(config.seed, index, config.validation_fraction)
         any_gold = any_gold or bool(record.gold_spans)
         if is_val:
             val_gold.extend(record.gold_spans)
-        for span in decode_spans(chunk, config.orphan_policy):
-            fv = assemble_features(chunk, span, fconfig, schema)
-            is_tp = span_is_tp(record, span)
-            rows.append((span, fv, record.label, is_val, is_tp))
-            if is_val:
-                val_base.append(span)
+            val_base.extend(spans)
+        for span, values in zip(spans, matrix):
+            fv = FeatureVector(schema, values)
+            rows.append((span, fv, record.label, is_val, span_is_tp(record, span)))
     if not rows:
         raise InvalidConfig("corpus produced no predicted spans")
 
@@ -315,30 +340,24 @@ def stream_classify(
     Dropped spans are kept in the output flagged "weak" so rejections
     stay reviewable. Returns verdict counts.
     """
-    fconfig = config.feature_config
     counts = {STRONG: 0, WEAK: 0}
-
-    def process(record: CorpusRecord) -> list[tuple[str, str]]:
-        chunk = record.chunk
-        schema = build_feature_schema(chunk.schema, fconfig)
-        if schema.names != model.feature_names:
-            raise InvalidConfig(
-                "model was trained under a different feature schema than "
-                "this corpus/configuration produces"
-            )
-        lines = []
-        for span in decode_spans(chunk, config.orphan_policy):
-            fv = assemble_features(chunk, span, fconfig, schema)
-            path = explain(model, fv)
-            obj = span_to_obj(span)
-            obj.update(verdict=path.verdict, p_weak=path.p_weak)
-            if include_path:
-                obj["path"] = path.serialize()
-            lines.append((path.verdict, json.dumps(obj)))
-        return lines
-
-    for lines in bounded_parallel_map(process, iter_records(corpus), config.threads):
-        for verdict, line in lines:
+    featurized = featurize_records(iter_records(corpus), config, model.feature_names)
+    for _, spans, _, matrix in featurized:
+        for verdict, line in _verdict_lines(model, spans, matrix, include_path):
             out.write(line + "\n")
             counts[verdict] += 1
     return counts
+
+
+def _verdict_lines(
+    model: TreeModel, spans: list[EntitySpan], matrix: np.ndarray, include_path: bool
+) -> Iterator[tuple[str, str]]:
+    """(verdict, JSON line) per span of one record. A generator, so its
+    decision paths are freed when the record is done."""
+    for span, values in zip(spans, matrix):
+        path = explain(model, values)
+        obj = span_to_obj(span)
+        obj.update(verdict=path.verdict, p_weak=path.p_weak)
+        if include_path:
+            obj["path"] = path.serialize()
+        yield path.verdict, json.dumps(obj)

@@ -122,8 +122,9 @@ def _best_split(
     """Best (feature, threshold, impurity decrease) for one node.
 
     Candidate thresholds are midpoints of consecutive distinct sorted
-    values. The first strictly-best candidate wins, so ties fall to the
-    lower feature index and then the lower threshold.
+    values, or the lower value where the midpoint rounds onto the upper.
+    The first strictly-best candidate wins, so ties fall to the lower
+    feature index and then the lower threshold.
     """
     n = X.shape[0]
     w_weak_total = float(weights[is_weak].sum())
@@ -170,6 +171,11 @@ def _best_split(
         if gain > best_gain:
             i = int(b[pos])
             threshold = (float(v[i]) + float(v[i + 1])) / 2.0
+            if threshold >= v[i + 1]:
+                # Adjacent doubles: the midpoint rounded onto the upper
+                # value, which would send it left and could empty the
+                # right child. v[i] keeps v[i] <= threshold < v[i + 1].
+                threshold = float(v[i])
             best = (j, threshold, gain)
             best_gain = gain
     return best

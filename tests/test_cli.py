@@ -12,6 +12,7 @@ from nrfilter.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SCHEMA,
     EXIT_VALIDATION,
     main,
 )
@@ -124,7 +125,7 @@ class TestTrainTuneClassifyExplain:
         out = str(workdir["root"] / "nope.jsonl")
         code = run(["classify", "--input", workdir["corpus"],
                     "--model", trained["model"], "--out", out, "--bins", 5])
-        assert code == EXIT_CONFIG
+        assert code == EXIT_SCHEMA
 
     def test_explain_prints_path_block(self, workdir, trained, capsys):
         record_file = str(workdir["root"] / "one.jsonl")
@@ -240,3 +241,60 @@ class TestConsoleEntrypoint:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
+
+
+BAD_PROBS = {
+    "nan": ([float("nan"), 0.5, 0.5], EXIT_VALIDATION),
+    "ragged": ([[1], 0, 0], EXIT_PARSE),
+    "string": (["1.0", 0, 0], EXIT_PARSE),
+    "boolean": ([True, False, False], EXIT_PARSE),
+}
+
+
+def write_bad_corpus(workdir, name, probs):
+    """Three valid records, then one whose second token carries ``probs``
+    next to a B token, so a span would be featurized over it."""
+    path = str(workdir["root"] / f"bad_{name}.jsonl")
+    with open(workdir["corpus"], "r", encoding="utf-8") as src:
+        lines = src.readlines()[:3]
+    record = {"id": f"bad-{name}", "classes": ["O", "B", "I"],
+              "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0]},
+                         {"text": "b", "probs": probs},
+                         {"text": "c", "probs": [1.0, 0.0, 0.0]}]}
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(lines)
+        out.write(json.dumps(record) + "\n")
+    return path
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name", sorted(BAD_PROBS))
+    def test_validate(self, workdir, capsys, name):
+        probs, code = BAD_PROBS[name]
+        path = write_bad_corpus(workdir, name, probs)
+        assert run(["validate", "--input", path]) == code
+        err = capsys.readouterr().err
+        assert (":4:" in err) if code == EXIT_PARSE else ("token 1" in err)
+
+    @pytest.mark.parametrize("name", sorted(BAD_PROBS))
+    def test_classify(self, workdir, trained, capsys, name):
+        probs, code = BAD_PROBS[name]
+        path = write_bad_corpus(workdir, name, probs)
+        out = str(workdir["root"] / f"bad_{name}_out.jsonl")
+        assert run(["classify", "--input", path, "--model", trained["model"],
+                    "--out", out]) == code
+        err = capsys.readouterr().err
+        assert (":4:" in err) if code == EXIT_PARSE else ("token 1" in err)
+
+    def test_classify_k7_corpus_with_k3_model(self, workdir, trained):
+        path = str(workdir["root"] / "k7.jsonl")
+        classes = ["O", "B-A", "I-A", "B-B", "I-B", "B-C", "I-C"]
+        record = {"id": "k7", "classes": classes,
+                  "tokens": [{"text": "x", "probs": [0.1, 0.9, 0, 0, 0, 0, 0]},
+                             {"text": "y", "probs": [1.0, 0, 0, 0, 0, 0, 0]}],
+                  "label": "strong"}
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(json.dumps(record) + "\n")
+        out = str(workdir["root"] / "k7_out.jsonl")
+        assert run(["classify", "--input", path, "--model", trained["model"],
+                    "--out", out]) == EXIT_SCHEMA

@@ -6,6 +6,7 @@ import pytest
 
 from nrfilter import (
     PipelineConfig,
+    decode_spans,
     STRONG,
     SynthConfig,
     WEAK,
@@ -15,8 +16,8 @@ from nrfilter import (
     stream_classify,
     write_records,
 )
-from nrfilter.core import EntitySpan, parse_record
-from nrfilter.errors import InvalidConfig
+from nrfilter.core import EntitySpan, parse_record, record_to_obj
+from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.pipeline import assign_validation, bounded_parallel_map, span_is_tp
 
 
@@ -112,7 +113,7 @@ class TestStreamClassify:
 
     def test_schema_guard(self, corpus_path, pipeline_run):
         result, _ = pipeline_run
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SchemaMismatch):
             stream_classify(
                 corpus_path, result.model, io.StringIO(),
                 PipelineConfig(bins=5),
@@ -125,6 +126,48 @@ class TestStreamClassify:
                         include_path=False)
         first = json.loads(out.getvalue().split("\n", 1)[0])
         assert "path" not in first and "verdict" in first
+
+
+def merged_corpus(path, records, per_record=3):
+    """Join runs of single-span synth records into multi-span records whose
+    tokens pair up into words, so every scope, word ids included, is in
+    play; each strong record's span becomes a gold span."""
+    with open(path, "w", encoding="utf-8") as out:
+        for i in range(0, len(records) - per_record + 1, per_record):
+            tokens, gold, offset = [], [], 0
+            for record in records[i : i + per_record]:
+                obj = record_to_obj(record)
+                if record.label == STRONG:
+                    for span in decode_spans(record.chunk):
+                        gold.append({"entity_type": span.entity_type,
+                                     "start": span.start + offset, "end": span.end + offset})
+                tokens.extend(obj["tokens"])
+                offset += record.chunk.n_tokens
+            for t, tok in enumerate(tokens):
+                tok["word_id"] = t // 2
+            merged = {"id": f"merged-{i}", "classes": obj["classes"], "tokens": tokens}
+            if gold:
+                merged["gold_spans"] = gold
+            else:
+                merged["label"] = WEAK
+            out.write(json.dumps(merged) + "\n")
+
+
+class TestStreamMatchesPipeline:
+    def test_verdicts_p_weak_and_paths(self, tmp_path):
+        corpus = str(tmp_path / "merged.jsonl")
+        merged_corpus(corpus, list(iter_generate(SynthConfig(n_strong=240, n_weak=240, seed=43))))
+        result = run_pipeline(corpus, str(tmp_path / "run"), PipelineConfig())
+        with open(result.paths["predictions"], "r", encoding="utf-8") as handle:
+            batch = [json.loads(line) for line in handle]
+        out = io.StringIO()
+        stream_classify(corpus, result.model, out, PipelineConfig())
+        streamed = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(streamed) == len(batch) == result.report["n_spans"]
+        assert {obj["verdict"] for obj in streamed} == {STRONG, WEAK}
+        for got, want in zip(streamed, batch):
+            for key in ("chunk_id", "start", "end", "anchor", "verdict", "p_weak", "path"):
+                assert got[key] == want[key], key
 
 
 class TestHelpers:

@@ -141,6 +141,44 @@ class TestTrain:
 
         counts(0)
 
+    def test_adjacent_doubles_split_five_five(self):
+        # The midpoint of 1 + 2**-52 and 1 + 2**-51 rounds onto the upper
+        # value; the threshold must still separate the two.
+        low, high = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        assert (low + high) / 2.0 == high
+        X = np.array([[low]] * 5 + [[high]] * 5)
+        labels = [STRONG] * 5 + [WEAK] * 5
+        model = train_matrix(X, labels, ("Context_I-tag_cov_prob",))
+        root = model.nodes[0]
+        assert isinstance(root, Internal)
+        assert low <= root.threshold < high
+        left, right = model.nodes[root.left], model.nodes[root.right]
+        assert (left.n_strong, left.n_weak) == (5, 0)
+        assert (right.n_strong, right.n_weak) == (0, 5)
+
+    def test_thresholds_separate_adjacent_values(self):
+        # A column of neighbouring doubles: every split must send some of
+        # its node's values each way.
+        rng = np.random.default_rng(12)
+        column = 1.0 + np.arange(40) * 2.0 ** -52
+        X = column[rng.permutation(40)][:, None]
+        labels = [WEAK if rng.random() < 0.5 else STRONG for _ in range(40)]
+        model = train_matrix(X, labels, ("f0",), TrainConfig(min_samples_leaf=1))
+
+        def walk(index, values):
+            node = model.nodes[index]
+            if isinstance(node, Leaf):
+                assert node.n_strong + node.n_weak == values.size > 0
+                return
+            left = values[values <= node.threshold]
+            right = values[values > node.threshold]
+            assert left.size and right.size
+            assert left.max() <= node.threshold < right.min()
+            walk(node.left, left)
+            walk(node.right, right)
+
+        walk(0, X[:, 0])
+
     def test_train_from_feature_vectors(self, sentence1, sentence2):
         rows = []
         for record in (sentence1, sentence2):
