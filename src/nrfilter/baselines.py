@@ -67,15 +67,7 @@ def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
     logits = np.log(p) / temperature
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    out = e / e.sum(axis=-1, keepdims=True)
-    # Every step is monotone, but rounding can tie the top class with an
-    # earlier one; give it back a one-ulp lead so the argmax is preserved.
-    top = np.argmax(p, axis=-1)[..., None]
-    tied = np.argmax(out, axis=-1)[..., None] != top
-    if tied.any():
-        lead = np.nextafter(out.max(axis=-1, keepdims=True), np.inf)
-        np.put_along_axis(out, top, np.where(tied, lead, np.take_along_axis(out, top, -1)), -1)
-    return out
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def mean_span_entropy(chunk: Chunk, span: EntitySpan) -> float:

@@ -9,9 +9,11 @@ strong/weak classifier) consumes these types.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -302,34 +304,47 @@ def _class_schema(names: tuple) -> ClassSchema:
 
 
 def _probability_matrix(rows: list, fail) -> np.ndarray:
-    """The (T, K) matrix of parsed probability rows; ``fail`` on any entry
-    that is not a number.
+    """The (T, K) float matrix of parsed probability rows; ``fail`` on any
+    entry that is not a number.
 
     numpy's own dtype discovery screens the rows: strings, None and
-    nested lists give a non-numeric or non-2-D array. Booleans would
-    pass as 0 and 1, so a matrix holding an exact 0 or 1 gets the exact
-    per-entry type check.
+    nested lists give a non-numeric or non-2-D array. A boolean would
+    pass as 0 or 1, so the entries equal to 0 or 1, and only those, get
+    an exact type check.
     """
     try:
         probs = np.array(rows)
+        numeric = probs.ndim == 2 and probs.dtype.kind in "fi"
     except ValueError:  # nested lists of differing lengths
-        probs = None
-    if (
-        probs is None
-        or probs.ndim != 2
-        or probs.dtype.kind not in "fi"
-        or probs.min() == 0.0
-        or probs.max() == 1.0
-    ):
+        numeric = False
+    if numeric:
+        hits = np.flatnonzero((probs == 0.0) | (probs == 1.0)).tolist()
+        if hits:
+            entries = list(chain.from_iterable(rows))
+            numeric = bool not in set(map(type, map(entries.__getitem__, hits)))
+    if not numeric:
         for i, row in enumerate(rows):
             for value in row:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     fail(f"token {i} probability {value!r} is not a number")
-        try:
-            probs = np.array(rows, dtype=np.float64)
-        except OverflowError:
-            fail("a probability is too large to convert to a float")
-    return probs
+        fail("a probability is too large to convert to a float")
+    return probs.astype(np.float64, copy=False)
+
+
+_WORD_ID_TYPES = frozenset((int, float, str))
+
+
+def _check_word_ids(word_ids: list, fail) -> None:
+    """Word ids group tokens by equality, so each must be an integer, a
+    finite number or a string: NaN equals nothing, not even itself."""
+    types = set(map(type, word_ids))
+    if types <= _WORD_ID_TYPES and (
+        float not in types or all(map(math.isfinite, (w for w in word_ids if type(w) is float)))
+    ):
+        return
+    for i, wid in enumerate(word_ids):
+        if type(wid) not in _WORD_ID_TYPES or (type(wid) is float and not math.isfinite(wid)):
+            fail(f"token {i} word_id {wid!r} is not an integer, a finite number or a string")
 
 
 def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> CorpusRecord:
@@ -375,6 +390,8 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         has_word_ids = has_word_ids or wid is not None
         word_ids.append(wid if wid is not None else i)
     probs = _probability_matrix(rows, fail)
+    if has_word_ids:
+        _check_word_ids(word_ids, fail)
     chunk = Chunk(
         chunk_id,
         schema,

@@ -287,8 +287,8 @@ def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Word scope under word ids: the phrase positions that share the
     anchor's word id, and the span each belongs to, in span order.
 
-    A span's Word scope can be non-contiguous when word ids interleave;
-    it always holds the anchor.
+    A span's Word scope can be non-contiguous when word ids interleave,
+    and it is empty if the anchor's id equals nothing (NaN).
     """
     try:
         wid = np.asarray(word_ids)
@@ -302,6 +302,9 @@ def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     pos = np.arange(owner.size) + (starts - (np.cumsum(lengths) - lengths))[owner]
     keep = wid[pos] == wid[rows[owner, _ANCHOR]]
     return pos[keep], owner[keep]
+
+
+_PDM_CELLS = 1 << 16
 
 
 def featurize_chunk(
@@ -334,12 +337,17 @@ def featurize_chunk(
         return out
     rows = _span_rows(chunk, spans, config.neighbor_window)
 
-    t = np.arange(T)
-    weights = decay_weights(T, rows[:, _ANCHOR], config.decay.decay_rate)
-    weights[(t >= rows[:, _START, None]) & (t < rows[:, _STOP, None])] = 0.0
     # Density block: class-major, bins ascending -- matches schema layout.
-    pdm = binned_mass(probs, weights, bins, T)
-    out[:, : bins * K] = pdm.transpose(0, 2, 1).reshape(n, K * bins)
+    # Spans go in blocks of about _PDM_CELLS (span, token, class) cells,
+    # so a long record with many spans needs no (n, T, K) temporaries.
+    t = np.arange(T)
+    block = max(1, _PDM_CELLS // (T * K))
+    for lo in range(0, n, block):
+        part = rows[lo : lo + block]
+        weights = decay_weights(T, part[:, _ANCHOR], config.decay.decay_rate)
+        weights[(t >= part[:, _START, None]) & (t < part[:, _STOP, None])] = 0.0
+        pdm = binned_mass(probs, weights, bins, T)
+        out[lo : lo + block, : bins * K] = pdm.transpose(0, 2, 1).reshape(len(part), K * bins)
 
     if kinds:
         table = _token_table(probs)
@@ -349,9 +357,12 @@ def featurize_chunk(
         if chunk.word_ids is not None and SCOPE_WORD in kinds:
             w = kinds.index(SCOPE_WORD)
             pos, owner = _word_positions(chunk.word_ids, rows)
+            # One segment per span over the gathered rows, plus the pad row.
             firsts = np.searchsorted(owner, np.arange(n))
-            sums[:, w, 0] = np.add.reduceat(table[pos], firsts)
-            maxs[:, w, 0] = np.maximum.reduceat(table[pos, : K + 1], firsts)
+            ends = np.append(firsts[1:], len(pos))
+            sums[:, w, 0], maxs[:, w, 0] = _segment_reduce(
+                table[np.append(pos, T)], np.stack([firsts, ends], axis=1), K
+            )
         blocks = np.empty((n, len(kinds), step), dtype=np.float64)
         _scope_statistics(
             sums[:, :, 0] + sums[:, :, 1], np.maximum(maxs[:, :, 0], maxs[:, :, 1]), K, blocks

@@ -243,24 +243,29 @@ class TestConsoleEntrypoint:
         assert proc.returncode == 0
 
 
-BAD_PROBS = {
-    "nan": ([float("nan"), 0.5, 0.5], EXIT_VALIDATION),
-    "ragged": ([[1], 0, 0], EXIT_PARSE),
-    "string": (["1.0", 0, 0], EXIT_PARSE),
-    "boolean": ([True, False, False], EXIT_PARSE),
+# A bad value, the token it goes in, and the exit code it must give.
+BAD_TOKENS = {
+    "nan": (1, {"probs": [float("nan"), 0.5, 0.5]}, EXIT_VALIDATION),
+    "ragged": (1, {"probs": [[1], 0, 0]}, EXIT_PARSE),
+    "string": (1, {"probs": ["1.0", 0, 0]}, EXIT_PARSE),
+    "boolean": (1, {"probs": [True, False, False]}, EXIT_PARSE),
+    "nan-word-id": (0, {"word_id": float("nan")}, EXIT_PARSE),
 }
 
 
-def write_bad_corpus(workdir, name, probs):
-    """Three valid records, then one whose second token carries ``probs``
-    next to a B token, so a span would be featurized over it."""
+def write_bad_corpus(workdir, name):
+    """Three valid records, then one whose B token (token 0) or the
+    token after it carries the bad value, so a span would be featurized
+    over it."""
+    index, fields, _ = BAD_TOKENS[name]
     path = str(workdir["root"] / f"bad_{name}.jsonl")
     with open(workdir["corpus"], "r", encoding="utf-8") as src:
         lines = src.readlines()[:3]
     record = {"id": f"bad-{name}", "classes": ["O", "B", "I"],
-              "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0]},
-                         {"text": "b", "probs": probs},
-                         {"text": "c", "probs": [1.0, 0.0, 0.0]}]}
+              "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0], "word_id": 0},
+                         {"text": "b", "probs": [0.8, 0.1, 0.1], "word_id": 1},
+                         {"text": "c", "probs": [1.0, 0.0, 0.0], "word_id": 2}]}
+    record["tokens"][index].update(fields)
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(lines)
         out.write(json.dumps(record) + "\n")
@@ -268,18 +273,18 @@ def write_bad_corpus(workdir, name, probs):
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("name", sorted(BAD_PROBS))
+    @pytest.mark.parametrize("name", sorted(BAD_TOKENS))
     def test_validate(self, workdir, capsys, name):
-        probs, code = BAD_PROBS[name]
-        path = write_bad_corpus(workdir, name, probs)
+        code = BAD_TOKENS[name][2]
+        path = write_bad_corpus(workdir, name)
         assert run(["validate", "--input", path]) == code
         err = capsys.readouterr().err
         assert (":4:" in err) if code == EXIT_PARSE else ("token 1" in err)
 
-    @pytest.mark.parametrize("name", sorted(BAD_PROBS))
+    @pytest.mark.parametrize("name", sorted(BAD_TOKENS))
     def test_classify(self, workdir, trained, capsys, name):
-        probs, code = BAD_PROBS[name]
-        path = write_bad_corpus(workdir, name, probs)
+        code = BAD_TOKENS[name][2]
+        path = write_bad_corpus(workdir, name)
         out = str(workdir["root"] / f"bad_{name}_out.jsonl")
         assert run(["classify", "--input", path, "--model", trained["model"],
                     "--out", out]) == code

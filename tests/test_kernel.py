@@ -7,6 +7,8 @@ features, which go through E[x^2] - E[x]^2 and must agree within 1e-12
 absolute.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,26 @@ class TestKernelShape:
             pdm = compute_pdm(chunk, span.anchor, config.decay, exclude=span.positions)
             np.testing.assert_array_equal(row[: bins * K], pdm.values.T.ravel())
 
+    def test_many_spans_of_a_long_record(self):
+        # Density maps are built a block of spans at a time, so featurizing
+        # 200 spans of a 3,000-token record allocates far less than one
+        # (n_spans, T, K) float array (34 MB).
+        rng = np.random.default_rng(5)
+        T, K = 3000, 7
+        schema = ClassSchema(("A", "B", "C"))
+        chunk = Chunk("long", schema, ("t",) * T, rng.dirichlet(np.full(K, 0.3), size=T))
+        spans = [EntitySpan("long", "A", s, s + 2, s + 1, "") for s in range(0, T - 3, 15)]
+        tracemalloc.start()
+        try:
+            matrix = featurize_chunk(chunk, spans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spans) == 200
+        assert peak < 8 * 2**20
+        for i in (0, 1, 2, 3, 99, 199):
+            np.testing.assert_array_equal(assemble_features(chunk, spans[i]).values, matrix[i])
+
     def test_no_spans(self, sentence1):
         config = FeatureConfig()
         matrix = featurize_chunk(sentence1.chunk, [], config)
@@ -148,10 +170,11 @@ class TestWordIds:
         (5, "5", 5, "5", 5),
         ([0], [1], [1], [0, 1], [1]),
         (0, 1.0, 1, 2.5, 1),
-    ], ids=["strings", "int-and-string", "lists", "mixed-numbers"])
+        (0, 1, float("nan"), 1, float("nan")),
+    ], ids=["strings", "int-and-string", "lists", "mixed-numbers", "nan"])
     def test_any_json_word_id(self, word_ids):
-        # Word ids come from the corpus as any JSON value; they group by
-        # Python equality, as in the reference.
+        # Chunks may carry any word ids; they group by Python equality, as
+        # in the reference, so a NaN anchor has an empty Word scope.
         rng = np.random.default_rng(3)
         probs = rng.dirichlet(np.ones(3), size=5)
         chunk = Chunk("w", ClassSchema(("",)), tuple("abcde"), probs, word_ids)
