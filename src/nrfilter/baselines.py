@@ -8,7 +8,6 @@ passes supplied as separate chunk streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,24 +20,9 @@ from .features import token_entropies
 # recovered log-probabilities finite without disturbing the ordering.
 LOGIT_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Operating points for the four reference filters."""
-
-    threshold: float = 0.9
-    temperature: float = 1.0
-    entropy_cutoff: float = 0.5
-    mc_mean_cutoff: float = 0.9
-    mc_var_cutoff: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidConfig(f"threshold must be in [0, 1], got {self.threshold}")
-        if not self.temperature > 0:
-            raise NonPositiveTemperature(f"temperature must be > 0, got {self.temperature}")
-        if self.entropy_cutoff < 0 or self.mc_mean_cutoff < 0 or self.mc_var_cutoff < 0:
-            raise InvalidConfig("entropy and MC cutoffs must be >= 0")
+# The `temp` grid varies the temperature; every temperature keeps a span
+# iff its scaled weakest-token confidence reaches this fixed cut.
+TEMP_GRID_THRESHOLD = 0.9
 
 
 def span_confidence(chunk: Chunk, span: EntitySpan) -> float:
@@ -67,7 +51,15 @@ def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
     logits = np.log(p) / temperature
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
+    # Every step is monotone, but rounding can tie the top class with an
+    # earlier one, which argmax then prefers: give the top class a one-ulp lead.
+    top = np.argmax(p, axis=-1)[..., None]
+    tied = np.argmax(out, axis=-1)[..., None] != top
+    if tied.any():
+        lead = np.nextafter(out.max(axis=-1, keepdims=True), np.inf)
+        np.put_along_axis(out, top, np.where(tied, lead, np.take_along_axis(out, top, -1)), -1)
+    return out
 
 
 def mean_span_entropy(chunk: Chunk, span: EntitySpan) -> float:
@@ -157,10 +149,10 @@ def baseline_grid(
 ) -> list[dict[str, float]]:
     """Per-configuration drop metrics for one baseline method.
 
-    Methods: softmax (grid = thresholds), temp (grid = temperatures,
-    thresholding the scaled max probability at each grid threshold too),
-    entropy (grid = cutoffs), mcdropout (grid = mean cutoffs crossed
-    with var_grid).
+    Methods: softmax (grid = thresholds), temp (grid = temperatures; each
+    keeps a span iff its scaled weakest-token confidence is at least
+    TEMP_GRID_THRESHOLD), entropy (grid = cutoffs), mcdropout (grid = mean
+    cutoffs crossed with var_grid).
     """
     rows: list[dict[str, float]] = []
     if method == "softmax":
@@ -170,12 +162,10 @@ def baseline_grid(
             )
             rows.append({"method": method, "threshold": float(tau), **row})
     elif method == "temp":
-        # Scaling is monotone, so filtering uses the scaled confidence
-        # against the configured base threshold per temperature.
         for temperature in grid:
             def keep(c: Chunk, s: EntitySpan, T=temperature) -> bool:
                 scaled = temperature_scale(c.probs[s.start : s.end + 1], T)
-                return bool(scaled.max(axis=1).min() >= 0.9)
+                return bool(scaled.max(axis=1).min() >= TEMP_GRID_THRESHOLD)
 
             row = evaluate_filter(labeled_spans, keep)
             rows.append({"method": method, "temperature": float(temperature), **row})

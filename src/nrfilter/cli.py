@@ -14,9 +14,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .core import (
+    ORPHAN_POLICIES,
     STRONG,
     WEAK,
     decode_spans,
@@ -74,43 +76,34 @@ EXIT_CONFIG = 7
 EXIT_DOMAIN = 8
 
 
+def _given(args: argparse.Namespace, config_cls) -> dict:
+    """The fields of ``config_cls`` that were set on the command line."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(config_cls)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = (
         PipelineConfig.from_file(args.config)
         if getattr(args, "config", None)
         else PipelineConfig()
     )
-    overrides = {}
-    for attr, key in (
-        ("decay_rate", "decay_rate"),
-        ("bins", "bins"),
-        ("neighbor_window", "neighbor_window"),
-        ("threads", "threads"),
-        ("seed", "seed"),
-        ("validation_fraction", "validation_fraction"),
-        ("orphan_policy", "orphan_policy"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides or getattr(args, "max_tp_drop", None) is not None:
-        obj = config.to_obj()
-        obj.update(overrides)
-        if getattr(args, "max_tp_drop", None) is not None:
-            obj["tree"]["max_tp_drop"] = args.max_tp_drop
-        config = PipelineConfig.from_obj(obj)
-    return config
+    obj = config.to_obj()
+    obj.update(_given(args, PipelineConfig))
+    obj["tree"].update(_given(args, TrainConfig))
+    return PipelineConfig.from_obj(obj)
 
 
 def _add_feature_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="pipeline config JSON file")
     sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=None,
-                     help="Gaussian decay rate (default 1.0)")
-    sub.add_argument("--bins", type=int, default=None, help="density bins (default 10)")
+                     help=f"Gaussian decay rate (default {PipelineConfig.decay_rate})")
+    sub.add_argument("--bins", type=int, default=None,
+                     help=f"density bins (default {PipelineConfig.bins})")
     sub.add_argument("--neighbor-window", dest="neighbor_window", type=int, default=None,
-                     help="neighbor tokens per side (default 1)")
+                     help=f"neighbor tokens per side (default {PipelineConfig.neighbor_window})")
     sub.add_argument("--orphan-policy", dest="orphan_policy",
-                     choices=["promote", "ignore"], default=None)
+                     choices=ORPHAN_POLICIES, default=None)
 
 
 def cmd_validate(args) -> int:
@@ -202,15 +195,8 @@ def _read_training_table(features_path: str, labels_path: str | None):
 
 def cmd_train(args) -> int:
     table, labels = _read_training_table(args.features, args.labels)
-    tconfig = TrainConfig(
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        min_impurity_decrease=args.min_impurity_decrease,
-        max_tp_drop=args.max_tp_drop if args.max_tp_drop is not None else 0.06,
-        class_weighted=not args.no_class_weights,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    model = train_matrix(table.matrix, labels, table.names, tconfig)
+    config = TrainConfig(**_given(args, TrainConfig))
+    model = train_matrix(table.matrix, labels, table.names, config)
     save_model(model, args.model)
     leaves = len(model.leaves)
     print(f"trained tree: {len(model.nodes)} nodes, {leaves} leaves -> {args.model}")
@@ -410,13 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", help="optional label file, one strong/weak per row")
     p.add_argument("--model", required=True)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=12)
-    p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int, default=5)
+    p.add_argument("--max-depth", dest="max_depth", type=int, default=None,
+                   help=f"default {TrainConfig.max_depth}")
+    p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int, default=None,
+                   help=f"default {TrainConfig.min_samples_leaf}")
     p.add_argument("--min-impurity-decrease", dest="min_impurity_decrease",
-                   type=float, default=0.0)
-    p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None)
-    p.add_argument("--no-class-weights", dest="no_class_weights", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+                   type=float, default=None, help=f"default {TrainConfig.min_impurity_decrease}")
+    p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None,
+                   help=f"default {TrainConfig.max_tp_drop}")
+    p.add_argument("--no-class-weights", dest="class_weighted", action="store_const",
+                   const=False, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = subs.add_parser("tune", help="pick the decision threshold on validation data")
@@ -432,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--no-path", dest="no_path", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     _add_feature_flags(p)
     p.set_defaults(fn=cmd_classify)
 
@@ -465,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="validation split seed")
     p.add_argument("--validation-fraction", dest="validation_fraction",
                    type=float, default=None)
     _add_feature_flags(p)

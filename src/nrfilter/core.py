@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import IO, Iterable, Iterator
@@ -19,6 +19,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    InvalidConfig,
     ParseError,
     ProbabilityOutOfRange,
     ProbabilitySumViolation,
@@ -33,6 +34,9 @@ O_INDEX = 0
 
 STRONG = "strong"
 WEAK = "weak"
+
+# How decode_spans treats an I token with no open span of its entity.
+ORPHAN_POLICIES = ("promote", "ignore")
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,12 @@ class ClassSchema:
 
 
 @dataclass(frozen=True, eq=False)
-class TokenPrediction:
-    """One token with its K-class probability vector.
-
-    `word_id` groups sub-word tokens into words; None means the token
-    is its own word.
-    """
-
-    text: str
-    position: int
-    probs: np.ndarray
-    word_id: int | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class Chunk:
     """An ordered token sequence with a (T, K) probability matrix.
 
     Immutable after construction; the probability matrix is marked
-    read-only so chunks can be shared across threads.
+    read-only. ``word_ids`` groups sub-word tokens into words; None means
+    every token is its own word.
     """
 
     id: str
@@ -150,30 +141,9 @@ class Chunk:
     def n_tokens(self) -> int:
         return len(self.texts)
 
-    def token(self, position: int) -> TokenPrediction:
-        word_id = self.word_ids[position] if self.word_ids is not None else None
-        return TokenPrediction(self.texts[position], position, self.probs[position], word_id)
-
     def argmax_classes(self) -> np.ndarray:
         """Per-token argmax class; ties resolve to the lowest class index."""
         return np.argmax(self.probs, axis=1)
-
-    @classmethod
-    def from_tokens(
-        cls, chunk_id: str, schema: ClassSchema, tokens: Iterable[TokenPrediction]
-    ) -> "Chunk":
-        tokens = list(tokens)
-        for i, tok in enumerate(tokens):
-            if tok.position != i:
-                raise SchemaMismatch(
-                    f"chunk {chunk_id!r}: token {i} carries position {tok.position}"
-                )
-        texts = tuple(t.text for t in tokens)
-        probs = np.array([np.asarray(t.probs, dtype=np.float64) for t in tokens])
-        word_ids = None
-        if any(t.word_id is not None for t in tokens):
-            word_ids = tuple(t.word_id if t.word_id is not None else i for i, t in enumerate(tokens))
-        return cls(chunk_id, schema, texts, probs, word_ids)
 
 
 @dataclass(frozen=True)
@@ -245,7 +215,7 @@ def decode_spans(chunk: Chunk, orphan_policy: str = "promote") -> list[EntitySpa
     ``promote`` (default) opens a new span there, ``ignore`` skips it.
     Output spans are non-overlapping and sorted by start.
     """
-    if orphan_policy not in ("promote", "ignore"):
+    if orphan_policy not in ORPHAN_POLICIES:
         raise ValueError(f"unknown orphan policy {orphan_policy!r}")
     schema = chunk.schema
     tags = chunk.argmax_classes()
@@ -274,16 +244,6 @@ def decode_spans(chunk: Chunk, orphan_policy: str = "promote") -> list[EntitySpa
             )
         )
     return spans
-
-
-def retag_spans(chunk_len: int, schema: ClassSchema, spans: Iterable[EntitySpan]) -> np.ndarray:
-    """Rebuild an argmax tag sequence from spans over an O background."""
-    tags = np.zeros(chunk_len, dtype=np.int64)
-    for span in spans:
-        entity = schema.entity_names.index(span.entity_type)
-        tags[span.start] = schema.b_index(entity)
-        tags[span.start + 1 : span.end + 1] = schema.i_index(entity)
-    return tags
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +464,45 @@ def span_from_obj(obj: dict) -> EntitySpan:
         anchor=int(obj.get("anchor", obj["start"])),
         text=str(obj.get("text", "")),
     )
+
+
+# ---------------------------------------------------------------------------
+# JSON config objects
+# ---------------------------------------------------------------------------
+
+# The JSON values a config field accepts, by the type of its default.
+# bool comes first: it is an int subclass.
+_JSON_KINDS = (
+    (bool, (bool,), "a boolean"),
+    (int, (int,), "an integer"),
+    (float, (int, float), "a finite number"),
+    (str, (str,), "a string"),
+    (tuple, (list, tuple), "a list"),
+    (dict, (dict,), "an object"),
+)
+
+
+def config_kwargs(cls, obj, what: str) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from a parsed
+    JSON object.
+
+    Every key must name a field of ``cls`` and every value must be of the
+    JSON kind of that field's default (a nested config is an object);
+    otherwise InvalidConfig names the key. Range checks stay with ``cls``.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidConfig(f"{what} must be a JSON object, got {obj!r}")
+    defaults = asdict(cls())
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise InvalidConfig(f"unknown {what} fields: {unknown}")
+    for key, value in obj.items():
+        default = defaults[key]
+        _, accepted, kind = next(k for k in _JSON_KINDS if isinstance(default, k[0]))
+        if (
+            isinstance(value, bool) != isinstance(default, bool)
+            or not isinstance(value, accepted)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise InvalidConfig(f"{what} field {key!r} must be {kind}, got {value!r}")
+    return dict(obj)

@@ -14,10 +14,9 @@ legacy SPD prefix is accepted on input as an alias.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -464,7 +463,7 @@ def write_feature_csv(
             raise SchemaMismatch("feature rows use differing schemas")
         meta = [span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
                 label if label is not None else ""]
-        writer.writerow(meta + [repr(float(v)) for v in fv.values])
+        writer.writerow(meta + fv.values.tolist())
         n += 1
     return n
 
@@ -514,21 +513,3 @@ def feature_row_obj(span: EntitySpan, label: str | None, fv: FeatureVector) -> d
     if label is not None:
         obj["label"] = label
     return obj
-
-
-def iter_feature_rows_jsonl(source: str | IO[str]) -> Iterator[tuple[EntitySpan, str | None, dict]]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from iter_feature_rows_jsonl(handle)
-        return
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        span = EntitySpan(
-            obj["chunk_id"], obj["entity_type"], int(obj["start"]), int(obj["end"]),
-            int(obj["anchor"]), text=str(obj.get("text", "")),
-        )
-        features = {canonical_feature_name(k): float(v) for k, v in obj["features"].items()}
-        yield span, obj.get("label"), features

@@ -113,22 +113,6 @@ def drop_rates(base: EntityCounts, filtered: EntityCounts) -> tuple[float, float
     return tp_drop, fp_drop
 
 
-def label_counts(labeled: Iterable[tuple[bool, bool]]) -> EntityCounts:
-    """Counts from (is_tp, kept) pairs, for corpora supervised by labels
-    rather than gold spans. Dropped TPs count as lost, dropped FPs as
-    removed noise; FN counts the lost TPs.
-    """
-    counts = EntityCounts()
-    for is_tp, kept in labeled:
-        if is_tp and kept:
-            counts.tp += 1
-        elif is_tp:
-            counts.fn += 1
-        elif kept:
-            counts.fp += 1
-    return counts
-
-
 def format_drop_table(rows: dict[str, dict[str, tuple[float, float]]]) -> str:
     """Text matrix of (%TP drop, %FP drop) per entity type and method."""
     methods: list[str] = []

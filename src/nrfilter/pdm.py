@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import Chunk, EntitySpan
-from .errors import AnchorOutOfRange, NonPositiveDecayRate
+from .errors import AnchorOutOfRange, InvalidConfig, NonPositiveDecayRate
 
 DEFAULT_DECAY_RATE = 1.0
 DEFAULT_BINS = 10
@@ -33,7 +33,7 @@ class DecayConfig:
         if not self.decay_rate > 0:
             raise NonPositiveDecayRate(f"decay rate must be > 0, got {self.decay_rate}")
         if self.bins < 1:
-            raise ValueError(f"bin count must be >= 1, got {self.bins}")
+            raise InvalidConfig(f"bin count must be >= 1, got {self.bins}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from dataclasses import asdict, dataclass, field
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .core import (
+    ORPHAN_POLICIES,
     CorpusRecord,
     EntitySpan,
     STRONG,
     WEAK,
+    config_kwargs,
     decode_spans,
     iter_records,
     span_to_obj,
@@ -47,16 +47,6 @@ from .tree import (
     tune_threshold,
 )
 
-T = TypeVar("T")
-U = TypeVar("U")
-
-# Kept sorted by method name so config files round-trip byte-stably.
-DEFAULT_BASELINE_GRIDS = (
-    ("entropy", (0.1, 0.5, 1.0)),
-    ("softmax", (0.5, 0.9, 0.95, 0.99)),
-    ("temp", (0.5, 1.0, 2.0, 4.0)),
-)
-
 _SPLIT_SALT = 104729
 
 
@@ -64,24 +54,25 @@ _SPLIT_SALT = 104729
 class PipelineConfig:
     """Every knob of the pipeline, serializable to one JSON file."""
 
-    decay_rate: float = 1.0
-    bins: int = 10
-    neighbor_window: int = 1
+    decay_rate: float = DecayConfig.decay_rate
+    bins: int = DecayConfig.bins
+    neighbor_window: int = FeatureConfig.neighbor_window
     scopes: tuple[str, ...] = SCOPE_ORDER
     tree: TrainConfig = field(default_factory=TrainConfig)
     validation_fraction: float = 0.2
     orphan_policy: str = "promote"
-    threads: int = 1
     seed: int = 0
-    baseline_grids: tuple[tuple[str, tuple[float, ...]], ...] = DEFAULT_BASELINE_GRIDS
 
     def __post_init__(self):
         if not 0.0 < self.validation_fraction < 1.0:
             raise InvalidConfig(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
-        if self.threads < 1:
-            raise InvalidConfig(f"threads must be >= 1, got {self.threads}")
+        if self.orphan_policy not in ORPHAN_POLICIES:
+            raise InvalidConfig(
+                f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
+            )
+        self.feature_config  # checks decay_rate, bins, neighbor_window and scopes
 
     @property
     def feature_config(self) -> FeatureConfig:
@@ -92,79 +83,31 @@ class PipelineConfig:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "decay_rate": self.decay_rate,
-            "bins": self.bins,
-            "neighbor_window": self.neighbor_window,
-            "scopes": list(self.scopes),
-            "tree": {
-                "max_depth": self.tree.max_depth,
-                "min_samples_leaf": self.tree.min_samples_leaf,
-                "min_impurity_decrease": self.tree.min_impurity_decrease,
-                "max_tp_drop": self.tree.max_tp_drop,
-                "class_weighted": self.tree.class_weighted,
-                "seed": self.tree.seed,
-            },
-            "validation_fraction": self.validation_fraction,
-            "orphan_policy": self.orphan_policy,
-            "threads": self.threads,
-            "seed": self.seed,
-            "baseline_grids": {m: list(g) for m, g in self.baseline_grids},
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PipelineConfig":
-        known = {
-            "decay_rate", "bins", "neighbor_window", "scopes", "tree",
-            "validation_fraction", "orphan_policy", "threads", "seed",
-            "baseline_grids",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {k: v for k, v in obj.items() if k in known}
+        kwargs = config_kwargs(cls, obj, "config")
         if "scopes" in kwargs:
             kwargs["scopes"] = tuple(kwargs["scopes"])
         if "tree" in kwargs:
-            kwargs["tree"] = TrainConfig(**kwargs["tree"])
-        if "baseline_grids" in kwargs:
-            kwargs["baseline_grids"] = tuple(
-                (m, tuple(g)) for m, g in sorted(kwargs["baseline_grids"].items())
-            )
+            tree = config_kwargs(TrainConfig, kwargs["tree"], "tree config")
+            kwargs["tree"] = TrainConfig(**tree)
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_obj(json.load(handle))
+            try:
+                obj = json.load(handle)
+            except ValueError as exc:
+                raise InvalidConfig(f"{path}: not a JSON config file ({exc})") from exc
+        return cls.from_obj(obj)
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_obj(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-
-def bounded_parallel_map(
-    fn: Callable[[T], U], items: Iterable[T], threads: int
-) -> Iterator[U]:
-    """Order-preserving map with a bounded number of in-flight tasks,
-    so streaming inputs are not drained eagerly."""
-    if threads <= 1:
-        for item in items:
-            result = fn(item)
-            del item
-            yield result
-            del result
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        it = iter(items)
-        for item in it:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= threads * 4:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def span_is_tp(record: CorpusRecord, span: EntitySpan) -> bool:
@@ -194,8 +137,8 @@ def featurize_records(
     its decoded spans, feature schema and (n_spans, n_features) matrix.
 
     ``feature_names``, when given, must equal every record's schema (a
-    model's training schema); records are featurized on
-    ``config.threads`` threads, in order.
+    model's training schema). No reference to a record survives while the
+    next one is parsed, so a stream holds one record at a time.
     """
     fconfig = config.feature_config
 
@@ -210,7 +153,11 @@ def featurize_records(
         spans = decode_spans(chunk, config.orphan_policy)
         return record, spans, schema, featurize_chunk(chunk, spans, fconfig, schema)
 
-    return bounded_parallel_map(featurize, records, config.threads)
+    for record in records:
+        result = featurize(record)
+        del record
+        yield result
+        del result
 
 
 @dataclass

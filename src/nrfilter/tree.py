@@ -13,12 +13,12 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import STRONG, WEAK
+from .core import STRONG, WEAK, config_kwargs
 from .errors import (
     EmptyNode,
     InvalidConfig,
@@ -44,7 +44,6 @@ class TrainConfig:
     min_impurity_decrease: float = 0.0
     max_tp_drop: float = 0.06
     class_weighted: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -434,39 +433,39 @@ def serialize_model(model: TreeModel) -> str:
         "schema_hash": model.schema_hash,
         "feature_names": list(model.feature_names),
         "decision_threshold": model.decision_threshold,
-        "config": {
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "min_impurity_decrease": model.config.min_impurity_decrease,
-            "max_tp_drop": model.config.max_tp_drop,
-            "class_weighted": model.config.class_weighted,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "nodes": nodes,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def deserialize_model(text: str) -> TreeModel:
-    payload = json.loads(text)
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"unsupported model format version {payload.get('format_version')!r}"
+    """Rebuild a model from ``serialize_model`` output; anything else,
+    down to a malformed node or config block, is a SchemaMismatch."""
+    try:
+        payload = json.loads(text)
+        if payload.get("format_version") != FORMAT_VERSION:
+            raise SchemaMismatch(
+                f"unsupported model format version {payload.get('format_version')!r}"
+            )
+        nodes: list[Internal | Leaf] = []
+        for raw in payload["nodes"]:
+            if "f" in raw:
+                nodes.append(Internal(int(raw["f"]), float(raw["t"]), int(raw["l"]), int(raw["r"])))
+            else:
+                nodes.append(Leaf(int(raw["ns"]), int(raw["nw"]), float(raw["pw"])))
+        # Models written while TrainConfig had an (inert) seed carry "seed": 0.
+        stored = {k: v for k, v in payload["config"].items() if k != "seed"}
+        model = TreeModel(
+            feature_names=tuple(payload["feature_names"]),
+            nodes=tuple(nodes),
+            decision_threshold=float(payload["decision_threshold"]),
+            config=TrainConfig(**config_kwargs(TrainConfig, stored, "model config")),
         )
-    nodes: list[Internal | Leaf] = []
-    for raw in payload["nodes"]:
-        if "f" in raw:
-            nodes.append(Internal(int(raw["f"]), float(raw["t"]), int(raw["l"]), int(raw["r"])))
-        else:
-            nodes.append(Leaf(int(raw["ns"]), int(raw["nw"]), float(raw["pw"])))
-    config = TrainConfig(**payload["config"])
-    model = TreeModel(
-        feature_names=tuple(payload["feature_names"]),
-        nodes=tuple(nodes),
-        decision_threshold=float(payload["decision_threshold"]),
-        config=config,
-    )
-    if model.schema_hash != payload["schema_hash"]:
+        stored_hash = payload["schema_hash"]
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        raise SchemaMismatch(f"malformed model file: {exc!r}") from exc
+    if model.schema_hash != stored_hash:
         raise SchemaMismatch("feature-name hash does not match the stored schema_hash")
     return model
 

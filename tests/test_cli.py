@@ -17,6 +17,8 @@ from nrfilter.cli import (
     main,
 )
 
+from conftest import fixture_path
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -303,3 +305,65 @@ class TestInputContract:
         out = str(workdir["root"] / "k7_out.jsonl")
         assert run(["classify", "--input", path, "--model", trained["model"],
                     "--out", out]) == EXIT_SCHEMA
+
+
+# A malformed pipeline config: the config file's text (None: no file),
+# extra flags, and a word the error message must contain.
+BAD_CONFIGS = {
+    "orphan-policy": ('{"orphan_policy": "drop"}', [], "orphan_policy"),
+    "bins-zero-flag": (None, ["--bins", 0], "bin count"),
+    "bins-zero": ('{"bins": 0}', [], "bin count"),
+    "bins-fraction": ('{"bins": 2.5}', [], "bins"),
+    "tree-unknown-key": ('{"tree": {"max_dept": 3}}', [], "max_dept"),
+    "fraction-string": ('{"validation_fraction": "0.2"}', [], "validation_fraction"),
+    "not-json": ("bins = 10\n", [], "JSON"),
+    "removed-threads": ('{"threads": 2}', [], "threads"),
+    "removed-baseline-grids": ('{"baseline_grids": {}}', [], "baseline_grids"),
+    "removed-tree-seed": ('{"tree": {"seed": 0}}', [], "seed"),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_pipeline_exits_config(self, workdir, tmp_path, capsys, name):
+        text, flags, word = BAD_CONFIGS[name]
+        argv = ["pipeline", "--corpus", workdir["corpus"], "--out-dir", tmp_path / "out"]
+        if text is not None:
+            (tmp_path / "config.json").write_text(text, encoding="utf-8")
+            argv += ["--config", tmp_path / "config.json"]
+        assert run(argv + flags) == EXIT_CONFIG
+        assert word in capsys.readouterr().err
+
+
+def mangle_model(model_path, out_path, change):
+    with open(model_path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    change(payload)
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+class TestModelContract:
+    @pytest.mark.parametrize("name", ["not-json", "no-nodes", "unknown-config-key"])
+    def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
+        model = tmp_path / "model.json"
+        if name == "not-json":
+            model.write_text("nodes: []\n", encoding="utf-8")
+        elif name == "no-nodes":
+            mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
+        else:
+            mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
+        code = run(["classify", "--input", workdir["corpus"], "--model", model,
+                    "--out", tmp_path / "out.jsonl"])
+        assert code == EXIT_SCHEMA
+
+    def test_seeded_v1_model_classifies_as_before(self, tmp_path):
+        """tests/data/v1_model.json was written while TrainConfig still had a
+        seed ("seed": 0); v1_verdicts.jsonl is what classify printed then."""
+        out = tmp_path / "verdicts.jsonl"
+        with open(fixture_path("v1_model.json"), "r", encoding="utf-8") as handle:
+            assert json.load(handle)["config"]["seed"] == 0
+        assert run(["classify", "--input", fixture_path("v1_heldout.jsonl"),
+                    "--model", fixture_path("v1_model.json"), "--out", out]) == EXIT_OK
+        with open(fixture_path("v1_verdicts.jsonl"), "rb") as want:
+            assert out.read_bytes() == want.read()

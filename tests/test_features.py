@@ -236,15 +236,17 @@ class TestAliasAndExport:
     def test_jsonl_roundtrip(self, sentence1):
         import json
 
-        from nrfilter.features import feature_row_obj, iter_feature_rows_jsonl
+        from nrfilter.core import EntitySpan
+        from nrfilter.features import feature_row_obj
 
         (span,) = decode_spans(sentence1.chunk)
         fv = assemble_features(sentence1.chunk, span)
-        line = json.dumps(feature_row_obj(span, "strong", fv))
-        ((got_span, label, features),) = list(iter_feature_rows_jsonl(io.StringIO(line)))
+        obj = json.loads(json.dumps(feature_row_obj(span, "strong", fv)))
+        got_span = EntitySpan(obj["chunk_id"], obj["entity_type"], obj["start"],
+                              obj["end"], obj["anchor"], text="")
         assert got_span.match_key() == span.match_key()
-        assert label == "strong"
-        assert features == fv.as_dict()
+        assert obj["label"] == "strong"
+        assert obj["features"] == fv.as_dict()
 
     def test_csv_roundtrip(self, sentence1, sentence2):
         rows = []

@@ -3,7 +3,7 @@ import pytest
 from nrfilter import EntityCounts, drop_rates, entity_f1
 from nrfilter.core import EntitySpan
 from nrfilter.errors import ChunkIdMismatch, CountInflation
-from nrfilter.metrics import format_drop_table, label_counts
+from nrfilter.metrics import format_drop_table
 
 
 def span(chunk_id, start, end, entity_type="Biomarker"):
@@ -88,6 +88,20 @@ class TestDropRates:
             drop_rates(EntityCounts(10, 10), EntityCounts(11, 2))
         with pytest.raises(CountInflation):
             drop_rates(EntityCounts(10, 10), EntityCounts(4, 12))
+
+
+def label_counts(labeled):
+    """Counts from (is_tp, kept) pairs, for corpora supervised by labels
+    rather than gold spans: a dropped TP counts as FN, a kept FP as FP."""
+    counts = EntityCounts()
+    for is_tp, kept in labeled:
+        if is_tp and kept:
+            counts.tp += 1
+        elif is_tp:
+            counts.fn += 1
+        elif kept:
+            counts.fp += 1
+    return counts
 
 
 class TestLabelCounts:

@@ -18,7 +18,7 @@ from nrfilter import (
 )
 from nrfilter.core import EntitySpan, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
-from nrfilter.pipeline import assign_validation, bounded_parallel_map, span_is_tp
+from nrfilter.pipeline import assign_validation, span_is_tp
 
 
 @pytest.fixture(scope="module")
@@ -101,16 +101,6 @@ class TestStreamClassify:
         ids = [json.loads(line)["chunk_id"] for line in lines]
         assert ids == sorted(ids, key=lambda s: int(s.split("-")[1]))
 
-    def test_threads_preserve_order(self, corpus_path, pipeline_run):
-        result, _ = pipeline_run
-        sequential, threaded = io.StringIO(), io.StringIO()
-        stream_classify(corpus_path, result.model, sequential, PipelineConfig())
-        stream_classify(
-            corpus_path, result.model, threaded,
-            PipelineConfig(threads=4),
-        )
-        assert sequential.getvalue() == threaded.getvalue()
-
     def test_schema_guard(self, corpus_path, pipeline_run):
         result, _ = pipeline_run
         with pytest.raises(SchemaMismatch):
@@ -171,23 +161,6 @@ class TestStreamMatchesPipeline:
 
 
 class TestHelpers:
-    def test_bounded_parallel_map_order(self):
-        items = list(range(500))
-        got = list(bounded_parallel_map(lambda x: x * x, iter(items), threads=8))
-        assert got == [x * x for x in items]
-
-    def test_bounded_parallel_map_lazy(self):
-        consumed = []
-
-        def source():
-            for i in range(10_000):
-                consumed.append(i)
-                yield i
-
-        stream = bounded_parallel_map(lambda x: x, source(), threads=2)
-        next(stream), next(stream)
-        assert len(consumed) < 100  # far from drained
-
     def test_assign_validation_deterministic(self):
         a = [assign_validation(3, i, 0.2) for i in range(1000)]
         b = [assign_validation(3, i, 0.2) for i in range(1000)]
@@ -218,7 +191,7 @@ class TestHelpers:
 
 class TestPipelineConfigFile:
     def test_roundtrip(self, tmp_path):
-        config = PipelineConfig(decay_rate=2.0, bins=8, threads=2)
+        config = PipelineConfig(decay_rate=2.0, bins=8, seed=2)
         path = str(tmp_path / "config.json")
         config.to_file(path)
         assert PipelineConfig.from_file(path) == config
