@@ -21,8 +21,10 @@ from .core import (
     ORPHAN_POLICIES,
     STRONG,
     WEAK,
+    config_kwargs,
     decode_spans,
     iter_records,
+    read_config_file,
     span_from_obj,
     span_to_obj,
     write_records,
@@ -160,15 +162,12 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kwargs = {}
-    if args.synth_config:
-        with open(args.synth_config, "r", encoding="utf-8") as handle:
-            kwargs.update(json.load(handle))
-    for key in ("n_strong", "n_weak", "min_tokens", "max_tokens", "pull_strength",
-                "noise_sigma", "label_flip_rate", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
+    kwargs = (
+        config_kwargs(SynthConfig, read_config_file(args.synth_config), "synth config")
+        if args.synth_config
+        else {}
+    )
+    kwargs.update(_given(args, SynthConfig))
     config = SynthConfig(**kwargs)
     n = write_records(args.out, iter_generate(config))
     print(f"generated {n} records -> {args.out}")
@@ -261,14 +260,19 @@ def cmd_explain(args) -> int:
 def _load_spans(path: str, keep_only: bool):
     spans = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if keep_only and obj.get("verdict") == WEAK:
-                continue
-            spans.append(span_from_obj(obj))
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a span object, got {obj!r}")
+                if keep_only and obj.get("verdict") == WEAK:
+                    continue
+                spans.append(span_from_obj(obj))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(line_no, f"not a span: {exc!r}", path) from exc
     return spans
 
 
@@ -312,15 +316,20 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"{flag} must be comma-separated numbers: {exc}") from exc
+
+
 def cmd_baseline(args) -> int:
     labeled = []
     for record in iter_records(args.input):
         for span in decode_spans(record.chunk):
             labeled.append((record.chunk, span, span_is_tp(record, span)))
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else [0.5, 0.9, 0.95]
-    var_grid = (
-        [float(v) for v in args.var_grid.split(",")] if args.var_grid else None
-    )
+    grid = _float_list(args.grid, "--grid") if args.grid else [0.5, 0.9, 0.95]
+    var_grid = _float_list(args.var_grid, "--var-grid") if args.var_grid else None
     passes_by_chunk = None
     if args.passes:
         passes_by_chunk = {}

@@ -482,6 +482,15 @@ _JSON_KINDS = (
 )
 
 
+def read_config_file(path: str):
+    """The parsed JSON of a config file; InvalidConfig if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise InvalidConfig(f"{path}: not a JSON config file ({exc})") from exc
+
+
 def config_kwargs(cls, obj, what: str) -> dict:
     """Keyword arguments for the config dataclass ``cls`` from a parsed
     JSON object.

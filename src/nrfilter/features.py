@@ -21,7 +21,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .core import Chunk, ClassSchema, EntitySpan
-from .errors import AnchorOutOfRange, InvalidConfig, SchemaMismatch
+from .errors import AnchorOutOfRange, InvalidConfig, ParseError, SchemaMismatch
 from .pdm import DecayConfig, bin_edges, binned_mass, decay_weights
 
 SCOPE_TOKEN = "Token"
@@ -479,25 +479,39 @@ class FeatureTable:
 
 
 def read_feature_csv(source: str | IO[str]) -> FeatureTable:
+    """Read ``write_feature_csv`` output. A row that is ragged or holds a
+    non-integer position or a non-finite or non-numeric feature is a
+    ParseError with its line number."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return read_feature_csv(handle)
+    path = getattr(source, "name", None)
     reader = csv.reader(source)
     header = next(reader, None)
     if header is None or header[: len(_META_COLS)] != list(_META_COLS):
         raise SchemaMismatch("feature CSV header missing metadata columns")
     names = tuple(canonical_feature_name(n) for n in header[len(_META_COLS) :])
-    rows, labels, spans = [], [], []
+    rows, labels, spans, line_nos = [], [], [], []
     for row in reader:
         if not row:
             continue
+        if len(row) != len(header):
+            raise ParseError(reader.line_num, f"{len(row)} fields, header has {len(header)}", path)
         chunk_id, entity_type, start, end, anchor, label = row[: len(_META_COLS)]
-        spans.append(
-            EntitySpan(chunk_id, entity_type, int(start), int(end), int(anchor), text="")
-        )
+        try:
+            spans.append(
+                EntitySpan(chunk_id, entity_type, int(start), int(end), int(anchor), text="")
+            )
+            rows.append([float(v) for v in row[len(_META_COLS) :]])
+        except ValueError as exc:
+            raise ParseError(reader.line_num, str(exc), path) from exc
         labels.append(label or None)
-        rows.append([float(v) for v in row[len(_META_COLS) :]])
+        line_nos.append(reader.line_num)
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(line_nos[i], f"feature {names[j]!r} is {float(matrix[i, j])!r}", path)
     return FeatureTable(names, matrix, labels, spans)
 
 

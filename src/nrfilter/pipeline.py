@@ -23,6 +23,7 @@ from .core import (
     config_kwargs,
     decode_spans,
     iter_records,
+    read_config_file,
     span_to_obj,
 )
 from .errors import InvalidConfig, SchemaMismatch
@@ -97,12 +98,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except ValueError as exc:
-                raise InvalidConfig(f"{path}: not a JSON config file ({exc})") from exc
-        return cls.from_obj(obj)
+        return cls.from_obj(read_config_file(path))
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

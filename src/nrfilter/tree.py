@@ -112,70 +112,87 @@ def _weighted_gini(w_strong: float, w_weak: float) -> float:
     return 1.0 - p_s * p_s - p_w * p_w
 
 
+# (row, column) cells of one block of the split search (at least one
+# column): bounds the temporaries of a node at a few MB.
+_SPLIT_CELLS = 1 << 16
+
+
 def _best_split(
     X: np.ndarray,
+    order: np.ndarray,
+    cols: np.ndarray,
+    rows: np.ndarray,
     is_weak: np.ndarray,
     weights: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, impurity decrease) for one node.
 
-    Candidate thresholds are midpoints of consecutive distinct sorted
-    values, or the lower value where the midpoint rounds onto the upper.
-    The first strictly-best candidate wins, so ties fall to the lower
-    feature index and then the lower threshold.
+    ``rows`` are the node's rows in ascending order and ``order[k]`` the
+    same rows sorted stably by feature ``cols[k]``. Candidate thresholds
+    are midpoints of consecutive distinct sorted values, or the lower
+    value where the midpoint rounds onto the upper. The first
+    strictly-best candidate wins, so ties fall to the lower feature
+    index and then the lower threshold.
     """
-    n = X.shape[0]
-    w_weak_total = float(weights[is_weak].sum())
-    w_total = float(weights.sum())
+    n = rows.size
+    w_node = weights[rows]
+    w_total = float(w_node.sum())
+    w_weak_total = float(w_node[is_weak[rows]].sum())
     parent = _weighted_gini(w_total - w_weak_total, w_weak_total)
     if parent <= 0.0:
         return None
 
+    def weighted_gini(total, weak):
+        # total * (1 - ps^2 - pw^2), computed in place
+        ps = total - weak
+        ps /= total
+        ps *= ps
+        pw = weak / total
+        pw *= pw
+        np.subtract(1.0, ps, out=ps)
+        ps -= pw
+        ps *= total
+        return ps
+
+    # Sorted position i splits rows [0, i] from [i + 1, n); both sides
+    # hold min_samples_leaf rows for i in [lo, hi).
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    weak_weights = weights * is_weak
     best: tuple[int, float, float] | None = None
     best_gain = 0.0
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        boundaries = np.nonzero(v[:-1] != v[1:])[0]
-        if boundaries.size == 0:
-            continue
-        w = weights[order]
-        ww = w * is_weak[order]
-        cum_w = np.cumsum(w)
-        cum_ww = np.cumsum(ww)
-
-        n_left = boundaries + 1
-        n_right = n - n_left
-        ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        if not ok.any():
-            continue
-        b = boundaries[ok]
-        wl = cum_w[b]
-        wl_weak = cum_ww[b]
-        wr = w_total - wl
-        wr_weak = cum_ww[-1] - wl_weak
-
-        def g(total, weak):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ps = (total - weak) / total
-                pw = weak / total
-            return 1.0 - ps * ps - pw * pw
-
-        child = (wl * g(wl, wl_weak) + wr * g(wr, wr_weak)) / w_total
-        gains = parent - child
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
+    step = max(1, _SPLIT_CELLS // n)
+    for first in range(0, cols.size, step):
+        o = order[first : first + step]
+        features = cols[first : first + step]
+        # Flat indices into the C-contiguous X, in int64: n * d may pass 2**31.
+        v = np.take(X, o * np.int64(X.shape[1]) + features[:, None])
+        cum_w = np.cumsum(np.take(weights, o), axis=1)
+        cum_ww = np.cumsum(np.take(weak_weights, o), axis=1)
+        wl = cum_w[:, lo:hi]
+        wl_weak = cum_ww[:, lo:hi]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gains = weighted_gini(wl, wl_weak)
+            gains += weighted_gini(w_total - wl, cum_ww[:, -1:] - wl_weak)
+        gains /= w_total
+        np.subtract(parent, gains, out=gains)
+        gains[v[:, lo:hi] == v[:, lo + 1 : hi + 1]] = -np.inf
+        # A column whose best gain is NaN cannot win, as if it had none.
+        pos = gains.argmax(axis=1)
+        col_gains = gains[np.arange(features.size), pos]
+        col_gains[np.isnan(col_gains)] = -np.inf
+        k = int(col_gains.argmax())
+        gain = float(col_gains[k])
         if gain > best_gain:
-            i = int(b[pos])
-            threshold = (float(v[i]) + float(v[i + 1])) / 2.0
-            if threshold >= v[i + 1]:
+            i = lo + int(pos[k])
+            below, above = float(v[k, i]), float(v[k, i + 1])
+            threshold = (below + above) / 2.0
+            if threshold >= above:
                 # Adjacent doubles: the midpoint rounded onto the upper
                 # value, which would send it left and could empty the
-                # right child. v[i] keeps v[i] <= threshold < v[i + 1].
-                threshold = float(v[i])
-            best = (j, threshold, gain)
+                # right child. The lower value keeps below <= threshold < above.
+                threshold = below
+            best = (int(features[k]), threshold, gain)
             best_gain = gain
     return best
 
@@ -203,11 +220,13 @@ def train_matrix(
     config: TrainConfig = TrainConfig(),
 ) -> TreeModel:
     """Grow a tree from an (n, d) matrix and parallel label list."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(labels):
         raise SchemaMismatch(f"matrix {X.shape} does not match {len(labels)} labels")
     if X.shape[1] != len(feature_names):
         raise SchemaMismatch(f"{X.shape[1]} columns vs {len(feature_names)} feature names")
+    if not np.isfinite(X).all():
+        raise InvalidConfig("feature matrix holds NaN or infinite values")
     for label in labels:
         if label not in (STRONG, WEAK):
             raise InvalidConfig(f"label must be 'strong' or 'weak', got {label!r}")
@@ -227,34 +246,48 @@ def train_matrix(
     else:
         weights = np.ones(len(labels), dtype=np.float64)
 
-    nodes: list[Internal | Leaf] = []
-
-    def leaf(mask_weak: np.ndarray) -> int:
-        nw = int(mask_weak.sum())
-        ns = int(mask_weak.size - nw)
-        nodes.append(Leaf(ns, nw, nw / (ns + nw)))
-        return len(nodes) - 1
-
-    def grow(x: np.ndarray, yw: np.ndarray, w: np.ndarray, depth: int) -> int:
-        pure = yw.all() or not yw.any()
-        if depth >= config.max_depth or pure or yw.size < 2 * config.min_samples_leaf:
-            return leaf(yw)
-        found = _best_split(x, yw, w, config.min_samples_leaf)
+    # Presorted growth (SLIQ): every non-constant column is sorted once;
+    # a split partitions each column's order stably, so no node sorts.
+    # Depth-first with the right child pushed first numbers nodes in
+    # preorder, and the pending orders cover disjoint rows.
+    cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+    order = np.empty((cols.size, X.shape[0]), dtype=np.int32)
+    for k, j in enumerate(cols):
+        order[k] = np.argsort(X[:, j], kind="stable")
+    go_left = np.zeros(X.shape[0], dtype=bool)
+    nodes: list[Internal | Leaf | list] = []
+    # (rows, sorted orders, their columns, depth, parent node, its slot)
+    stack = [(np.arange(X.shape[0]), order, cols, 0, None, 0)]
+    del order
+    while stack:
+        rows, order, cols, depth, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
+        nw = int(is_weak[rows].sum())
+        ns = rows.size - nw
+        found = None
+        if depth < config.max_depth and nw and ns and rows.size >= 2 * config.min_samples_leaf:
+            varies = X[order[:, 0], cols] < X[order[:, -1], cols]
+            if not varies.all():
+                order, cols = order[varies], cols[varies]
+            found = _best_split(X, order, cols, rows, is_weak, weights, config.min_samples_leaf)
         if found is None or found[2] < config.min_impurity_decrease:
-            return leaf(yw)
+            nodes.append(Leaf(ns, nw, nw / (ns + nw)))
+            continue
         j, threshold, _ = found
-        node_index = len(nodes)
-        nodes.append(Internal(j, threshold, -1, -1))  # children patched below
-        go_left = x[:, j] <= threshold
-        left = grow(x[go_left], yw[go_left], w[go_left], depth + 1)
-        right = grow(x[~go_left], yw[~go_left], w[~go_left], depth + 1)
-        nodes[node_index] = Internal(j, threshold, left, right)
-        return node_index
+        node = [j, threshold, -1, -1]  # Internal's fields; children set when popped
+        nodes.append(node)
+        left = X[rows, j] <= threshold
+        go_left[rows] = left
+        sends = np.take(go_left, order)
+        n_left = int(left.sum())
+        stack.append((rows[~left], order[~sends].reshape(cols.size, -1), cols, depth + 1, node, 3))
+        stack.append((rows[left], order[sends].reshape(cols.size, n_left), cols, depth + 1, node, 2))
+        del order, sends
 
-    grow(X, is_weak, weights, 0)
     return TreeModel(
         feature_names=tuple(feature_names),
-        nodes=tuple(nodes),
+        nodes=tuple(Internal(*n) if isinstance(n, list) else n for n in nodes),
         decision_threshold=DEFAULT_DECISION_THRESHOLD,
         config=config,
     )

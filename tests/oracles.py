@@ -4,7 +4,9 @@ Everything here is written as plainly as possible (scalar loops, no
 shared helpers from the package) so a bug in the library cannot hide in
 its own oracle. reference_features is the span-at-a-time featurizer the
 batched kernel replaced: one span, one scope and one statistic at a
-time, over explicit position lists.
+time, over explicit position lists. reference_train_matrix is the CART
+grower the presorted split search replaced: it sorts every column again
+at every node.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import re
 
 import numpy as np
+
+from nrfilter.tree import DEFAULT_DECISION_THRESHOLD, Internal, Leaf, TreeModel
 
 
 def brute_force_pdm(probs, t_predicted, decay_rate, bins, exclude=None):
@@ -125,6 +129,99 @@ def scalar_entropy(probs):
         if p > 0:
             total -= p * math.log(p)
     return total
+
+
+def _reference_gini(w_strong, w_weak):
+    total = w_strong + w_weak
+    if total <= 0:
+        return 0.0
+    p_s = w_strong / total
+    p_w = w_weak / total
+    return 1.0 - p_s * p_s - p_w * p_w
+
+
+def _reference_best_split(X, is_weak, weights, min_samples_leaf):
+    """Best (feature, threshold, gain) of one node: each column sorted
+    afresh; the first strictly-best candidate wins."""
+    n = X.shape[0]
+    w_weak_total = float(weights[is_weak].sum())
+    w_total = float(weights.sum())
+    parent = _reference_gini(w_total - w_weak_total, w_weak_total)
+    if parent <= 0.0:
+        return None
+
+    def g(total, weak):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ps = (total - weak) / total
+            pw = weak / total
+        return 1.0 - ps * ps - pw * pw
+
+    best = None
+    best_gain = 0.0
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        boundaries = np.nonzero(v[:-1] != v[1:])[0]
+        if boundaries.size == 0:
+            continue
+        w = weights[order]
+        cum_w = np.cumsum(w)
+        cum_ww = np.cumsum(w * is_weak[order])
+        n_left = boundaries + 1
+        ok = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+        if not ok.any():
+            continue
+        b = boundaries[ok]
+        wl = cum_w[b]
+        wl_weak = cum_ww[b]
+        wr = w_total - wl
+        wr_weak = cum_ww[-1] - wl_weak
+        gains = parent - (wl * g(wl, wl_weak) + wr * g(wr, wr_weak)) / w_total
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if gain > best_gain:
+            i = int(b[pos])
+            threshold = (float(v[i]) + float(v[i + 1])) / 2.0
+            if threshold >= v[i + 1]:
+                threshold = float(v[i])
+            best = (j, threshold, gain)
+            best_gain = gain
+    return best
+
+
+def reference_train_matrix(X, labels, feature_names, config):
+    """Recursive CART over explicit row subsets; same weights, stopping
+    rules and preorder node numbering as tree.train_matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    is_weak = np.array([label == "weak" for label in labels], dtype=bool)
+    n, n_weak = len(labels), int(is_weak.sum())
+    if config.class_weighted:
+        weights = np.where(is_weak, n / (2.0 * n_weak), n / (2.0 * (n - n_weak)))
+    else:
+        weights = np.ones(n, dtype=np.float64)
+    nodes = []
+
+    def grow(x, yw, w, depth):
+        nw = int(yw.sum())
+        ns = int(yw.size - nw)
+        found = None
+        if depth < config.max_depth and nw and ns and yw.size >= 2 * config.min_samples_leaf:
+            found = _reference_best_split(x, yw, w, config.min_samples_leaf)
+        if found is None or found[2] < config.min_impurity_decrease:
+            nodes.append(Leaf(ns, nw, nw / (ns + nw)))
+            return len(nodes) - 1
+        j, threshold, _ = found
+        index = len(nodes)
+        nodes.append(None)
+        go_left = x[:, j] <= threshold
+        left = grow(x[go_left], yw[go_left], w[go_left], depth + 1)
+        right = grow(x[~go_left], yw[~go_left], w[~go_left], depth + 1)
+        nodes[index] = Internal(j, threshold, left, right)
+        return index
+
+    grow(X, is_weak, weights, 0)
+    return TreeModel(tuple(feature_names), tuple(nodes), DEFAULT_DECISION_THRESHOLD, config)
 
 
 _PREDICATE = re.compile(r"\(([^\s()]+) (<=|>) ([^\s()]+)\)")

@@ -256,6 +256,7 @@ class TestCriterion8EvalArithmetic:
 
 
 class TestCriterion9StreamingMemoryBound:
+    @pytest.mark.slow
     def test_hundred_thousand_records(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("stream")
         corpus = str(root / "big.jsonl")

@@ -367,3 +367,82 @@ class TestModelContract:
                     "--model", fixture_path("v1_model.json"), "--out", out]) == EXIT_OK
         with open(fixture_path("v1_verdicts.jsonl"), "rb") as want:
             assert out.read_bytes() == want.read()
+
+
+# A malformed feature CSV: how its line 4 (the third data row) is
+# changed. Every case must be a parse error that cites the line.
+BAD_FEATURE_ROWS = {
+    "nan": lambda row: row[:-1] + ["nan"],
+    "inf": lambda row: row[:-1] + ["inf"],
+    "minus-inf": lambda row: row[:-1] + ["-inf"],
+    "non-numeric": lambda row: row[:-1] + ["abc"],
+    "ragged": lambda row: row[:-1],
+    "fractional-start": lambda row: row[:2] + ["1.5"] + row[3:],
+}
+
+
+class TestFeatureCsvContract:
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize("name", sorted(BAD_FEATURE_ROWS))
+    def test_exits_parse(self, workdir, trained, tmp_path, capsys, command, name):
+        with open(trained["features"], newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        rows[3] = BAD_FEATURE_ROWS[name](rows[3])
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        if command == "train":
+            argv = ["train", "--features", bad, "--model", tmp_path / "model.json"]
+        else:
+            argv = ["tune", "--model", trained["model"], "--features", bad]
+        assert run(argv) == EXIT_PARSE
+        assert ":4:" in capsys.readouterr().err
+
+
+class TestSynthConfigContract:
+    @pytest.mark.parametrize("text, word", [('{"n_strongs": 3}', "n_strongs"),
+                                            ("n_strong = 3\n", "JSON")])
+    def test_exits_config(self, tmp_path, capsys, text, word):
+        (tmp_path / "synth.json").write_text(text, encoding="utf-8")
+        code = run(["synth", "--out", tmp_path / "gen.jsonl", "--config", tmp_path / "synth.json"])
+        assert code == EXIT_CONFIG
+        assert word in capsys.readouterr().err
+
+    def test_flags_override_config_file(self, tmp_path):
+        (tmp_path / "synth.json").write_text('{"n_strong": 3, "n_weak": 2}', encoding="utf-8")
+        out = tmp_path / "gen.jsonl"
+        assert run(["synth", "--out", out, "--config", tmp_path / "synth.json",
+                    "--n-weak", 4]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 7
+
+
+class TestBaselineGridContract:
+    def test_grid_not_numbers(self, workdir, tmp_path, capsys):
+        code = run(["baseline", "--method", "softmax", "--input", workdir["corpus"],
+                    "--grid", "a,b", "--out", tmp_path / "out.csv"])
+        assert code == EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+
+    def test_var_grid_not_numbers(self, workdir, tmp_path, capsys):
+        code = run(["baseline", "--method", "mcdropout", "--input", workdir["corpus"],
+                    "--grid", "0.5", "--var-grid", "0.1,x",
+                    "--passes", ",".join([workdir["corpus"]] * 3),
+                    "--out", tmp_path / "out.csv"])
+        assert code == EXIT_CONFIG
+        assert "--var-grid" in capsys.readouterr().err
+
+
+class TestEvaluateSpanContract:
+    @pytest.mark.parametrize("flag", ["--pred", "--base"])
+    @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]"])
+    def test_exits_parse(self, workdir, tmp_path, capsys, flag, line):
+        base = tmp_path / "base.jsonl"
+        assert run(["decode", "--input", workdir["corpus"], "--out", base]) == EXIT_OK
+        first = base.read_text(encoding="utf-8").splitlines()[0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(first + "\n" + line + "\n", encoding="utf-8")
+        files = {"--pred": base, "--base": base, flag: bad}
+        code = run(["evaluate", "--pred", files["--pred"], "--gold", workdir["corpus"],
+                    "--base", files["--base"]])
+        assert code == EXIT_PARSE
+        assert ":2:" in capsys.readouterr().err

@@ -1,22 +1,34 @@
+import io
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfilter import (
     STRONG,
     WEAK,
+    FeatureVector,
+    PipelineConfig,
+    SynthConfig,
     assemble_features,
     classify,
     decode_spans,
     deserialize_model,
     explain,
+    featurize_records,
     gini,
+    iter_generate,
     serialize_model,
     train,
     train_matrix,
     tune_threshold,
 )
+from nrfilter import tree
+from nrfilter.features import read_feature_csv, write_feature_csv
 from nrfilter.errors import (
     EmptyNode,
     InvalidConfig,
@@ -32,7 +44,7 @@ from nrfilter.tree import (
     weak_probability,
 )
 
-from oracles import parse_decision_path
+from oracles import parse_decision_path, reference_train_matrix
 
 NAMES = ("f0", "f1", "f2")
 
@@ -196,6 +208,128 @@ class TestTrain:
                              TrainConfig(min_samples_leaf=1))
         with pytest.raises(SchemaMismatch):
             classify(model, np.ones(3))
+
+
+class TestPresortedSearch:
+    """train_matrix sorts each column once per tree; reference_train_matrix
+    sorts every column at every node. Their models must be byte-identical."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        X, labels = make_separable()
+        X[7, 1] = bad
+        with pytest.raises(InvalidConfig, match="NaN or infinite"):
+            train_matrix(X, labels, NAMES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        X, labels, config = data.draw(training_sets())
+        # Small blocks put a node's columns into several blocks, so the
+        # strict > across blocks is exercised too.
+        cells = data.draw(st.sampled_from((1, 40, tree._SPLIT_CELLS)))
+        with mock.patch.object(tree, "_SPLIT_CELLS", cells):
+            got = serialize_model(train_matrix(X, labels, names_for(X), config))
+        assert got == serialize_model(reference_train_matrix(X, labels, names_for(X), config))
+
+    def test_duplicate_columns_across_blocks_keep_lower_feature(self):
+        # 2,000 rows: a block holds 32 columns. Columns 24-47 copy 0-23,
+        # so every tie between a column and its copy, within a block or
+        # across two, must go to the lower index.
+        rng = np.random.default_rng(21)
+        X = np.round(rng.uniform(size=(2000, 48)), 2)
+        X[:, 24:] = X[:, :24]
+        labels = [WEAK if rng.random() < 0.3 + 0.4 * x[5] else STRONG for x in X]
+        config = TrainConfig(max_depth=6)
+        model = train_matrix(X, labels, names_for(X), config)
+        assert all(n.feature < 24 for n in model.nodes if isinstance(n, Internal))
+        reference = reference_train_matrix(X, labels, names_for(X), config)
+        assert serialize_model(model) == serialize_model(reference)
+
+    def test_nan_gain_does_not_hide_block(self):
+        # A zero weight makes the first candidate of column 0 divide 0 by
+        # 0. As in the per-column search, column 0 then cannot win, and
+        # column 1 (the same split) must, not the lower-index column 0.
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
+        is_weak = np.array([False, False, True, True])
+        weights = np.array([0.0, 1.0, 1.0, 1.0])
+        order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
+        found = tree._best_split(X, order, np.arange(2), np.arange(4), is_weak, weights, 1)
+        assert found is not None and found[0] == 1 and found[1] == 0.5
+
+    def test_peak_memory_under_twice_the_matrix(self):
+        # 6,000 x 135 like the flipped-large benchmark features: 60
+        # constant columns, and one column decides the label but 10% of
+        # labels are flipped, so many splits peel off a few rows.
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(6000, 135))
+        X[:, 75:] = 0.25
+        weak = (X[:, 0] > 0.5) ^ (rng.random(6000) < 0.1)
+        labels = [WEAK if w else STRONG for w in weak]
+        tracemalloc.start()
+        try:
+            model = train_matrix(X, labels, names_for(X))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.nodes) > 100
+        assert peak < 2 * X.nbytes, f"peak {peak} B for a {X.nbytes} B matrix"
+
+    def test_retrain_from_feature_csv_is_byte_identical(self):
+        # What pipeline featurizes in memory and what train reads back
+        # from features.csv give the same model (repr floats round-trip).
+        corpus = iter_generate(SynthConfig(n_strong=150, n_weak=150, noise_sigma=0.01, seed=5))
+        rows = [
+            (span, record.label, FeatureVector(schema, values))
+            for record, spans, schema, matrix in featurize_records(corpus, PipelineConfig())
+            for span, values in zip(spans, matrix)
+        ]
+        buffer = io.StringIO()
+        write_feature_csv(buffer, rows)
+        buffer.seek(0)
+        table = read_feature_csv(buffer)
+        X = np.vstack([fv.values for _, _, fv in rows])
+        labels = [label for _, label, _ in rows]
+        assert table.matrix.tobytes() == X.tobytes()
+        in_memory = train_matrix(X, labels, rows[0][2].schema.names)
+        assert len(in_memory.nodes) > 3
+        from_csv = train_matrix(table.matrix, table.labels, table.names)
+        assert serialize_model(from_csv) == serialize_model(in_memory)
+
+
+def names_for(X):
+    return tuple(f"f{j}" for j in range(X.shape[1]))
+
+
+@st.composite
+def training_sets(draw):
+    """Small matrices whose columns have ties, adjacent doubles
+    (1 + k * 2**-52), a constant or arbitrary finite values, both
+    classes, and a TrainConfig from one-row leaves to deep trees."""
+    n = draw(st.integers(2, 40))
+    column = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("ties", "adjacent", "constant", "real")))
+        if kind == "ties":
+            columns.append([float(k) for k in draw(column)])
+        elif kind == "adjacent":
+            columns.append([1.0 + k * 2.0 ** -52 for k in draw(column)])
+        elif kind == "constant":
+            columns.append([draw(st.floats(-1e3, 1e3))] * n)
+        else:
+            columns.append(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    weak = draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda w: any(w) and not all(w))
+    )
+    config = TrainConfig(
+        max_depth=draw(st.integers(1, 13)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        min_impurity_decrease=draw(st.sampled_from((0.0, 0.01))),
+        class_weighted=draw(st.booleans()),
+    )
+    X = np.array(columns, dtype=np.float64).T.copy()
+    return X, [WEAK if w else STRONG for w in weak], config
 
 
 class TestClassify:
