@@ -110,7 +110,7 @@ def _add_feature_flags(sub: argparse.ArgumentParser):
 
 def cmd_validate(args) -> int:
     n = 0
-    for _ in iter_records(args.input):
+    for _ in iter_records(args.input, unique_ids=True):
         n += 1
     print(f"ok: {n} records")
     return EXIT_OK
@@ -134,7 +134,8 @@ def cmd_featurize(args) -> int:
     dump = open(args.dump_pdm, "w", encoding="utf-8") if args.dump_pdm else None
 
     def rows():
-        for record, spans, schema, matrix in featurize_records(iter_records(args.input), config):
+        records = iter_records(args.input)
+        for record, spans, schema, matrix in featurize_records(records, config, batch=True):
             K = record.chunk.schema.K
             for span, values in zip(spans, matrix):
                 if dump is not None:

@@ -373,6 +373,9 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
             fail("gold span needs integer 'start'/'end' and 'entity_type'")
         if not (0 <= start <= end < chunk.n_tokens):
             fail(f"gold span [{start}, {end}] outside chunk of {chunk.n_tokens} tokens")
+        if entity_type not in schema.entity_names:
+            fail(f"gold span type {entity_type!r} is not among the record's entity types "
+                 f"{list(schema.entity_names)}")
         gold.append(
             EntitySpan(
                 chunk_id=chunk_id,
@@ -406,16 +409,21 @@ def record_to_obj(record: CorpusRecord) -> dict:
     return obj
 
 
-def iter_records(source: str | IO[str], validate: bool = True) -> Iterator[CorpusRecord]:
+def iter_records(
+    source: str | IO[str], validate: bool = True, unique_ids: bool = False
+) -> Iterator[CorpusRecord]:
     """Stream CorpusRecords from a JSONL path or open text handle.
 
     Reads one line at a time; memory stays bounded by the largest record.
+    ``unique_ids`` makes a repeated record id a ParseError; it keeps
+    every id seen, so a stream that must stay bounded does not ask for it.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            yield from iter_records(handle, validate=validate)
+            yield from iter_records(handle, validate=validate, unique_ids=unique_ids)
         return
     path = getattr(source, "name", None)
+    first_line: dict[str, int] | None = {} if unique_ids else None
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -426,6 +434,12 @@ def iter_records(source: str | IO[str], validate: bool = True) -> Iterator[Corpu
             raise ParseError(line_no, f"invalid JSON: {exc.msg}", path) from exc
         record = parse_record(obj, line_no, path)
         obj = None  # drop the raw dict before yielding; it dominates the working set
+        if first_line is not None:
+            seen = first_line.setdefault(record.chunk.id, line_no)
+            if seen != line_no:
+                raise ParseError(
+                    line_no, f"duplicate record id {record.chunk.id!r} (first on line {seen})", path
+                )
         if validate:
             validate_chunk(record.chunk)
         yield record

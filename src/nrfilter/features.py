@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .core import Chunk, ClassSchema, EntitySpan
 from .errors import AnchorOutOfRange, InvalidConfig, ParseError, SchemaMismatch
-from .pdm import DecayConfig, bin_edges, binned_mass, decay_weights
+from .pdm import DecayConfig, bin_edges, binned_mass, decay_table
 
 SCOPE_TOKEN = "Token"
 SCOPE_WORD = "Word"
@@ -243,7 +244,7 @@ def _scope_statistics(sums: np.ndarray, maxs: np.ndarray, K: int, out: np.ndarra
 
 
 # Columns of the per-span bound rows _span_rows builds.
-_ZERO, _T, _START, _STOP, _ANCHOR, _AFTER_ANCHOR, _BEFORE, _AFTER = range(8)
+_ZERO, _T, _START, _STOP, _ANCHOR, _AFTER_ANCHOR, _BEFORE, _AFTER, _CHUNK = range(9)
 # Each scope as two [lo, hi) segments over those columns. Word is the
 # anchor token here; with word ids the kernel gathers it instead.
 _SEGMENTS = {
@@ -255,20 +256,31 @@ _SEGMENTS = {
 }
 
 
-def _span_rows(chunk: Chunk, spans: Sequence[EntitySpan], neighbor_window: int) -> np.ndarray:
-    """(n, 8) bound rows, one per span: 0, T, start, end + 1, anchor,
-    anchor + 1 and the Neighbor reach on either side."""
-    T = chunk.n_tokens
+def _span_rows(
+    chunks: Sequence[Chunk], spans: Sequence[Sequence[EntitySpan]], neighbor_window: int
+) -> np.ndarray:
+    """(n, 9) bound rows, one per span, in the token coordinates of the
+    chunks with spans stacked in order: the chunk's first token and its
+    end, start, end + 1, anchor, anchor + 1, the Neighbor reach on either
+    side, clipped to the chunk, and the chunk's place in that stack."""
     rows = []
-    for s in spans:
-        if s.start < 0 or s.end >= T:
-            raise AnchorOutOfRange(
-                f"span [{s.start}, {s.end}] outside chunk {chunk.id!r} of {T} tokens"
-            )
-        stop = s.end + 1
-        rows.append((0, T, s.start, stop, s.anchor, s.anchor + 1,
-                     max(s.start - neighbor_window, 0), min(stop + neighbor_window, T)))
-    return np.array(rows, dtype=np.intp).reshape(len(rows), 8)
+    off = c = 0
+    for chunk, chunk_spans in zip(chunks, spans):
+        if not chunk_spans:
+            continue
+        T = chunk.n_tokens
+        edge = off + T
+        for s in chunk_spans:
+            if s.start < 0 or s.end >= T:
+                raise AnchorOutOfRange(
+                    f"span [{s.start}, {s.end}] outside chunk {chunk.id!r} of {T} tokens"
+                )
+            start, stop, anchor = off + s.start, off + s.end + 1, off + s.anchor
+            rows.append((off, edge, start, stop, anchor, anchor + 1,
+                         max(start - neighbor_window, off), min(stop + neighbor_window, edge), c))
+        off = edge
+        c += 1
+    return np.array(rows, dtype=np.intp).reshape(len(rows), 9)
 
 
 def _segments(rows: np.ndarray, kinds: tuple[str, ...]) -> np.ndarray:
@@ -276,15 +288,16 @@ def _segments(rows: np.ndarray, kinds: tuple[str, ...]) -> np.ndarray:
     half-open [lo, hi) token ranges whose union is the scope.
 
     Token <= Word <= Phrase; Neighbor takes up to the neighbor window on
-    each side of the phrase; Context is everything outside the phrase,
-    [0, start) plus (end, T).
+    each side of the phrase; Context is everything of the chunk outside
+    the phrase, [first, start) plus (end, edge).
     """
     return rows[:, np.array([_SEGMENTS[kind] for kind in kinds], dtype=np.intp)]
 
 
 def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Word scope under word ids: the phrase positions that share the
-    anchor's word id, and the span each belongs to, in span order.
+    """Word scope under one chunk's word ids: the phrase positions that
+    share the anchor's word id, and the span each belongs to, in span
+    order. ``rows`` are the chunk's own bound rows.
 
     A span's Word scope can be non-contiguous when word ids interleave,
     and it is empty if the anchor's id equals nothing (NaN).
@@ -296,71 +309,124 @@ def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if wid is None or wid.ndim != 1 or wid.dtype.kind not in "biuf":
         # Compare ids as Python objects, so that 5 and "5" stay distinct.
         wid = np.fromiter(word_ids, dtype=object, count=len(word_ids))
+    off = rows[0, _ZERO]
     starts, lengths = rows[:, _START], rows[:, _STOP] - rows[:, _START]
     owner = np.repeat(np.arange(len(rows)), lengths)
     pos = np.arange(owner.size) + (starts - (np.cumsum(lengths) - lengths))[owner]
-    keep = wid[pos] == wid[rows[owner, _ANCHOR]]
+    keep = wid[pos - off] == wid[rows[owner, _ANCHOR] - off]
     return pos[keep], owner[keep]
 
 
+def _block_word_positions(
+    chunks: Sequence[Chunk], spans: Sequence[Sequence[EntitySpan]], rows: np.ndarray
+) -> list[np.ndarray] | None:
+    """_word_positions over a block: the spans whose chunk has word ids,
+    their gathered positions and the span each belongs to. Ids are
+    compared within their own chunk, so a block may mix numeric and
+    object ids."""
+    parts = []
+    first = 0
+    for chunk, chunk_spans in zip(chunks, spans):
+        last = first + len(chunk_spans)
+        if chunk.word_ids is not None and last > first:
+            pos, owner = _word_positions(chunk.word_ids, rows[first:last])
+            parts.append((np.arange(first, last), pos, owner + first))
+        first = last
+    return [np.concatenate(part) for part in zip(*parts)] if parts else None
+
+
+# (span, token, class) cells of one density bincount: bounds its
+# temporaries at a few MB.
 _PDM_CELLS = 1 << 16
 
 
-def featurize_chunk(
-    chunk: Chunk,
-    spans: Sequence[EntitySpan],
+def featurize_chunks(
+    chunks: Sequence[Chunk],
+    spans: Sequence[Sequence[EntitySpan]],
     config: FeatureConfig = FeatureConfig(),
     schema: FeatureSchema | None = None,
 ) -> np.ndarray:
-    """Feature matrix (n_spans, n_features) for spans of one chunk:
-    density cells then every configured scope, in schema order.
+    """Feature matrix (n_spans, n_features) for the spans of a block of
+    chunks of one class schema, ``spans[i]`` belonging to ``chunks[i]``:
+    rows in chunk order, then span order; columns are density cells then
+    every configured scope, in schema order.
 
-    Per-chunk work (argmax, top-3, entropies, bin indices) is done once;
-    the density maps of all spans are one bincount and all scope
-    statistics two segment reductions. A span's density map is anchored
-    at its opening token with the whole span excluded.
+    One token table covers the stacked probabilities of the chunks with
+    spans, with one trailing zero pad row, and every span's bounds are
+    shifted by its chunk's token offset, so no scope crosses a chunk's
+    edge. All scope statistics are two segment reductions, and the
+    density maps one bincount per group of about _PDM_CELLS cells. Every
+    span reduces the same values in the same order whatever else is in
+    its block, so a row does not depend on how chunks are grouped. A
+    span's density map is anchored at its opening token with the whole
+    span excluded.
     """
+    if len(chunks) != len(spans):
+        raise ValueError(f"{len(chunks)} chunks but {len(spans)} span lists")
     if schema is None:
-        schema = build_feature_schema(chunk.schema, config)
-    probs = chunk.probs
-    T, K = probs.shape
+        schema = build_feature_schema(chunks[0].schema, config)
+    class_schema = schema.class_schema
+    for chunk in chunks:
+        if chunk.schema is not class_schema and chunk.schema != class_schema:
+            raise SchemaMismatch(
+                f"chunk {chunk.id!r} has classes {list(chunk.schema.class_names)}, "
+                f"the block {list(class_schema.class_names)}"
+            )
+    K = class_schema.K
     bins = config.decay.bins
     kinds = config.scopes
     step = 5 * K + 6
     width = bins * K + len(kinds) * step
     if width != len(schema):
         raise SchemaMismatch(f"assembling {width} features, schema expects {len(schema)}")
-    n = len(spans)
+    rows = _span_rows(chunks, spans, config.neighbor_window)
+    n = len(rows)
     out = np.empty((n, width), dtype=np.float64)
     if n == 0:
         return out
-    rows = _span_rows(chunk, spans, config.neighbor_window)
+    used = [chunk.probs for chunk, chunk_spans in zip(chunks, spans) if chunk_spans]
+    probs = used[0] if len(used) == 1 else np.concatenate(used)
 
     # Density block: class-major, bins ascending -- matches schema layout.
-    # Spans go in blocks of about _PDM_CELLS (span, token, class) cells,
-    # so a long record with many spans needs no (n, T, K) temporaries.
-    t = np.arange(T)
-    block = max(1, _PDM_CELLS // (T * K))
-    for lo in range(0, n, block):
-        part = rows[lo : lo + block]
-        weights = decay_weights(T, part[:, _ANCHOR], config.decay.decay_rate)
+    # Spans go in groups; within a group, each chunk's probabilities are
+    # padded with zero rows to the group's longest chunk, L tokens, so a
+    # span's (token, class) cells are one (L, K) grid. A group holds at
+    # most _PDM_CELLS such cells (or one span), so a long chunk among
+    # short ones pads few of them.
+    local = rows - rows[:, _ZERO, None]
+    norm = local[:, _T].astype(np.float64)
+    groups, lo, L = [], 0, 0
+    for j, T in enumerate(local[:, _T].tolist()):
+        if j > lo and (j + 1 - lo) * max(L, T) * K > _PDM_CELLS:
+            groups.append((lo, j, L))
+            lo, L = j, 0
+        L = max(L, T)
+    groups.append((lo, n, L))
+    for lo, hi, L in groups:
+        first, last = rows[lo, _CHUNK], rows[hi - 1, _CHUNK]
+        padded = np.zeros((last + 1 - first, L, K))
+        for c in range(first, last + 1):
+            padded[c - first, : len(used[c])] = used[c]
+        part, t = local[lo:hi], np.arange(L)
+        weights = decay_table(L, config.decay.decay_rate).take(np.abs(t - part[:, _ANCHOR, None]))
         weights[(t >= part[:, _START, None]) & (t < part[:, _STOP, None])] = 0.0
-        pdm = binned_mass(probs, weights, bins, T)
-        out[lo : lo + block, : bins * K] = pdm.transpose(0, 2, 1).reshape(len(part), K * bins)
+        pdm = binned_mass(padded, rows[lo:hi, _CHUNK] - first, weights, bins, norm[lo:hi])
+        out[lo:hi, : bins * K] = pdm.transpose(0, 2, 1).reshape(hi - lo, K * bins)
 
     if kinds:
         table = _token_table(probs)
         sums, maxs = _segment_reduce(table, _segments(rows, kinds), K)
         sums = sums.reshape(n, len(kinds), 2, -1)
         maxs = maxs.reshape(n, len(kinds), 2, -1)
-        if chunk.word_ids is not None and SCOPE_WORD in kinds:
+        gathered = _block_word_positions(chunks, spans, rows) if SCOPE_WORD in kinds else None
+        if gathered is not None:
             w = kinds.index(SCOPE_WORD)
-            pos, owner = _word_positions(chunk.word_ids, rows)
-            # One segment per span over the gathered rows, plus the pad row.
-            firsts = np.searchsorted(owner, np.arange(n))
-            ends = np.append(firsts[1:], len(pos))
-            sums[:, w, 0], maxs[:, w, 0] = _segment_reduce(
-                table[np.append(pos, T)], np.stack([firsts, ends], axis=1), K
+            picked, pos, owner = gathered
+            # One segment per picked span over the gathered rows, plus the pad row.
+            firsts = np.searchsorted(owner, picked)
+            ends = np.searchsorted(owner, picked, side="right")
+            sums[picked, w, 0], maxs[picked, w, 0] = _segment_reduce(
+                table[np.append(pos, len(probs))], np.stack([firsts, ends], axis=1), K
             )
         blocks = np.empty((n, len(kinds), step), dtype=np.float64)
         _scope_statistics(
@@ -373,6 +439,17 @@ def featurize_chunk(
         bad = schema.names[int(np.argmin(finite.all(axis=0)))]
         raise ValueError(f"non-finite feature value for {bad!r}")
     return out
+
+
+def featurize_chunk(
+    chunk: Chunk,
+    spans: Sequence[EntitySpan],
+    config: FeatureConfig = FeatureConfig(),
+    schema: FeatureSchema | None = None,
+) -> np.ndarray:
+    """Feature matrix (n_spans, n_features) for spans of one chunk: a
+    block of one chunk."""
+    return featurize_chunks((chunk,), (spans,), config, schema)
 
 
 def assemble_features(
@@ -392,7 +469,7 @@ def build_scopes(
 ) -> dict[str, SpanScope]:
     """The five operand scopes of one span as explicit positions: a view
     of the segments featurize_chunk reduces over."""
-    rows = _span_rows(chunk, (span,), neighbor_window)
+    rows = _span_rows((chunk,), ((span,),), neighbor_window)
     (bounds,) = _segments(rows, SCOPE_ORDER).tolist()
     scopes = {
         kind: SpanScope(kind, tuple(range(lo1, hi1)) + tuple(range(lo2, hi2)))
@@ -448,22 +525,30 @@ def write_feature_csv(
     target: str | IO[str],
     rows: Iterable[tuple[EntitySpan, str | None, FeatureVector]],
 ) -> int:
-    """Stream feature rows to CSV; header = meta columns + canonical names."""
+    """Stream feature rows to CSV; header = meta columns + canonical names.
+
+    The bytes are those of a csv.writer row per span. Only the meta
+    columns go through csv.writer (it quotes chunk ids); the float cells
+    never need quoting and are joined as their repr, as csv.writer
+    writes floats."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             return write_feature_csv(handle, rows)
-    writer = csv.writer(target)
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))  # one write per row
     n = 0
     header_schema: FeatureSchema | None = None
     for span, label, fv in rows:
         if header_schema is None:
             header_schema = fv.schema
             writer.writerow(list(_META_COLS) + list(fv.schema.names))
-        elif fv.schema.names != header_schema.names:
+            target.write(lines.pop())
+        elif fv.schema is not header_schema and fv.schema.names != header_schema.names:
             raise SchemaMismatch("feature rows use differing schemas")
-        meta = [span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
-                label if label is not None else ""]
-        writer.writerow(meta + fv.values.tolist())
+        writer.writerow((span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
+                         label if label is not None else ""))
+        meta = lines.pop()[:-2]  # without the line end
+        target.write(meta + "," + ",".join(map(repr, fv.values.tolist())) + "\r\n")
         n += 1
     return n
 

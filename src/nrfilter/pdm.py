@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -76,29 +77,45 @@ def _bin_indices(probs: np.ndarray, bins: int) -> np.ndarray:
 
 
 def binned_mass(
-    probs: np.ndarray, weights: np.ndarray, bins: int, norm: float = 1.0
+    probs: np.ndarray,
+    rows: np.ndarray,
+    weights: np.ndarray,
+    bins: int,
+    norm: np.ndarray,
 ) -> np.ndarray:
     """(n, bins, K) grids in one bincount: grid j gets
-    ``weights[j, t] * probs[t, k] / norm`` in the bin of ``probs[t, k]``.
+    ``weights[j, t] * probs[rows[j], t, k] / norm[j]`` in the bin of
+    ``probs[rows[j], t, k]``, for ``probs`` of shape (C, T, K).
 
-    This is the one density-map implementation. A token with weight 0
-    adds exactly 0.0, so zeroing a weight excludes that token.
+    This is the one density-map implementation. A grid sums its tokens
+    in order, and a token with weight 0 or all-zero probabilities adds
+    exactly 0.0, so zeroing a weight excludes that token and zero rows
+    may pad a short chunk.
     """
-    n = weights.shape[0]
-    K = probs.shape[1]
-    contrib = weights[:, :, None] * probs / norm
-    cell = _bin_indices(probs, bins) * K + np.arange(K)
-    flat = cell + (np.arange(n) * (bins * K))[:, None, None]
+    n = len(rows)
+    K = probs.shape[2]
+    contrib = probs.take(rows, axis=0)
+    contrib *= weights[:, :, None]
+    contrib /= norm[:, None, None]
+    flat = (_bin_indices(probs, bins) * K + np.arange(K)).take(rows, axis=0)
+    flat += (np.arange(n) * (bins * K))[:, None, None]
     return np.bincount(
         flat.ravel(), weights=contrib.ravel(), minlength=n * bins * K
     ).reshape(n, bins, K)
 
 
-def decay_weights(T: int, anchors: np.ndarray, decay_rate: float) -> np.ndarray:
-    """(n, T) Gaussian weights exp(-d^2 / (2 R^2)) of each token around
-    each anchor."""
-    d = np.abs(np.arange(T) - anchors[:, None]).astype(np.float64)
+def decay_weights(distance: np.ndarray, decay_rate: float) -> np.ndarray:
+    """Gaussian weights exp(-d^2 / (2 R^2)) of token distances d."""
+    d = distance.astype(np.float64)
     return np.exp(-(d * d) / (2.0 * decay_rate * decay_rate))
+
+
+@lru_cache(maxsize=256)
+def decay_table(length: int, decay_rate: float) -> np.ndarray:
+    """Read-only decay weights of the distances 0 .. length - 1."""
+    table = decay_weights(np.arange(length), decay_rate)
+    table.flags.writeable = False
+    return table
 
 
 def compute_pdm(
@@ -117,11 +134,12 @@ def compute_pdm(
     """
     _check_anchor(chunk, t_predicted)
     T = chunk.n_tokens
-    weights = decay_weights(T, np.array([t_predicted]), config.decay_rate)
-    weights[0, t_predicted] = 0.0
+    weights = decay_weights(np.abs(np.arange(T) - t_predicted), config.decay_rate)
+    weights[t_predicted] = 0.0
     if exclude is not None:
-        weights[0, [t for t in exclude if 0 <= t < T]] = 0.0
-    grid = binned_mass(chunk.probs, weights, config.bins, T)[0]
+        weights[[t for t in exclude if 0 <= t < T]] = 0.0
+    grid = binned_mass(chunk.probs[None], np.zeros(1, dtype=np.intp), weights[None],
+                       config.bins, np.array([float(T)]))[0]
     return ProbabilityDensityMap(grid, config, t_predicted)
 
 
@@ -147,7 +165,8 @@ def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = DEFAULT_BINS) ->
     _check_anchor(chunk, t_predicted)
     weights = np.ones((1, chunk.n_tokens))
     weights[0, t_predicted] = 0.0
-    return binned_mass(chunk.probs, weights, bins)[0]
+    return binned_mass(chunk.probs[None], np.zeros(1, dtype=np.intp), weights, bins,
+                       np.ones(1))[0]
 
 
 def bin_edges(bins: int) -> list[tuple[float, float]]:

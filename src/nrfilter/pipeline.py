@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,14 +26,14 @@ from .core import (
     read_config_file,
     span_to_obj,
 )
-from .errors import InvalidConfig, SchemaMismatch
+from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
 from .features import (
     SCOPE_ORDER,
     FeatureConfig,
     FeatureSchema,
     FeatureVector,
     build_feature_schema,
-    featurize_chunk,
+    featurize_chunks,
     write_feature_csv,
 )
 from .metrics import EntityCounts, drop_rates, entity_f1
@@ -42,13 +42,16 @@ from .tree import (
     TrainConfig,
     TreeModel,
     TuneResult,
-    explain,
     serialize_model,
     train_matrix,
     tune_threshold,
 )
 
 _SPLIT_SALT = 104729
+# (span, token, class) cells of one block of records featurized in one
+# kernel call (a record without spans counts as one span). Larger blocks
+# are no faster, and the parsed records a block holds cost memory.
+_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,16 @@ class PipelineConfig:
 def span_is_tp(record: CorpusRecord, span: EntitySpan) -> bool:
     """Supervision for one span: exact gold match when gold spans exist,
     otherwise the record-level label."""
+    return _tp_flags(record, (span,))[0]
+
+
+def _tp_flags(record: CorpusRecord, spans: Sequence[EntitySpan]) -> list[bool]:
+    """span_is_tp for every span of one record."""
     if record.gold_spans:
         keys = {g.match_key() for g in record.gold_spans}
-        return span.match_key() in keys
+        return [span.match_key() in keys for span in spans]
     if record.label is not None:
-        return record.label == STRONG
+        return [record.label == STRONG] * len(spans)
     raise InvalidConfig(
         f"record {record.chunk.id!r} has neither label nor gold_spans"
     )
@@ -124,21 +132,29 @@ def assign_validation(seed: int, index: int, fraction: float) -> bool:
     return bool(np.random.default_rng([seed, _SPLIT_SALT, index]).random() < fraction)
 
 
+Featurized = tuple[CorpusRecord, list[EntitySpan], FeatureSchema, np.ndarray]
+
+
 def featurize_records(
     records: Iterable[CorpusRecord],
     config: PipelineConfig,
     feature_names: tuple[str, ...] | None = None,
-) -> Iterator[tuple[CorpusRecord, list[EntitySpan], FeatureSchema, np.ndarray]]:
-    """Decode and featurize one record at a time: yields each record with
-    its decoded spans, feature schema and (n_spans, n_features) matrix.
+    batch: bool = False,
+) -> Iterator[Featurized]:
+    """Decode and featurize records: yields each record with its decoded
+    spans, feature schema and (n_spans, n_features) matrix, in order.
 
     ``feature_names``, when given, must equal every record's schema (a
-    model's training schema). No reference to a record survives while the
-    next one is parsed, so a stream holds one record at a time.
+    model's training schema). With ``batch``, one kernel call featurizes
+    a block of records: about _BLOCK_CELLS (span, token, class) cells, or
+    fewer where the class schema changes. Without it every block is one
+    record, and no reference to a record survives while the next one is
+    parsed, so a stream holds one record at a time.
     """
     fconfig = config.feature_config
 
-    def featurize(record: CorpusRecord):
+    def decode(record: CorpusRecord):
+        """(record, spans, schema, the record's cells in a block)"""
         chunk = record.chunk
         schema = build_feature_schema(chunk.schema, fconfig)
         if feature_names is not None and schema.names != feature_names:
@@ -147,13 +163,36 @@ def featurize_records(
                 "feature schema than this corpus/configuration produces"
             )
         spans = decode_spans(chunk, config.orphan_policy)
-        return record, spans, schema, featurize_chunk(chunk, spans, fconfig, schema)
+        return record, spans, schema, max(len(spans), 1) * chunk.n_tokens * chunk.schema.K
 
+    block: list = []
+    cells = 0
     for record in records:
-        result = featurize(record)
+        item = decode(record)
         del record
-        yield result
-        del result
+        if block and (item[2] is not block[0][2] or cells + item[3] > _BLOCK_CELLS):
+            yield from _featurize_block(block, fconfig)
+            block, cells = [], 0
+        block.append(item)
+        cells += item[3]
+        del item
+        if not batch:
+            yield from _featurize_block(block, fconfig)
+            block, cells = [], 0
+    if block:
+        yield from _featurize_block(block, fconfig)
+
+
+def _featurize_block(block: list, fconfig: FeatureConfig) -> Iterator[Featurized]:
+    """One kernel call over a block of decoded records of one schema."""
+    matrix = featurize_chunks(
+        [record.chunk for record, *_ in block], [spans for _, spans, *_ in block],
+        fconfig, block[0][2],
+    )
+    lo = 0
+    for record, spans, schema, _ in block:
+        yield record, spans, schema, matrix[lo : lo + len(spans)]
+        lo += len(spans)
 
 
 @dataclass
@@ -175,31 +214,49 @@ def run_pipeline(
     under ``out_dir``; reruns with identical inputs produce byte-identical
     artifacts. The returned report carries validation drop rates.
     """
-    rows: list[tuple[EntitySpan, FeatureVector, str | None, bool, bool]] = []
+    spans: list[EntitySpan] = []
+    rows: list[np.ndarray] = []  # each span's feature row, a view into its block
+    in_val: list[bool] = []
+    tp: list[bool] = []
     val_gold: list[EntitySpan] = []
     val_base: list[EntitySpan] = []
     any_gold = False
+    schema: FeatureSchema | None = None
     n_records = 0
-    featurized = featurize_records(iter_records(corpus), config)
-    for index, (record, spans, schema, matrix) in enumerate(featurized):
+    records = iter_records(corpus, unique_ids=True)
+    for index, (record, rec_spans, rec_schema, matrix) in enumerate(
+        featurize_records(records, config, batch=True)
+    ):
+        if schema is None:
+            schema = rec_schema
+        elif rec_schema is not schema and rec_schema.names != schema.names:
+            raise SchemaMismatch(
+                f"record {record.chunk.id!r} has classes "
+                f"{list(record.chunk.schema.class_names)}; the corpus began with "
+                f"{list(schema.class_schema.class_names)}"
+            )
         n_records += 1
         is_val = assign_validation(config.seed, index, config.validation_fraction)
         any_gold = any_gold or bool(record.gold_spans)
         if is_val:
             val_gold.extend(record.gold_spans)
-            val_base.extend(spans)
-        for span, values in zip(spans, matrix):
-            fv = FeatureVector(schema, values)
-            rows.append((span, fv, record.label, is_val, span_is_tp(record, span)))
-    if not rows:
+            val_base.extend(rec_spans)
+        spans.extend(rec_spans)
+        rows.extend(matrix)
+        in_val.extend([is_val] * len(rec_spans))
+        tp.extend(_tp_flags(record, rec_spans))
+    if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
-
-    train_rows = [(fv, WEAK if not is_tp else STRONG) for _, fv, _, is_val, is_tp in rows if not is_val]
-    names = rows[0][1].schema.names
-    X = np.vstack([fv.values for fv, _ in train_rows])
-    model = train_matrix(X, [label for _, label in train_rows], names, config.tree)
-
-    val_rows = [(fv, is_tp) for _, fv, _, is_val, is_tp in rows if is_val]
+    labels = [STRONG if t else WEAK for t in tp]
+    train = [i for i, val in enumerate(in_val) if not val]
+    if not train:
+        raise SingleClassTrainingSet(
+            "empty training split: no predicted span is in a training record"
+        )
+    X = np.vstack([rows[i] for i in train])
+    model = train_matrix(X, [labels[i] for i in train], schema.names, config.tree)
+    del X
+    val_rows = [(row, t) for row, val, t in zip(rows, in_val, tp) if val]
     tune = tune_threshold(model, val_rows, config.tree.max_tp_drop)
     model = model.with_threshold(tune.threshold)
 
@@ -213,42 +270,41 @@ def run_pipeline(
 
     write_feature_csv(
         paths["features"],
-        ((span, WEAK if not is_tp else STRONG, fv) for span, fv, _, _, is_tp in rows),
+        ((span, label, FeatureVector(schema, values))
+         for span, label, values in zip(spans, labels, rows)),
     )
     with open(paths["model"], "w", encoding="utf-8") as handle:
         handle.write(serialize_model(model))
         handle.write("\n")
 
+    tree = model.compiled
     splits = {"train": EntityCounts(), "validation": EntityCounts()}
     base = {"train": EntityCounts(), "validation": EntityCounts()}
     val_kept: list[EntitySpan] = []
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
-        for span, fv, _, is_val, is_tp in rows:
-            path = explain(model, fv)
-            split = "validation" if is_val else "train"
-            kept = path.verdict == STRONG
+        for span, values, val, span_tp in zip(spans, rows, in_val, tp):
+            leaf = tree.leaf(values)
+            p_weak = tree.p_weak[leaf]
+            verdict = model.verdict(p_weak)
+            split = "validation" if val else "train"
+            kept = verdict == STRONG
             obj = span_to_obj(span)
-            obj.update(
-                verdict=path.verdict,
-                p_weak=path.p_weak,
-                split=split,
-                path=path.serialize(),
-            )
+            obj.update(verdict=verdict, p_weak=p_weak, split=split, path=tree.path[leaf])
             handle.write(json.dumps(obj) + "\n")
             part, whole = splits[split], base[split]
-            whole.tp += is_tp
-            whole.fp += not is_tp
+            whole.tp += span_tp
+            whole.fp += not span_tp
             if kept:
-                part.tp += is_tp
-                part.fp += not is_tp
-            elif is_tp:
+                part.tp += span_tp
+                part.fp += not span_tp
+            elif span_tp:
                 part.fn += 1
-            if is_val and kept:
+            if val and kept:
                 val_kept.append(span)
 
     report: dict = {
         "n_records": n_records,
-        "n_spans": len(rows),
+        "n_spans": len(spans),
         "decision_threshold": tune.threshold,
         "config": config.to_obj(),
     }
@@ -295,12 +351,14 @@ def stream_classify(
 def _verdict_lines(
     model: TreeModel, spans: list[EntitySpan], matrix: np.ndarray, include_path: bool
 ) -> Iterator[tuple[str, str]]:
-    """(verdict, JSON line) per span of one record. A generator, so its
-    decision paths are freed when the record is done."""
+    """(verdict, JSON line) per span of one record."""
+    tree = model.compiled
     for span, values in zip(spans, matrix):
-        path = explain(model, values)
+        leaf = tree.leaf(values)
+        p_weak = tree.p_weak[leaf]
+        verdict = model.verdict(p_weak)
         obj = span_to_obj(span)
-        obj.update(verdict=path.verdict, p_weak=path.p_weak)
+        obj.update(verdict=verdict, p_weak=p_weak)
         if include_path:
-            obj["path"] = path.serialize()
-        yield path.verdict, json.dumps(obj)
+            obj["path"] = tree.path[leaf]
+        yield verdict, json.dumps(obj)

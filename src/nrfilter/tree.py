@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +72,67 @@ class Leaf:
 
 
 @dataclass(frozen=True)
+class CompiledTree:
+    """A tree as flat per-node lists for the scalar walk. A leaf has
+    ``left == -1``. A node's ``trail`` holds the (node, went left) steps
+    from the root and its ``path`` their rendering: at a leaf,
+    DecisionPath.serialize() of any instance that reaches it."""
+
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    p_weak: list[float]
+    trail: list[tuple[tuple[int, bool], ...]]
+    path: list[str]
+
+    def leaf(self, values) -> int:
+        """Id of the leaf ``values`` (indexable by feature) reaches."""
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        i = 0
+        while left[i] >= 0:
+            i = left[i] if values[feature[i]] <= threshold[i] else right[i]
+        return i
+
+
+def _compile(feature_names: tuple[str, ...], nodes: tuple) -> CompiledTree:
+    """Flatten ``nodes``; a child must come after its parent (preorder
+    does), so every walk ends at a leaf."""
+    n = len(nodes)
+    if n == 0:
+        raise SchemaMismatch("a tree needs at least one node")
+    tree = CompiledTree([0] * n, [0.0] * n, [-1] * n, [-1] * n, [0.0] * n, [()] * n, [""] * n)
+    for i, node in enumerate(nodes):  # a node's ancestors come before it
+        if isinstance(node, Internal):
+            if not (i < node.left < n and i < node.right < n):
+                raise SchemaMismatch(f"node {i}: children {node.left}, {node.right} out of order")
+            if not 0 <= node.feature < len(feature_names):
+                raise SchemaMismatch(f"node {i}: feature {node.feature} out of range")
+            tree.feature[i], tree.threshold[i] = node.feature, node.threshold
+            tree.left[i], tree.right[i] = node.left, node.right
+            name = feature_names[node.feature]
+            for child, went_left in ((node.left, True), (node.right, False)):
+                tree.trail[child] = tree.trail[i] + ((i, went_left),)
+                step = _predicate(name, "<=" if went_left else ">", node.threshold)
+                tree.path[child] = tree.path[i] + _PATH_SEP + step if tree.path[i] else step
+        else:
+            tree.p_weak[i] = node.p_weak
+    return tree
+
+
+@dataclass(frozen=True)
 class TreeModel:
-    """An immutable trained tree; node 0 is the root."""
+    """An immutable trained tree; node 0 is the root. Compiled for the
+    walk on construction."""
 
     feature_names: tuple[str, ...]
     nodes: tuple[Internal | Leaf, ...]
     decision_threshold: float
     config: TrainConfig
+    compiled: CompiledTree = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", _compile(self.feature_names, self.nodes))
 
     @property
     def schema_hash(self) -> str:
@@ -91,6 +145,11 @@ class TreeModel:
 
     def with_threshold(self, threshold: float) -> "TreeModel":
         return replace(self, decision_threshold=threshold)
+
+    def verdict(self, p_weak: float, decision_threshold: float | None = None) -> str:
+        """Weak iff p_weak >= the threshold (the model's by default)."""
+        theta = self.decision_threshold if decision_threshold is None else decision_threshold
+        return WEAK if p_weak >= theta else STRONG
 
 
 def gini(n_strong: int, n_weak: int) -> float:
@@ -293,16 +352,6 @@ def train_matrix(
     )
 
 
-def _leaf_for(model: TreeModel, values: np.ndarray) -> tuple[Leaf, list[tuple[Internal, bool]]]:
-    node = model.nodes[0]
-    trail: list[tuple[Internal, bool]] = []
-    while isinstance(node, Internal):
-        went_left = values[node.feature] <= node.threshold
-        trail.append((node, went_left))
-        node = model.nodes[node.left if went_left else node.right]
-    return node, trail
-
-
 def _values_for(model: TreeModel, features: FeatureVector | np.ndarray) -> np.ndarray:
     if isinstance(features, FeatureVector):
         if features.schema.names != model.feature_names:
@@ -317,8 +366,7 @@ def _values_for(model: TreeModel, features: FeatureVector | np.ndarray) -> np.nd
 
 
 def weak_probability(model: TreeModel, features: FeatureVector | np.ndarray) -> float:
-    leaf_node, _ = _leaf_for(model, _values_for(model, features))
-    return leaf_node.p_weak
+    return model.compiled.p_weak[model.compiled.leaf(_values_for(model, features))]
 
 
 def classify(
@@ -327,9 +375,8 @@ def classify(
     decision_threshold: float | None = None,
 ) -> tuple[str, float]:
     """Verdict and leaf weak-probability; weak iff p_weak >= threshold."""
-    theta = model.decision_threshold if decision_threshold is None else decision_threshold
     p_weak = weak_probability(model, features)
-    return (WEAK if p_weak >= theta else STRONG), p_weak
+    return model.verdict(p_weak, decision_threshold), p_weak
 
 
 @dataclass(frozen=True)
@@ -357,7 +404,9 @@ def tune_threshold(
     budget = model.config.max_tp_drop if max_tp_drop is None else max_tp_drop
     if not 0.0 <= budget <= 1.0:
         raise InvalidConfig(f"max_tp_drop must be in [0, 1], got {budget}")
-    p = np.array([weak_probability(model, fv) for fv, _ in rows], dtype=np.float64)
+    tree = model.compiled
+    p = np.array([tree.p_weak[tree.leaf(_values_for(model, fv))] for fv, _ in rows],
+                 dtype=np.float64)
     is_tp = np.array([bool(t) for _, t in rows], dtype=bool)
     n_tp = int(is_tp.sum())
     n_fp = int(is_tp.size - n_tp)
@@ -395,6 +444,14 @@ def tune_threshold(
 # ---------------------------------------------------------------------------
 
 
+_PATH_SEP = "\n& "
+
+
+def _predicate(name: str, op: str, threshold: float) -> str:
+    """One step of a rendered decision path; steps are joined by _PATH_SEP."""
+    return f"({name} {op} {threshold!r})"
+
+
 @dataclass(frozen=True)
 class PathStep:
     feature: str
@@ -410,9 +467,7 @@ class DecisionPath:
     p_weak: float
 
     def serialize(self) -> str:
-        """Render as "(name op threshold)" lines joined by "& "."""
-        parts = [f"({s.feature} {s.op} {s.threshold!r})" for s in self.steps]
-        return "\n& ".join(parts)
+        return _PATH_SEP.join(_predicate(s.feature, s.op, s.threshold) for s in self.steps)
 
     def __str__(self) -> str:
         return self.serialize()
@@ -428,20 +483,19 @@ def explain(
     Every emitted predicate evaluates true for the instance.
     """
     values = _values_for(model, features)
-    leaf_node, trail = _leaf_for(model, values)
-    steps = []
-    for node, went_left in trail:
-        steps.append(
-            PathStep(
-                feature=model.feature_names[node.feature],
-                op="<=" if went_left else ">",
-                threshold=node.threshold,
-                observed=float(values[node.feature]),
-            )
+    tree = model.compiled
+    leaf = tree.leaf(values)
+    steps = tuple(
+        PathStep(
+            feature=model.feature_names[tree.feature[i]],
+            op="<=" if went_left else ">",
+            threshold=tree.threshold[i],
+            observed=float(values[tree.feature[i]]),
         )
-    theta = model.decision_threshold if decision_threshold is None else decision_threshold
-    verdict = WEAK if leaf_node.p_weak >= theta else STRONG
-    return DecisionPath(tuple(steps), verdict, leaf_node.p_weak)
+        for i, went_left in tree.trail[leaf]
+    )
+    p_weak = tree.p_weak[leaf]
+    return DecisionPath(steps, model.verdict(p_weak, decision_threshold), p_weak)
 
 
 # ---------------------------------------------------------------------------

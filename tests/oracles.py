@@ -6,7 +6,8 @@ its own oracle. reference_features is the span-at-a-time featurizer the
 batched kernel replaced: one span, one scope and one statistic at a
 time, over explicit position lists. reference_train_matrix is the CART
 grower the presorted split search replaced: it sorts every column again
-at every node.
+at every node. reference_leaf_for is the node-object tree walk the
+compiled walker replaced.
 """
 
 from __future__ import annotations
@@ -222,6 +223,19 @@ def reference_train_matrix(X, labels, feature_names, config):
 
     grow(X, is_weak, weights, 0)
     return TreeModel(tuple(feature_names), tuple(nodes), DEFAULT_DECISION_THRESHOLD, config)
+
+
+def reference_leaf_for(model, values):
+    """(leaf node id, [(internal node id, went left)]) of one instance,
+    walking the model's node objects from the root."""
+    i = 0
+    trail = []
+    while isinstance(model.nodes[i], Internal):
+        node = model.nodes[i]
+        went_left = values[node.feature] <= node.threshold
+        trail.append((i, went_left))
+        i = node.left if went_left else node.right
+    return i, trail
 
 
 _PREDICATE = re.compile(r"\(([^\s()]+) (<=|>) ([^\s()]+)\)")

@@ -9,6 +9,7 @@ import pytest
 from nrfilter import SynthConfig, iter_generate, load_model, write_records
 from nrfilter.cli import (
     EXIT_CONFIG,
+    EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
@@ -307,6 +308,62 @@ class TestInputContract:
                     "--out", out]) == EXIT_SCHEMA
 
 
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(lines)
+    return str(path)
+
+
+def corpus_lines(workdir, n):
+    with open(workdir["corpus"], "r", encoding="utf-8") as src:
+        return src.readlines()[:n]
+
+
+class TestCorpusContract:
+    """Corpus-level defects: each exits with its documented code, not 1."""
+
+    def test_pipeline_empty_training_split(self, workdir, tmp_path, capsys):
+        # At --seed 0, records 0 and 1 both go to validation.
+        path = write_lines(tmp_path / "two.jsonl", corpus_lines(workdir, 2))
+        code = run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out", "--seed", 0])
+        assert code == EXIT_DOMAIN
+        assert "empty training split" in capsys.readouterr().err
+
+    def test_pipeline_class_lists_change(self, workdir, tmp_path, capsys):
+        classes = ["O", "B-A", "I-A", "B-B", "I-B"]
+        k5 = [json.dumps({"id": f"k5-{i}", "classes": classes, "label": "weak",
+                          "tokens": [{"text": "x", "probs": [0.1, 0.9, 0, 0, 0]},
+                                     {"text": "y", "probs": [1.0, 0, 0, 0, 0]}]}) + "\n"
+              for i in range(10)]
+        path = write_lines(tmp_path / "mixed.jsonl", corpus_lines(workdir, 40) + k5)
+        assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
+        assert "'k5-0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "pipeline"])
+    def test_duplicate_record_id(self, workdir, tmp_path, capsys, command):
+        lines = corpus_lines(workdir, 30)
+        lines.append(lines[4])
+        path = write_lines(tmp_path / "dup.jsonl", lines)
+        argv = ["validate", "--input", path] if command == "validate" else \
+            ["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]
+        assert run(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert ":31:" in err and "duplicate record id" in err and "line 5" in err
+
+    def test_classify_does_not_check_ids(self, workdir, trained, tmp_path):
+        lines = corpus_lines(workdir, 3)
+        path = write_lines(tmp_path / "dup.jsonl", lines + lines[:1])
+        assert run(["classify", "--input", path, "--model", trained["model"],
+                    "--out", tmp_path / "out.jsonl"]) == EXIT_OK
+
+    def test_gold_span_of_unknown_type(self, workdir, tmp_path, capsys):
+        record = json.loads(corpus_lines(workdir, 1)[0])
+        record["gold_spans"] = [{"entity_type": "Drug", "start": 0, "end": 0}]
+        path = write_lines(tmp_path / "gold.jsonl", [json.dumps(record) + "\n"])
+        assert run(["validate", "--input", path]) == EXIT_PARSE
+        assert "'Drug'" in capsys.readouterr().err
+
+
 # A malformed pipeline config: the config file's text (None: no file),
 # extra flags, and a word the error message must contain.
 BAD_CONFIGS = {
@@ -344,15 +401,20 @@ def mangle_model(model_path, out_path, change):
 
 
 class TestModelContract:
-    @pytest.mark.parametrize("name", ["not-json", "no-nodes", "unknown-config-key"])
+    @pytest.mark.parametrize("name", ["not-json", "no-nodes", "unknown-config-key",
+                                      "self-loop", "feature-out-of-range"])
     def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
         model = tmp_path / "model.json"
         if name == "not-json":
             model.write_text("nodes: []\n", encoding="utf-8")
         elif name == "no-nodes":
             mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
-        else:
+        elif name == "unknown-config-key":
             mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
+        elif name == "self-loop":  # a walk that never reaches a leaf
+            mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
+        else:
+            mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(f=10**6))
         code = run(["classify", "--input", workdir["corpus"], "--model", model,
                     "--out", tmp_path / "out.jsonl"])
         assert code == EXIT_SCHEMA

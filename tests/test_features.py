@@ -262,3 +262,31 @@ class TestAliasAndExport:
         np.testing.assert_array_equal(table.matrix[0], rows[0][2].values)
         np.testing.assert_array_equal(table.matrix[1], rows[1][2].values)
         assert table.spans[0].chunk_id == "sentence-1"
+
+    @pytest.mark.parametrize("chunk_id", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"])
+    def test_csv_bytes_equal_csv_writer(self, sentence1, chunk_id):
+        # Only the meta columns go through csv.writer; the bytes must be
+        # those of one csv.writer row per span, quoting included.
+        import csv
+        from dataclasses import replace
+
+        (span,) = decode_spans(sentence1.chunk)
+        fv = assemble_features(sentence1.chunk, span)
+        values = fv.values.copy()
+        values[:3] = (-0.0, 1e-300, 1 / 3)
+        fv = type(fv)(fv.schema, values)
+        rows = [(replace(span, chunk_id=chunk_id), label, fv) for label in ("strong", None)]
+        got = io.StringIO()
+        write_feature_csv(got, rows)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["chunk_id", "entity_type", "start", "end", "anchor", "label",
+                         *fv.schema.names])
+        for s, label, v in rows:
+            writer.writerow([s.chunk_id, s.entity_type, s.start, s.end, s.anchor, label or "",
+                             *v.values.tolist()])
+        assert got.getvalue() == want.getvalue()
+        got.seek(0)
+        table = read_feature_csv(got)
+        assert [s.chunk_id for s in table.spans] == [chunk_id, chunk_id]
+        assert table.matrix.tobytes() == np.vstack([values, values]).tobytes()

@@ -1,13 +1,16 @@
-"""The per-record feature kernel against the per-span reference.
+"""The feature kernel against the per-span reference, and block calls
+against one-record calls.
 
-featurize_chunk featurizes every span of a chunk in one batched pass;
-tests/oracles.py holds the span-at-a-time reference it replaced. Every
-feature must agree within 1e-12 relative, except the *_cov_prob
-features, which go through E[x^2] - E[x]^2 and must agree within 1e-12
-absolute.
+featurize_chunks featurizes every span of a block of chunks in one
+batched pass; tests/oracles.py holds the span-at-a-time reference it
+replaced. Every feature must agree within 1e-12 relative, except the
+*_cov_prob features, which go through E[x^2] - E[x]^2 and must agree
+within 1e-12 absolute. A block's rows must equal one-record calls
+(featurize_chunk) bit for bit.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ from nrfilter import (
     compute_pdm,
     featurize_chunk,
 )
+from nrfilter import features
 from nrfilter.errors import AnchorOutOfRange, SchemaMismatch
-from nrfilter.features import SCOPE_ORDER
+from nrfilter.features import SCOPE_ORDER, featurize_chunks
 
 from oracles import reference_features
 
@@ -181,3 +185,98 @@ class TestWordIds:
         spans = [EntitySpan("w", "", 0, 4, a, "") for a in range(5)]
         config = FeatureConfig()
         assert_matches_reference(chunk, spans, config, featurize_chunk(chunk, spans, config))
+
+
+@st.composite
+def blocks(draw):
+    """1-20 records of one class schema, T from 1 to 40, each with 0-4
+    spans, often at its first or last token; word ids absent, integer or
+    string, per record."""
+    K = draw(st.sampled_from((3, 5, 7, 9)))
+    schema = ClassSchema(tuple(f"E{j}" for j in range((K - 1) // 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chunks, spans = [], []
+    for r in range(draw(st.integers(1, 20))):
+        T = draw(st.integers(1, 40))
+        probs = rng.dirichlet(np.full(K, draw(st.sampled_from((0.05, 0.3, 1.0)))), size=T)
+        one_hot = rng.random(T) < 0.2
+        probs[one_hot] = np.eye(K)[rng.integers(0, K, int(one_hot.sum()))]
+        kind = draw(st.sampled_from(("none", "int", "str", "mixed")))
+        word_ids = {
+            "none": None,
+            "int": tuple(int(w) for w in rng.integers(0, 3, size=T)),
+            "str": tuple(f"w{w}" for w in rng.integers(0, 3, size=T)),
+            "mixed": tuple(int(w) if w % 2 else str(w) for w in rng.integers(0, 4, size=T)),
+        }[kind]
+        chunk = Chunk(f"r{r}", schema, ("t",) * T, probs, word_ids)
+        chunk_spans = []
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.sampled_from((0, T - 1, int(rng.integers(0, T)))))
+            end = draw(st.sampled_from((start, T - 1, int(rng.integers(start, T)))))
+            anchor = int(rng.integers(start, end + 1))
+            chunk_spans.append(EntitySpan(chunk.id, "E0", start, end, anchor, ""))
+        chunks.append(chunk)
+        spans.append(chunk_spans)
+    config = FeatureConfig(
+        decay=DecayConfig(draw(st.sampled_from((0.5, 1.0, 2.5))), draw(st.sampled_from((4, 10)))),
+        neighbor_window=draw(st.sampled_from((0, 1, 3, 50))),
+        scopes=tuple(draw(st.lists(st.sampled_from(SCOPE_ORDER), unique=True, max_size=5))),
+    )
+    return chunks, spans, config
+
+
+def one_record_calls(chunks, spans, config):
+    width = len(build_feature_schema(chunks[0].schema, config))
+    rows = [featurize_chunk(c, s, config) for c, s in zip(chunks, spans)]
+    return np.concatenate(rows) if rows else np.empty((0, width))
+
+
+class TestBlockKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks(), st.sampled_from((1, 40, features._PDM_CELLS)))
+    def test_block_equals_one_record_calls(self, case, cells):
+        # Small _PDM_CELLS split a block's density maps into many groups.
+        chunks, spans, config = case
+        want = one_record_calls(chunks, spans, config)
+        with mock.patch.object(features, "_PDM_CELLS", cells):
+            got = featurize_chunks(chunks, spans, config)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(blocks())
+    def test_block_matches_reference(self, case):
+        chunks, spans, config = case
+        got = featurize_chunks(chunks, spans, config)
+        lo = 0
+        for chunk, chunk_spans in zip(chunks, spans):
+            if chunk_spans:
+                rows = got[lo : lo + len(chunk_spans)]
+                assert_matches_reference(chunk, chunk_spans, config, rows)
+            lo += len(chunk_spans)
+
+    def test_long_chunk_among_short_ones_pads_little(self):
+        # A group's chunks are padded to its longest one; one 3,000-token
+        # chunk among 1,500 short ones must not pad them all.
+        rng = np.random.default_rng(8)
+        schema = ClassSchema(("A",))
+        chunks = [Chunk("long", schema, ("t",) * 3000, rng.dirichlet(np.ones(3), size=3000))]
+        chunks += [Chunk(f"s{i}", schema, ("t",) * 10, rng.dirichlet(np.ones(3), size=10))
+                   for i in range(1500)]
+        spans = [[EntitySpan(c.id, "A", 2, 3, 2, "")] for c in chunks]
+        tracemalloc.start()
+        try:
+            got = featurize_chunks(chunks, spans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert got.tobytes() == one_record_calls(chunks, spans, FeatureConfig()).tobytes()
+
+    def test_class_schemas_must_agree(self):
+        rng = np.random.default_rng(9)
+        a = Chunk("a", ClassSchema(("A",)), ("t",) * 3, rng.dirichlet(np.ones(3), size=3))
+        b = Chunk("b", ClassSchema(("B",)), ("t",) * 3, rng.dirichlet(np.ones(3), size=3))
+        span = [EntitySpan("a", "A", 0, 0, 0, "")]
+        with pytest.raises(SchemaMismatch, match="'b'"):
+            featurize_chunks([a, b], [span, span])

@@ -1,7 +1,9 @@
 import io
 import json
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from nrfilter import (
@@ -18,7 +20,8 @@ from nrfilter import (
 )
 from nrfilter.core import EntitySpan, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
-from nrfilter.pipeline import assign_validation, span_is_tp
+from nrfilter import pipeline
+from nrfilter.pipeline import assign_validation, featurize_records, span_is_tp
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,28 @@ class TestStreamMatchesPipeline:
         for got, want in zip(streamed, batch):
             for key in ("chunk_id", "start", "end", "anchor", "verdict", "p_weak", "path"):
                 assert got[key] == want[key], key
+
+
+class TestFeaturizeBlocks:
+    @pytest.mark.parametrize("cells", [1, 300, pipeline._BLOCK_CELLS])
+    def test_blocks_equal_one_record_at_a_time(self, cells):
+        # Records of two class schemas interleave, so blocks also end
+        # where the schema changes; a record's rows are the same bits.
+        records = [parse_record(record_to_obj(r)) for r in
+                   iter_generate(SynthConfig(n_strong=30, n_weak=30, seed=44))]
+        for i, record in enumerate(parse_record(record_to_obj(r)) for r in
+                                   iter_generate(SynthConfig(n_strong=5, n_weak=5, seed=45,
+                                                             entity_name="Drug"))):
+            records.insert(7 * i, record)
+        config = PipelineConfig()
+        with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
+            blocked = list(featurize_records(records, config, batch=True))
+        single = list(featurize_records(records, config))
+        assert [r.chunk.id for r, *_ in blocked] == [r.chunk.id for r, *_ in single]
+        for (_, spans_a, schema_a, a), (_, spans_b, schema_b, b) in zip(blocked, single):
+            assert spans_a == spans_b and schema_a is schema_b
+            assert a.tobytes() == b.tobytes()
+        assert len({schema.class_schema for *_, schema, _ in single}) == 2
 
 
 class TestHelpers:

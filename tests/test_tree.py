@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nrfilter import (
     STRONG,
+    iter_records,
     WEAK,
     FeatureVector,
     PipelineConfig,
@@ -37,14 +38,19 @@ from nrfilter.errors import (
     SingleClassTrainingSet,
 )
 from nrfilter.tree import (
+    DecisionPath,
     Internal,
     Leaf,
+    PathStep,
     THRESHOLD_KEEP_ALL,
     TrainConfig,
+    TreeModel,
+    load_model,
     weak_probability,
 )
 
-from oracles import parse_decision_path, reference_train_matrix
+from conftest import fixture_path
+from oracles import parse_decision_path, reference_leaf_for, reference_train_matrix
 
 NAMES = ("f0", "f1", "f2")
 
@@ -468,6 +474,109 @@ class TestExplain:
             path = explain(model, row)
             verdict, p_weak = classify(model, row)
             assert (path.verdict, path.p_weak) == (verdict, p_weak)
+
+
+# Thresholds and values on one grid, so instances often sit exactly on a
+# threshold and take the "<=" side.
+GRID = (-1.5, 0.0, 0.25, 1 / 3, 0.5, 1.0, 7.0)
+
+
+@st.composite
+def random_trees(draw):
+    """A TreeModel in preorder with up to ~60 nodes over 1-6 features."""
+    n_features = draw(st.integers(1, 6))
+    nodes: list = []
+
+    def grow(depth):
+        index = len(nodes)
+        nodes.append(None)
+        if depth == 0 or draw(st.booleans()) and draw(st.booleans()):
+            n_strong, n_weak = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+            nodes[index] = Leaf(n_strong, n_weak, n_weak / (n_strong + n_weak))
+        else:
+            feature = draw(st.integers(0, n_features - 1))
+            threshold = draw(st.sampled_from(GRID))
+            left = grow(depth - 1)
+            nodes[index] = Internal(feature, threshold, left, grow(depth - 1))
+        return index
+
+    grow(draw(st.integers(0, 5)))
+    names = tuple(f"Scope_f{j}_stat" for j in range(n_features))
+    return TreeModel(names, tuple(nodes), draw(st.sampled_from((0.0, 0.5, 1.0))), TrainConfig())
+
+
+def oracle_path(model, values):
+    """(leaf id, p_weak, rendered path, steps) of one instance, from the
+    node-object walk."""
+    leaf, trail = reference_leaf_for(model, values)
+    steps = tuple(
+        PathStep(model.feature_names[model.nodes[i].feature], "<=" if went_left else ">",
+                 model.nodes[i].threshold, float(values[model.nodes[i].feature]))
+        for i, went_left in trail
+    )
+    p_weak = model.nodes[leaf].p_weak
+    return leaf, p_weak, DecisionPath(steps, "", p_weak).serialize(), steps
+
+
+def assert_walk_matches_oracle(model, X):
+    tree_ = model.compiled
+    for row in X:
+        leaf, p_weak, path, steps = oracle_path(model, row)
+        assert tree_.leaf(row) == leaf
+        assert tree_.p_weak[leaf] == p_weak == weak_probability(model, row)
+        assert tree_.path[leaf] == path
+        got = explain(model, row)
+        assert got.steps == steps and got.serialize() == path
+        assert (got.verdict, got.p_weak) == classify(model, row)
+
+
+class TestCompiledWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(random_trees(), st.integers(0, 2**32 - 1))
+    def test_random_trees_match_oracle(self, model, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(GRID, size=(40, len(model.feature_names)))
+        assert_walk_matches_oracle(model, X)
+
+    def test_committed_v1_model_matches_oracle(self):
+        model = load_model(fixture_path("v1_model.json"))
+        config = PipelineConfig()
+        records = list(iter_records(fixture_path("v1_heldout.jsonl")))
+        records += list(iter_generate(SynthConfig(n_strong=150, n_weak=150, seed=15)))
+        X = np.concatenate([m for *_, m in featurize_records(records, config, batch=True)])
+
+        def leaf_rows(i, row):
+            # One row per leaf below node i, on the thresholds where "<=" holds.
+            node = model.nodes[i]
+            if isinstance(node, Leaf):
+                return [row]
+            left, right = row.copy(), row.copy()
+            left[node.feature] = node.threshold
+            right[node.feature] = np.nextafter(node.threshold, np.inf)
+            return leaf_rows(node.left, left) + leaf_rows(node.right, right)
+
+        X = np.vstack([X, leaf_rows(0, X[0])])
+        assert_walk_matches_oracle(model, X)
+        reached = {model.compiled.leaf(row) for row in X}
+        assert len(reached) == len(model.leaves) == 6
+
+    def test_trained_model_matches_oracle(self):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(size=(300, 3))
+        labels = [WEAK if rng.random() < x[0] * x[2] else STRONG for x in X]
+        model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=2))
+        assert len(model.nodes) > 15
+        assert_walk_matches_oracle(model, X)
+
+    @pytest.mark.parametrize("nodes", [
+        (Internal(0, 0.5, 0, 1), Leaf(1, 1, 0.5)),  # a loop back to the root
+        (Internal(0, 0.5, 1, 5), Leaf(1, 1, 0.5)),  # a child that does not exist
+        (Internal(3, 0.5, 1, 2), Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # no feature 3
+        (),
+    ])
+    def test_malformed_trees_rejected(self, nodes):
+        with pytest.raises(SchemaMismatch):
+            TreeModel(NAMES, nodes, 0.5, TrainConfig())
 
 
 class TestPersistence:
