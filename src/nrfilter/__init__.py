@@ -27,9 +27,7 @@ from .pdm import (
     DecayConfig,
     ProbabilityDensityMap,
     compute_pdm,
-    compute_pdm_for_span,
     cumulative_bins,
-    decay_weight,
 )
 from .features import (
     FeatureConfig,
@@ -40,10 +38,8 @@ from .features import (
     build_feature_schema,
     build_scopes,
     canonical_feature_name,
-    entropy,
     featurize_chunk,
     featurize_chunks,
-    max_probability,
     statistical_features,
 )
 from .baselines import (
@@ -63,11 +59,9 @@ from .tree import (
     classify,
     deserialize_model,
     explain,
-    gini,
     load_model,
     save_model,
     serialize_model,
-    train,
     train_matrix,
     tune_threshold,
 )
@@ -97,9 +91,7 @@ __all__ = [
     "DecayConfig",
     "ProbabilityDensityMap",
     "compute_pdm",
-    "compute_pdm_for_span",
     "cumulative_bins",
-    "decay_weight",
     "FeatureConfig",
     "FeatureSchema",
     "FeatureVector",
@@ -108,10 +100,8 @@ __all__ = [
     "build_feature_schema",
     "build_scopes",
     "canonical_feature_name",
-    "entropy",
     "featurize_chunk",
     "featurize_chunks",
-    "max_probability",
     "statistical_features",
     "baseline_grid",
     "entropy_filter",
@@ -127,11 +117,9 @@ __all__ = [
     "classify",
     "deserialize_model",
     "explain",
-    "gini",
     "load_model",
     "save_model",
     "serialize_model",
-    "train",
     "train_matrix",
     "tune_threshold",
     "EntityCounts",

@@ -15,6 +15,7 @@ import numpy as np
 from .core import Chunk, EntitySpan
 from .errors import InvalidConfig, NonPositiveTemperature, PassMisalignment
 from .features import token_entropies
+from .metrics import EntityCounts, drop_rates
 
 # Printed probability tables contain exact zeros; flooring keeps the
 # recovered log-probabilities finite without disturbing the ordering.
@@ -104,22 +105,6 @@ def mc_dropout_filter(
 # ---------------------------------------------------------------------------
 
 
-def _drop_metrics(kept_tp: int, kept_fp: int, n_tp: int, n_fp: int) -> dict[str, float]:
-    tp_drop = 100.0 * (n_tp - kept_tp) / n_tp if n_tp else 0.0
-    fp_drop = 100.0 * (n_fp - kept_fp) / n_fp if n_fp else 0.0
-    kept = kept_tp + kept_fp
-    precision = kept_tp / kept if kept else 0.0
-    recall = kept_tp / n_tp if n_tp else 0.0
-    f1 = 2 * kept_tp / (2 * kept_tp + (kept_fp) + (n_tp - kept_tp)) if kept_tp else 0.0
-    return {
-        "tp_drop_pct": tp_drop,
-        "fp_drop_pct": fp_drop,
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-    }
-
-
 def evaluate_filter(
     spans: Iterable[tuple[Chunk, EntitySpan, bool]], keep_fn
 ) -> dict[str, float]:
@@ -128,16 +113,24 @@ def evaluate_filter(
     ``spans`` yields (chunk, span, is_tp); ``keep_fn(chunk, span)`` is the
     rule under test.
     """
-    n_tp = n_fp = kept_tp = kept_fp = 0
+    base, kept = EntityCounts(), EntityCounts()
     for chunk, span, is_tp in spans:
         keep = keep_fn(chunk, span)
         if is_tp:
-            n_tp += 1
-            kept_tp += keep
+            base.tp += 1
+            kept.tp += keep
+            kept.fn += not keep
         else:
-            n_fp += 1
-            kept_fp += keep
-    return _drop_metrics(kept_tp, kept_fp, n_tp, n_fp)
+            base.fp += 1
+            kept.fp += keep
+    tp_drop, fp_drop = drop_rates(base, kept)
+    return {
+        "tp_drop_pct": tp_drop,
+        "fp_drop_pct": fp_drop,
+        "precision": kept.precision,
+        "recall": kept.recall,
+        "f1": kept.f1,
+    }
 
 
 def baseline_grid(

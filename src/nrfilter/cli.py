@@ -51,8 +51,8 @@ from .pdm import ProbabilityDensityMap, grid_to_obj
 from .pipeline import (
     PipelineConfig,
     featurize_records,
+    _tp_flags,
     run_pipeline,
-    span_is_tp,
     stream_classify,
 )
 from .synth import SynthConfig, iter_generate
@@ -176,6 +176,9 @@ def cmd_synth(args) -> int:
 
 
 def _read_training_table(features_path: str, labels_path: str | None):
+    """The feature table and one "strong"/"weak" label per row, from the
+    CSV's label column or from ``labels_path``; any other label is
+    InvalidConfig."""
     table = read_feature_csv(features_path)
     if labels_path:
         with open(labels_path, "r", encoding="utf-8") as handle:
@@ -190,6 +193,9 @@ def _read_training_table(features_path: str, labels_path: str | None):
             raise InvalidConfig(
                 "feature CSV has rows without labels; pass --labels"
             )
+    bad = next((label for label in labels if label not in (STRONG, WEAK)), None)
+    if bad is not None:
+        raise InvalidConfig(f"label must be 'strong' or 'weak', got {bad!r}")
     return table, labels
 
 
@@ -327,8 +333,9 @@ def _float_list(text: str, flag: str) -> list[float]:
 def cmd_baseline(args) -> int:
     labeled = []
     for record in iter_records(args.input):
-        for span in decode_spans(record.chunk):
-            labeled.append((record.chunk, span, span_is_tp(record, span)))
+        spans = decode_spans(record.chunk)
+        for span, is_tp in zip(spans, _tp_flags(record, spans)):
+            labeled.append((record.chunk, span, is_tp))
     grid = _float_list(args.grid, "--grid") if args.grid else [0.5, 0.9, 0.95]
     var_grid = _float_list(args.var_grid, "--var-grid") if args.var_grid else None
     passes_by_chunk = None

@@ -84,9 +84,6 @@ class ClassSchema:
             raise SchemaMismatch(f"class {k} has no entity (K={self.K})")
         return (k - 1) // 2
 
-    def is_b(self, k: int) -> bool:
-        return k > 0 and k % 2 == 1
-
     def is_i(self, k: int) -> bool:
         return k > 0 and k % 2 == 0
 
@@ -317,7 +314,10 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(f"record must be an object, got {type(obj).__name__}")
     try:
         chunk_id = str(obj["id"])
-        schema = _class_schema(tuple(obj["classes"]))
+        classes = obj["classes"]
+        if not isinstance(classes, list):
+            raise TypeError
+        schema = _class_schema(tuple(classes))
         raw_tokens = obj["tokens"]
     except KeyError as exc:
         fail(f"missing field {exc.args[0]!r}")
@@ -325,6 +325,8 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(str(exc))
     except (TypeError, AttributeError):
         fail("'classes' must be a list of class-name strings")
+    if not isinstance(raw_tokens, list):
+        fail(f"'tokens' must be a list, got {type(raw_tokens).__name__}")
     if not raw_tokens:
         fail("record has no tokens")
 
@@ -364,12 +366,17 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     if label is not None and label not in (STRONG, WEAK):
         fail(f"label must be 'strong' or 'weak', got {label!r}")
 
+    raw_gold = obj.get("gold_spans")
+    if raw_gold is not None and not isinstance(raw_gold, list):
+        fail(f"'gold_spans' must be a list, got {type(raw_gold).__name__}")
     gold = []
-    for g in obj.get("gold_spans") or ():
+    for g in raw_gold or ():
         try:
-            start, end = int(g["start"]), int(g["end"])
+            start, end = g["start"], g["end"]
             entity_type = str(g["entity_type"])
-        except (KeyError, TypeError, ValueError):
+            if type(start) is not int or type(end) is not int:  # not 0.5, "0" or true
+                raise TypeError
+        except (KeyError, TypeError):
             fail("gold span needs integer 'start'/'end' and 'entity_type'")
         if not (0 <= start <= end < chunk.n_tokens):
             fail(f"gold span [{start}, {end}] outside chunk of {chunk.n_tokens} tokens")
@@ -409,10 +416,8 @@ def record_to_obj(record: CorpusRecord) -> dict:
     return obj
 
 
-def iter_records(
-    source: str | IO[str], validate: bool = True, unique_ids: bool = False
-) -> Iterator[CorpusRecord]:
-    """Stream CorpusRecords from a JSONL path or open text handle.
+def iter_records(source: str | IO[str], unique_ids: bool = False) -> Iterator[CorpusRecord]:
+    """Stream validated CorpusRecords from a JSONL path or open text handle.
 
     Reads one line at a time; memory stays bounded by the largest record.
     ``unique_ids`` makes a repeated record id a ParseError; it keeps
@@ -420,7 +425,7 @@ def iter_records(
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            yield from iter_records(handle, validate=validate, unique_ids=unique_ids)
+            yield from iter_records(handle, unique_ids=unique_ids)
         return
     path = getattr(source, "name", None)
     first_line: dict[str, int] | None = {} if unique_ids else None
@@ -440,8 +445,7 @@ def iter_records(
                 raise ParseError(
                     line_no, f"duplicate record id {record.chunk.id!r} (first on line {seen})", path
                 )
-        if validate:
-            validate_chunk(record.chunk)
+        validate_chunk(record.chunk)
         yield record
         del record  # keep nothing of the consumed record while reading the next line
 

@@ -51,10 +51,6 @@ class PassMisalignment(NrFilterError):
     """Stochastic forward passes disagree on token count or token texts."""
 
 
-class EmptyNode(NrFilterError):
-    """Impurity requested for a node holding zero samples."""
-
-
 class SingleClassTrainingSet(NrFilterError):
     """Training or tuning data contains only one of the two classes."""
 

@@ -165,11 +165,6 @@ def token_entropies(probs: np.ndarray) -> np.ndarray:
     return -(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=-1)
 
 
-def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy (natural log) of one probability vector; 0 ln 0 = 0."""
-    return float(token_entropies(np.asarray(probs, dtype=np.float64)))
-
-
 # ---------------------------------------------------------------------------
 # The feature kernel
 #
@@ -359,7 +354,8 @@ def featurize_chunks(
     span reduces the same values in the same order whatever else is in
     its block, so a row does not depend on how chunks are grouped. A
     span's density map is anchored at its opening token with the whole
-    span excluded.
+    span excluded, so the span's own confident mass does not flood the
+    top bins and mask the neighborhood signal.
     """
     if len(chunks) != len(spans):
         raise ValueError(f"{len(chunks)} chunks but {len(spans)} span lists")
@@ -481,37 +477,18 @@ def build_scopes(
     return scopes
 
 
-def scope_feature_names(class_schema: ClassSchema, kind: str) -> tuple[str, ...]:
-    names = []
-    for tag in class_tags(class_schema):
-        for stat in _CLASS_STATS:
-            names.append(f"{kind}_{tag}_{stat}")
-    for stat in _SCOPE_STATS:
-        names.append(f"{kind}_{stat}")
-    return tuple(names)
-
-
-def _scope_block(chunk: Chunk, scope: SpanScope) -> np.ndarray:
-    """Statistical block of one arbitrary scope: the kernel's reduction
-    over the gathered rows as a single segment."""
+def statistical_features(chunk: Chunk, scope: SpanScope) -> dict[str, float]:
+    """Statistical feature block for one scope, keyed by canonical name:
+    the kernel's reduction over the scope's rows as a single segment.
+    The names are the last of a schema with that scope alone."""
     K = chunk.schema.K
     table = _token_table(chunk.probs)
     rows = table[list(scope.positions) + [chunk.n_tokens]]  # keep the zero pad row
     sums, maxs = _segment_reduce(rows, np.array([0, scope.size]), K)
     block = np.empty(5 * K + 6, dtype=np.float64)
     _scope_statistics(sums[0], maxs[0], K, block)
-    return block
-
-
-def statistical_features(chunk: Chunk, scope: SpanScope) -> dict[str, float]:
-    """Statistical feature block for one scope, keyed by canonical name."""
-    names = scope_feature_names(chunk.schema, scope.kind)
-    return {name: float(value) for name, value in zip(names, _scope_block(chunk, scope))}
-
-
-def max_probability(chunk: Chunk, scope: SpanScope, class_index: int) -> float:
-    """Max probability of one class over a scope; 0 for an empty scope."""
-    return float(_scope_block(chunk, scope)[5 * class_index + 2])
+    schema = build_feature_schema(chunk.schema, FeatureConfig(scopes=(scope.kind,)))
+    return {name: float(value) for name, value in zip(schema.names[-block.size:], block)}
 
 
 # ---------------------------------------------------------------------------

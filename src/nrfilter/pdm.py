@@ -9,14 +9,13 @@ bin, which is easier to read when inspecting single chunks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .core import Chunk, EntitySpan
+from .core import Chunk
 from .errors import AnchorOutOfRange, InvalidConfig, NonPositiveDecayRate
 
 DEFAULT_DECAY_RATE = 1.0
@@ -49,18 +48,6 @@ class ProbabilityDensityMap:
         values = np.asarray(self.values, dtype=np.float64)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.values.sum())
-
-
-def decay_weight(t: int, t_predicted: int, decay_rate: float) -> float:
-    """exp(-d^2 / (2 R^2)) for d = |t - t_predicted|; 1 at distance 0."""
-    if not decay_rate > 0:
-        raise NonPositiveDecayRate(f"decay rate must be > 0, got {decay_rate}")
-    d = abs(t - t_predicted)
-    return math.exp(-(d * d) / (2.0 * decay_rate * decay_rate))
 
 
 def _check_anchor(chunk: Chunk, t_predicted: int):
@@ -104,16 +91,12 @@ def binned_mass(
     ).reshape(n, bins, K)
 
 
-def decay_weights(distance: np.ndarray, decay_rate: float) -> np.ndarray:
-    """Gaussian weights exp(-d^2 / (2 R^2)) of token distances d."""
-    d = distance.astype(np.float64)
-    return np.exp(-(d * d) / (2.0 * decay_rate * decay_rate))
-
-
 @lru_cache(maxsize=256)
 def decay_table(length: int, decay_rate: float) -> np.ndarray:
-    """Read-only decay weights of the distances 0 .. length - 1."""
-    table = decay_weights(np.arange(length), decay_rate)
+    """Read-only Gaussian decay weights exp(-d^2 / (2 R^2)) of the token
+    distances d = 0 .. length - 1; 1 at distance 0."""
+    d = np.arange(length, dtype=np.float64)
+    table = np.exp(-(d * d) / (2.0 * decay_rate * decay_rate))
     table.flags.writeable = False
     return table
 
@@ -134,26 +117,13 @@ def compute_pdm(
     """
     _check_anchor(chunk, t_predicted)
     T = chunk.n_tokens
-    weights = decay_weights(np.abs(np.arange(T) - t_predicted), config.decay_rate)
+    weights = decay_table(T, config.decay_rate).take(np.abs(np.arange(T) - t_predicted))
     weights[t_predicted] = 0.0
     if exclude is not None:
         weights[[t for t in exclude if 0 <= t < T]] = 0.0
     grid = binned_mass(chunk.probs[None], np.zeros(1, dtype=np.intp), weights[None],
                        config.bins, np.array([float(T)]))[0]
     return ProbabilityDensityMap(grid, config, t_predicted)
-
-
-def compute_pdm_for_span(
-    chunk: Chunk, span: EntitySpan, config: DecayConfig = DecayConfig()
-) -> ProbabilityDensityMap:
-    """Density map for a predicted span: anchored at its opening token,
-    with the whole span excluded from contributing.
-
-    Excluding the span's own I tokens (not just the anchor) keeps the
-    span's high-confidence mass from flooding the top bins and masking
-    the neighborhood signal. The feature kernel applies the same rule.
-    """
-    return compute_pdm(chunk, span.anchor, config, exclude=span.positions)
 
 
 def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = DEFAULT_BINS) -> np.ndarray:

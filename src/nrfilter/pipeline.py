@@ -42,7 +42,7 @@ from .tree import (
     TrainConfig,
     TreeModel,
     TuneResult,
-    serialize_model,
+    save_model,
     train_matrix,
     tune_threshold,
 )
@@ -103,20 +103,10 @@ class PipelineConfig:
     def from_file(cls, path: str) -> "PipelineConfig":
         return cls.from_obj(read_config_file(path))
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_obj(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-def span_is_tp(record: CorpusRecord, span: EntitySpan) -> bool:
-    """Supervision for one span: exact gold match when gold spans exist,
-    otherwise the record-level label."""
-    return _tp_flags(record, (span,))[0]
-
 
 def _tp_flags(record: CorpusRecord, spans: Sequence[EntitySpan]) -> list[bool]:
-    """span_is_tp for every span of one record."""
+    """Supervision for each span of one record: exact gold match when
+    gold spans exist, otherwise the record-level label."""
     if record.gold_spans:
         keys = {g.match_key() for g in record.gold_spans}
         return [span.match_key() in keys for span in spans]
@@ -229,7 +219,7 @@ def run_pipeline(
     ):
         if schema is None:
             schema = rec_schema
-        elif rec_schema is not schema and rec_schema.names != schema.names:
+        elif rec_schema is not schema and rec_schema.class_schema != schema.class_schema:
             raise SchemaMismatch(
                 f"record {record.chunk.id!r} has classes "
                 f"{list(record.chunk.schema.class_names)}; the corpus began with "
@@ -273,25 +263,18 @@ def run_pipeline(
         ((span, label, FeatureVector(schema, values))
          for span, label, values in zip(spans, labels, rows)),
     )
-    with open(paths["model"], "w", encoding="utf-8") as handle:
-        handle.write(serialize_model(model))
-        handle.write("\n")
+    save_model(model, paths["model"])
 
-    tree = model.compiled
-    splits = {"train": EntityCounts(), "validation": EntityCounts()}
+    filtered = {"train": EntityCounts(), "validation": EntityCounts()}
     base = {"train": EntityCounts(), "validation": EntityCounts()}
     val_kept: list[EntitySpan] = []
+    split_of = ["validation" if val else "train" for val in in_val]
+    lines = _verdict_lines(model, spans, rows, True, split_of)
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
-        for span, values, val, span_tp in zip(spans, rows, in_val, tp):
-            leaf = tree.leaf(values)
-            p_weak = tree.p_weak[leaf]
-            verdict = model.verdict(p_weak)
-            split = "validation" if val else "train"
+        for span, split, span_tp, (verdict, line) in zip(spans, split_of, tp, lines):
+            handle.write(line + "\n")
             kept = verdict == STRONG
-            obj = span_to_obj(span)
-            obj.update(verdict=verdict, p_weak=p_weak, split=split, path=tree.path[leaf])
-            handle.write(json.dumps(obj) + "\n")
-            part, whole = splits[split], base[split]
+            part, whole = filtered[split], base[split]
             whole.tp += span_tp
             whole.fp += not span_tp
             if kept:
@@ -299,7 +282,7 @@ def run_pipeline(
                 part.fp += not span_tp
             elif span_tp:
                 part.fn += 1
-            if val and kept:
+            if split == "validation" and kept:
                 val_kept.append(span)
 
     report: dict = {
@@ -309,7 +292,7 @@ def run_pipeline(
         "config": config.to_obj(),
     }
     for split in ("train", "validation"):
-        tp_drop, fp_drop = drop_rates(base[split], splits[split])
+        tp_drop, fp_drop = drop_rates(base[split], filtered[split])
         report[split] = {
             "n_tp": base[split].tp,
             "n_fp": base[split].fp,
@@ -349,16 +332,23 @@ def stream_classify(
 
 
 def _verdict_lines(
-    model: TreeModel, spans: list[EntitySpan], matrix: np.ndarray, include_path: bool
+    model: TreeModel,
+    spans: Sequence[EntitySpan],
+    matrix: Sequence[np.ndarray],
+    include_path: bool,
+    splits: Sequence[str] | None = None,
 ) -> Iterator[tuple[str, str]]:
-    """(verdict, JSON line) per span of one record."""
+    """(verdict, JSON line) per span; ``splits``, when given, names each
+    span's split in its line."""
     tree = model.compiled
-    for span, values in zip(spans, matrix):
+    for i, (span, values) in enumerate(zip(spans, matrix)):
         leaf = tree.leaf(values)
         p_weak = tree.p_weak[leaf]
         verdict = model.verdict(p_weak)
         obj = span_to_obj(span)
         obj.update(verdict=verdict, p_weak=p_weak)
+        if splits is not None:
+            obj["split"] = splits[i]
         if include_path:
             obj["path"] = tree.path[leaf]
         yield verdict, json.dumps(obj)

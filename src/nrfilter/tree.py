@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import STRONG, WEAK, config_kwargs
 from .errors import (
-    EmptyNode,
     InvalidConfig,
     NoFeasibleThreshold,
     SchemaMismatch,
@@ -152,16 +151,6 @@ class TreeModel:
         return WEAK if p_weak >= theta else STRONG
 
 
-def gini(n_strong: int, n_weak: int) -> float:
-    """Binary Gini impurity of a node: 1 - p_s^2 - p_w^2."""
-    total = n_strong + n_weak
-    if total < 1:
-        raise EmptyNode("impurity of an empty node is undefined")
-    p_s = n_strong / total
-    p_w = n_weak / total
-    return 1.0 - p_s * p_s - p_w * p_w
-
-
 def _weighted_gini(w_strong: float, w_weak: float) -> float:
     total = w_strong + w_weak
     if total <= 0:
@@ -254,22 +243,6 @@ def _best_split(
             best = (int(features[k]), threshold, gain)
             best_gain = gain
     return best
-
-
-def train(
-    rows: Sequence[tuple[FeatureVector, str]],
-    config: TrainConfig = TrainConfig(),
-) -> TreeModel:
-    """Grow a tree from (feature vector, "strong"/"weak") pairs."""
-    if not rows:
-        raise SingleClassTrainingSet("empty training set")
-    schema = rows[0][0].schema
-    for fv, _ in rows:
-        if fv.schema.names != schema.names:
-            raise SchemaMismatch("training rows use differing feature schemas")
-    X = np.vstack([fv.values for fv, _ in rows])
-    labels = [label for _, label in rows]
-    return train_matrix(X, labels, schema.names, config)
 
 
 def train_matrix(
@@ -365,17 +338,14 @@ def _values_for(model: TreeModel, features: FeatureVector | np.ndarray) -> np.nd
     return values
 
 
-def weak_probability(model: TreeModel, features: FeatureVector | np.ndarray) -> float:
-    return model.compiled.p_weak[model.compiled.leaf(_values_for(model, features))]
-
-
 def classify(
     model: TreeModel,
     features: FeatureVector | np.ndarray,
     decision_threshold: float | None = None,
 ) -> tuple[str, float]:
     """Verdict and leaf weak-probability; weak iff p_weak >= threshold."""
-    p_weak = weak_probability(model, features)
+    tree = model.compiled
+    p_weak = tree.p_weak[tree.leaf(_values_for(model, features))]
     return model.verdict(p_weak, decision_threshold), p_weak
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -210,7 +211,8 @@ class TestPipelineCommand:
         config_path = str(tmp_path / "config.json")
         from nrfilter import PipelineConfig
 
-        PipelineConfig(bins=10).to_file(config_path)
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(PipelineConfig(bins=10).to_obj(), handle)
         out_dir = str(tmp_path / "out")
         code = run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", out_dir,
                     "--config", config_path, "--max-tp-drop", 0.02])
@@ -275,7 +277,38 @@ def write_bad_corpus(workdir, name):
     return path
 
 
+# A record-level field that breaks the corpus contract: the field, its
+# value, and the gold span to put it in (None: the record itself).
+BAD_FIELDS = {
+    "tokens-number": ("tokens", 5, None),
+    "tokens-boolean": ("tokens", True, None),
+    "gold-spans-number": ("gold_spans", 3, None),
+    "gold-spans-boolean": ("gold_spans", True, None),
+    "gold-start-fraction": ("start", 0.5, 0),
+    "gold-start-string": ("start", "0", 0),
+    "gold-start-boolean": ("start", True, 0),
+    "gold-end-fraction": ("end", 1.5, 0),
+    "classes-string": ("classes", "OBI", None),
+}
+
+
 class TestInputContract:
+    @pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+    def test_validate_bad_field(self, workdir, tmp_path, capsys, name):
+        key, value, gold = BAD_FIELDS[name]
+        lines = corpus_lines(workdir, 3)
+        record = json.loads(lines[0])
+        record["id"] = "bad"
+        # Without the bad value the span [0, 1] is valid, and it stays
+        # valid if true is read as 1.
+        record["gold_spans"] = [{"entity_type": "Biomarker", "start": 0, "end": 1}]
+        if key == "classes":
+            del record["gold_spans"]  # "OBI" would read as an unnamed entity type
+        (record if gold is None else record["gold_spans"][gold])[key] = value
+        path = write_lines(tmp_path / "bad.jsonl", lines + [json.dumps(record) + "\n"])
+        assert run(["validate", "--input", path]) == EXIT_PARSE
+        assert ":4:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(BAD_TOKENS))
     def test_validate(self, workdir, capsys, name):
         code = BAD_TOKENS[name][2]
@@ -338,6 +371,21 @@ class TestCorpusContract:
         path = write_lines(tmp_path / "mixed.jsonl", corpus_lines(workdir, 40) + k5)
         assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
         assert "'k5-0'" in capsys.readouterr().err
+
+    def test_pipeline_single_entity_names_change(self, workdir, tmp_path, capsys):
+        # Both schemas have one entity type, so their feature names agree.
+        drug = []
+        for line in corpus_lines(workdir, 120):
+            record = json.loads(line)
+            record["id"] = "drug-" + record["id"]
+            record["classes"] = ["O", "B-Drug", "I-Drug"]
+            for gold in record.get("gold_spans", []):
+                gold["entity_type"] = "Drug"
+            drug.append(json.dumps(record) + "\n")
+        mixed = [line for pair in zip(corpus_lines(workdir, 120), drug) for line in pair]
+        path = write_lines(tmp_path / "mixed.jsonl", mixed)
+        assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
+        assert "'B-Drug'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "pipeline"])
     def test_duplicate_record_id(self, workdir, tmp_path, capsys, command):
@@ -459,6 +507,64 @@ class TestFeatureCsvContract:
             argv = ["tune", "--model", trained["model"], "--features", bad]
         assert run(argv) == EXIT_PARSE
         assert ":4:" in capsys.readouterr().err
+
+
+def labeled_table(trained, tmp_path, source, change=lambda labels: labels):
+    """Arguments giving the trained fixture's feature rows with their
+    labels passed through ``change``: in the CSV's label column, or in a
+    --labels file next to a CSV whose label column is empty."""
+    with open(trained["features"], newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    labels = change([row[5] for row in rows])
+    features, argv = tmp_path / "features.csv", []
+    if source == "file":
+        write_lines(tmp_path / "labels.txt", [label + "\n" for label in labels])
+        argv = ["--labels", tmp_path / "labels.txt"]
+        labels = [""] * len(rows)
+    with open(features, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(
+            [header] + [row[:5] + [label] + row[6:] for row, label in zip(rows, labels)]
+        )
+    return ["--features", features] + argv
+
+
+def train_or_tune(command, trained, tmp_path, table_args):
+    model = tmp_path / "model.json"
+    if command == "tune":
+        shutil.copyfile(trained["model"], model)
+    return run([command, "--model", model] + table_args), model
+
+
+class TestTrainingLabels:
+    """train and tune take labels from the CSV's label column or from
+    --labels, and both accept only "strong" and "weak"."""
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_labels_file_matches_column(self, trained, tmp_path, command):
+        models = []
+        for source in ("column", "file"):
+            part = tmp_path / source
+            part.mkdir()
+            code, model = train_or_tune(command, trained, part,
+                                        labeled_table(trained, part, source))
+            assert code == EXIT_OK
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("source", ["column", "file"])
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_unknown_label_exits_config(self, trained, tmp_path, capsys, command, source):
+        args = labeled_table(trained, tmp_path, source,
+                             lambda labels: ["maybe" if label == "weak" else label
+                                             for label in labels])
+        assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_CONFIG
+        assert "'maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_labels_file_row_count_mismatch(self, trained, tmp_path, capsys, command):
+        args = labeled_table(trained, tmp_path, "file", lambda labels: labels[:-1])
+        assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_SCHEMA
+        assert "labels for" in capsys.readouterr().err
 
 
 class TestSynthConfigContract:

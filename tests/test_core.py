@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from nrfilter import (
     Chunk,
     ClassSchema,
+    CorpusRecord,
     decode_spans,
+    featurize_chunk,
     iter_records,
     parse_record,
     record_to_obj,
@@ -16,6 +18,7 @@ from nrfilter import (
     write_records,
 )
 from nrfilter.errors import (
+    NrFilterError,
     ParseError,
     ProbabilityOutOfRange,
     ProbabilitySumViolation,
@@ -42,7 +45,7 @@ class TestClassSchema:
         assert schema.class_names == ("O", "B-Gene", "I-Gene", "B-Drug", "I-Drug")
         assert schema.b_index(1) == 3 and schema.i_index(1) == 4
         assert schema.entity_of_class(3) == 1
-        assert schema.is_b(3) and schema.is_i(4) and not schema.is_b(0)
+        assert schema.is_i(4) and not schema.is_i(3) and not schema.is_i(0)
 
     def test_from_class_names_roundtrip(self):
         for names in (["O", "B", "I"], ["O", "B-Gene", "I-Gene", "B-Drug", "I-Drug"]):
@@ -233,6 +236,55 @@ class TestRecordIO:
         payload = json.dumps(record_to_obj_minimal())
         lines = io.StringIO(payload + "\n\n" + payload + "\n")
         assert len(list(iter_records(lines))) == 2
+
+
+# Any JSON value, and record objects whose every field is mostly well
+# formed and otherwise any JSON value, so that the fuzz reaches the checks
+# of the inner fields too.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+def mostly(valid):
+    return st.one_of(valid, valid, valid, json_values)
+
+
+_probs = mostly(st.sampled_from([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                 [0.5, 0.5, 0.0], [0.1, 0.2, 0.7]])) \
+    | st.lists(mostly(st.sampled_from([0.0, 0.5, 1.0])), min_size=3, max_size=3)
+_token = mostly(st.fixed_dictionaries(
+    {"text": mostly(st.text(max_size=3)), "probs": _probs},
+    optional={"word_id": mostly(st.integers(0, 3))},
+))
+_gold_span = mostly(st.fixed_dictionaries(
+    {"entity_type": mostly(st.just("")), "start": mostly(st.integers(0, 3)),
+     "end": mostly(st.integers(0, 3))}
+))
+near_records = st.fixed_dictionaries(
+    {"id": mostly(st.text(max_size=3)), "classes": mostly(st.just(["O", "B", "I"])),
+     "tokens": mostly(st.lists(_token, min_size=1, max_size=4))},
+    optional={"label": mostly(st.sampled_from(["strong", "weak"])),
+              "gold_spans": mostly(st.lists(_gold_span, max_size=3))},
+)
+
+
+class TestParseFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(obj=near_records | st.dictionaries(st.text(max_size=8), json_values, max_size=5))
+    def test_any_object_parses_or_raises_domain_error(self, obj):
+        # A corpus line either becomes a valid record that featurizes, or
+        # raises an NrFilterError, which the CLI maps to an exit code.
+        line = json.dumps(obj)
+        try:
+            (record,) = iter_records(io.StringIO(line))
+        except NrFilterError:
+            return
+        assert isinstance(record, CorpusRecord)
+        featurize_chunk(record.chunk, decode_spans(record.chunk))
 
 
 def record_to_obj_minimal():

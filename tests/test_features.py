@@ -14,8 +14,6 @@ from nrfilter import (
     build_scopes,
     canonical_feature_name,
     decode_spans,
-    entropy,
-    max_probability,
     statistical_features,
 )
 from nrfilter.errors import InvalidConfig
@@ -27,53 +25,54 @@ from nrfilter.features import (
     SCOPE_WORD,
     class_tags,
     read_feature_csv,
+    token_entropies,
     write_feature_csv,
 )
 
 from conftest import random_chunk
 from oracles import scalar_entropy
 
-O, B, I = 0, 1, 2
-
-
 def single_token_chunk(probs_row):
     schema = ClassSchema(("",))
     return Chunk("one", schema, ("x",), np.array([probs_row], dtype=float))
 
 
+def max_prob(chunk, scope, tag):
+    return statistical_features(chunk, scope)[f"{scope.kind}_{tag}_max_prob"]
+
+
 class TestEntropy:
     def test_one_hot_is_zero(self):
-        assert entropy(np.array([0.0, 1.0, 0.0])) == 0.0
+        assert token_entropies(np.array([0.0, 1.0, 0.0])) == 0.0
 
     def test_uniform_is_log_k(self):
-        assert entropy(np.full(3, 1 / 3)) == pytest.approx(math.log(3), abs=1e-12)
+        assert token_entropies(np.full(3, 1 / 3)) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_half_quarter_quarter(self):
         # Frozen from the scalar oracle: 0.5*ln2 + 2*0.25*ln4
         want = scalar_entropy([0.5, 0.25, 0.25])
         assert want == pytest.approx(1.0397207708399179, abs=1e-12)
-        assert entropy(np.array([0.5, 0.25, 0.25])) == pytest.approx(want, abs=1e-12)
+        assert token_entropies(np.array([0.5, 0.25, 0.25])) == pytest.approx(want, abs=1e-12)
 
 
 class TestMaxProbability:
     def test_one_hot(self):
         chunk = single_token_chunk([0.0, 1.0, 0.0])
-        scope = SpanScope(SCOPE_TOKEN, (0,))
-        assert max_probability(chunk, scope, B) == 1.0
+        assert max_prob(chunk, SpanScope(SCOPE_TOKEN, (0,)), "B-tag") == 1.0
 
     def test_sentence1_context_i(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
         context = build_scopes(sentence1.chunk, span)[SCOPE_CONTEXT]
-        assert max_probability(sentence1.chunk, context, I) == pytest.approx(0.048)
+        assert max_prob(sentence1.chunk, context, "I-tag") == pytest.approx(0.048)
 
     def test_sentence2_context_i_is_zero(self, sentence2):
         (span,) = decode_spans(sentence2.chunk)
         context = build_scopes(sentence2.chunk, span)[SCOPE_CONTEXT]
-        assert max_probability(sentence2.chunk, context, I) == 0.0
+        assert max_prob(sentence2.chunk, context, "I-tag") == 0.0
 
     def test_empty_scope_is_zero(self):
         chunk = single_token_chunk([1.0, 0.0, 0.0])
-        assert max_probability(chunk, SpanScope(SCOPE_NEIGHBOR, ()), O) == 0.0
+        assert max_prob(chunk, SpanScope(SCOPE_NEIGHBOR, ()), "O-tag") == 0.0
 
 
 class TestStatisticalFeatures:

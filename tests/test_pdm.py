@@ -8,13 +8,11 @@ from nrfilter import (
     ClassSchema,
     DecayConfig,
     compute_pdm,
-    compute_pdm_for_span,
     cumulative_bins,
-    decay_weight,
     decode_spans,
 )
 from nrfilter.errors import AnchorOutOfRange, NonPositiveDecayRate
-from nrfilter.pdm import bin_edges, grid_to_obj
+from nrfilter.pdm import bin_edges, decay_table, grid_to_obj
 
 from conftest import random_chunk
 from oracles import brute_force_cumulative, brute_force_pdm
@@ -27,19 +25,21 @@ O, B, I = 0, 1, 2
 class TestDecayWeight:
     def test_distance_zero_is_one(self):
         for r in (0.5, 1.0, 3.7):
-            assert decay_weight(5, 5, r) == 1.0
+            assert decay_table(6, r)[0] == 1.0
 
     def test_known_values(self):
-        assert decay_weight(1, 0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert decay_weight(2, 0, 1.0) == pytest.approx(math.exp(-2.0), abs=1e-15)
+        table = decay_table(3, 1.0)
+        assert table[1] == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert table[2] == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     def test_strictly_decreasing_in_distance(self):
-        weights = [decay_weight(t, 0, 1.3) for t in range(10)]
+        weights = decay_table(10, 1.3)
         assert all(a > b for a, b in zip(weights, weights[1:]))
+        assert not weights.flags.writeable
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(NonPositiveDecayRate):
-            decay_weight(1, 0, 0.0)
+            DecayConfig(decay_rate=0.0)
         with pytest.raises(NonPositiveDecayRate):
             DecayConfig(decay_rate=-1.0)
 
@@ -116,7 +116,7 @@ class TestInvariants:
             if chunk.n_tokens < 2:
                 continue
             anchor = int(rng.integers(chunk.n_tokens))
-            total = compute_pdm(chunk, anchor).total_mass
+            total = compute_pdm(chunk, anchor).values.sum()
             assert total < (chunk.n_tokens - 1) / chunk.n_tokens
 
     def test_cumulative_total_is_token_count_minus_one(self):
@@ -176,7 +176,7 @@ class TestSpanExclusion:
         chunk = Chunk("sp", schema, ("w0", "w1", "w2", "w3"), probs)
         (span,) = decode_spans(chunk)
         assert (span.start, span.end) == (1, 2)
-        pdm = compute_pdm_for_span(chunk, span)
+        pdm = compute_pdm(chunk, span.anchor, exclude=span.positions)
         # Only tokens 0 and 3 may contribute; the span's own I token must not.
         want = brute_force_pdm(probs.tolist(), 1, 1.0, 10, exclude={1, 2})
         np.testing.assert_allclose(pdm.values, np.array(want), atol=1e-12, rtol=0)

@@ -21,7 +21,7 @@ from nrfilter import (
 from nrfilter.core import EntitySpan, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter import pipeline
-from nrfilter.pipeline import assign_validation, featurize_records, span_is_tp
+from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +201,9 @@ class TestHelpers:
             "gold_spans": [{"entity_type": "", "start": 0, "end": 0}],
         })
         span = EntitySpan("g", "", 0, 0, 0, "a")
-        assert span_is_tp(record, span)  # gold match wins over the weak label
         other = EntitySpan("g", "", 1, 1, 1, "b")
-        assert not span_is_tp(record, other)
+        # The gold match wins over the weak label.
+        assert _tp_flags(record, [span, other]) == [True, False]
 
     def test_span_is_tp_requires_supervision(self):
         record = parse_record({
@@ -211,14 +211,15 @@ class TestHelpers:
             "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0]}],
         })
         with pytest.raises(InvalidConfig):
-            span_is_tp(record, EntitySpan("u", "", 0, 0, 0, "a"))
+            _tp_flags(record, [EntitySpan("u", "", 0, 0, 0, "a")])
 
 
 class TestPipelineConfigFile:
     def test_roundtrip(self, tmp_path):
         config = PipelineConfig(decay_rate=2.0, bins=8, seed=2)
         path = str(tmp_path / "config.json")
-        config.to_file(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config.to_obj(), handle)
         assert PipelineConfig.from_file(path) == config
 
     def test_unknown_field_rejected(self):
