@@ -212,6 +212,8 @@ def cmd_train(args) -> int:
 def cmd_tune(args) -> int:
     model = load_model(args.model)
     table, labels = _read_training_table(args.features, args.labels)
+    if table.names != model.feature_names:
+        raise SchemaMismatch("the feature CSV's columns differ from the model's features")
     rows = [(table.matrix[i], labels[i] == STRONG) for i in range(len(labels))]
     result = tune_threshold(model, rows, args.max_tp_drop)
     save_model(model.with_threshold(result.threshold), args.model)

@@ -313,7 +313,7 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     if not isinstance(obj, dict):
         fail(f"record must be an object, got {type(obj).__name__}")
     try:
-        chunk_id = str(obj["id"])
+        chunk_id = obj["id"]
         classes = obj["classes"]
         if not isinstance(classes, list):
             raise TypeError
@@ -325,6 +325,8 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(str(exc))
     except (TypeError, AttributeError):
         fail("'classes' must be a list of class-name strings")
+    if type(chunk_id) is not str:
+        fail(f"'id' must be a string, got {type(chunk_id).__name__}")
     if not isinstance(raw_tokens, list):
         fail(f"'tokens' must be a list, got {type(raw_tokens).__name__}")
     if not raw_tokens:
@@ -337,7 +339,7 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     has_word_ids = False
     for i, tok in enumerate(raw_tokens):
         try:
-            texts.append(str(tok["text"]))
+            texts.append(tok["text"])
             row = tok["probs"]
         except (KeyError, TypeError):
             fail(f"token {i} missing 'text' or 'probs'")
@@ -351,6 +353,11 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         wid = tok.get("word_id")
         has_word_ids = has_word_ids or wid is not None
         word_ids.append(wid if wid is not None else i)
+    try:
+        "".join(texts)  # one C-level check that every text is a str
+    except TypeError:
+        i = next(i for i, text in enumerate(texts) if type(text) is not str)
+        fail(f"token {i} 'text' must be a string, got {type(texts[i]).__name__}")
     probs = _probability_matrix(rows, fail)
     if has_word_ids:
         _check_word_ids(word_ids, fail)
@@ -373,11 +380,13 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     for g in raw_gold or ():
         try:
             start, end = g["start"], g["end"]
-            entity_type = str(g["entity_type"])
+            entity_type = g["entity_type"]
             if type(start) is not int or type(end) is not int:  # not 0.5, "0" or true
                 raise TypeError
         except (KeyError, TypeError):
             fail("gold span needs integer 'start'/'end' and 'entity_type'")
+        if type(entity_type) is not str:
+            fail(f"gold span 'entity_type' must be a string, got {type(entity_type).__name__}")
         if not (0 <= start <= end < chunk.n_tokens):
             fail(f"gold span [{start}, {end}] outside chunk of {chunk.n_tokens} tokens")
         if entity_type not in schema.entity_names:

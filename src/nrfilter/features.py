@@ -14,6 +14,9 @@ legacy SPD prefix is accepted on input as an alias.
 from __future__ import annotations
 
 import csv
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -540,41 +543,81 @@ class FeatureTable:
     spans: list[EntitySpan]
 
 
+def _parse_rows(handle: IO[str], dtype: np.dtype) -> np.ndarray:
+    """Every row left in ``handle``, parsed by numpy's C reader."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                          dtype=dtype)
+
+
+def _first_bad_row(source: IO[str], lines_before: int, header: list[str],
+                   names: tuple[str, ...], dtype: np.dtype, path: str | None) -> ParseError:
+    """The error of the first row of ``source`` that is ragged, does not
+    parse or holds a non-finite feature. Each row is parsed on its own by
+    the reader ``_parse_rows`` uses, so both agree on what is bad."""
+    reader = csv.reader(source)
+    one = io.StringIO()
+    writer = csv.writer(one)
+    for row in reader:
+        if not row:
+            continue
+        line_no = lines_before + reader.line_num
+        if len(row) != len(header):
+            return ParseError(line_no, f"{len(row)} fields, header has {len(header)}", path)
+        one.seek(0)
+        one.truncate()
+        writer.writerow(row)
+        one.seek(0)
+        try:
+            (values,) = _parse_rows(one, dtype)["values"]
+        except ValueError as exc:
+            # numpy's "at row N, column M" counts within this one row
+            msg = re.sub(r" at row \d+, column (\d+)",
+                         lambda m: f" in column {header[int(m[1]) - 1]!r}", str(exc))
+            return ParseError(line_no, msg, path)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            j = bad[0]
+            return ParseError(line_no, f"feature {names[j]!r} is {float(values[j])!r}", path)
+    return ParseError(lines_before + reader.line_num, "unreadable feature rows", path)
+
+
 def read_feature_csv(source: str | IO[str]) -> FeatureTable:
-    """Read ``write_feature_csv`` output. A row that is ragged or holds a
-    non-integer position or a non-finite or non-numeric feature is a
-    ParseError with its line number."""
+    """Read ``write_feature_csv`` output. The header goes through csv; the
+    rows through one numpy ``loadtxt`` call. A position is a decimal
+    integer and a feature a decimal or exponent float without ``_``
+    separators. A row that is ragged, holds a cell that does not parse or
+    a non-finite feature is a ParseError with its line number."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return read_feature_csv(handle)
     path = getattr(source, "name", None)
-    reader = csv.reader(source)
-    header = next(reader, None)
+    # readline, not next(source), so that source.tell() still works
+    header_reader = csv.reader(iter(source.readline, ""))
+    header = next(header_reader, None)
     if header is None or header[: len(_META_COLS)] != list(_META_COLS):
         raise SchemaMismatch("feature CSV header missing metadata columns")
     names = tuple(canonical_feature_name(n) for n in header[len(_META_COLS) :])
-    rows, labels, spans, line_nos = [], [], [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(reader.line_num, f"{len(row)} fields, header has {len(header)}", path)
-        chunk_id, entity_type, start, end, anchor, label = row[: len(_META_COLS)]
-        try:
-            spans.append(
-                EntitySpan(chunk_id, entity_type, int(start), int(end), int(anchor), text="")
-            )
-            rows.append([float(v) for v in row[len(_META_COLS) :]])
-        except ValueError as exc:
-            raise ParseError(reader.line_num, str(exc), path) from exc
-        labels.append(label or None)
-        line_nos.append(reader.line_num)
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ParseError(line_nos[i], f"feature {names[j]!r} is {float(matrix[i, j])!r}", path)
-    return FeatureTable(names, matrix, labels, spans)
+    dtype = np.dtype([("chunk_id", object), ("entity_type", object), ("start", np.int64),
+                      ("end", np.int64), ("anchor", np.int64), ("label", object),
+                      ("values", np.float64, (len(names),))])
+    data_start = source.tell()
+    try:
+        rows = _parse_rows(source, dtype)
+    except ValueError:
+        rows = None
+    if rows is None or not np.isfinite(rows["values"]).all():
+        source.seek(data_start)
+        raise _first_bad_row(source, header_reader.line_num, header, names, dtype, path)
+    spans = [
+        EntitySpan(chunk_id, entity_type, start, end, anchor, text="")
+        for chunk_id, entity_type, start, end, anchor in zip(
+            *(rows[col].tolist() for col in _META_COLS[:5])
+        )
+    ]
+    labels = [label or None for label in rows["label"].tolist()]
+    return FeatureTable(names, np.ascontiguousarray(rows["values"]), labels, spans)
 
 
 def feature_row_obj(span: EntitySpan, label: str | None, fv: FeatureVector) -> dict:

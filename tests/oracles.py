@@ -7,16 +7,21 @@ batched kernel replaced: one span, one scope and one statistic at a
 time, over explicit position lists. reference_train_matrix is the CART
 grower the presorted split search replaced: it sorts every column again
 at every node. reference_leaf_for is the node-object tree walk the
-compiled walker replaced.
+compiled walker replaced. reference_read_feature_csv is the csv-module
+reader, one float() per cell, that the numpy feature CSV reader replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 
 import numpy as np
 
+from nrfilter.core import EntitySpan
+from nrfilter.errors import ParseError, SchemaMismatch
+from nrfilter.features import FeatureTable, canonical_feature_name
 from nrfilter.tree import DEFAULT_DECISION_THRESHOLD, Internal, Leaf, TreeModel
 
 
@@ -251,3 +256,38 @@ def parse_decision_path(text: str):
             raise ValueError(f"unparseable predicate: {part!r}")
         steps.append((m.group(1), m.group(2), float(m.group(3))))
     return steps
+
+
+_META_COLS = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
+
+
+def reference_read_feature_csv(source):
+    """A feature CSV read through csv.reader, one float() per cell."""
+    path = getattr(source, "name", None)
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None or header[: len(_META_COLS)] != list(_META_COLS):
+        raise SchemaMismatch("feature CSV header missing metadata columns")
+    names = tuple(canonical_feature_name(n) for n in header[len(_META_COLS) :])
+    rows, labels, spans, line_nos = [], [], [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(reader.line_num, f"{len(row)} fields, header has {len(header)}", path)
+        chunk_id, entity_type, start, end, anchor, label = row[: len(_META_COLS)]
+        try:
+            spans.append(
+                EntitySpan(chunk_id, entity_type, int(start), int(end), int(anchor), text="")
+            )
+            rows.append([float(v) for v in row[len(_META_COLS) :]])
+        except ValueError as exc:
+            raise ParseError(reader.line_num, str(exc), path) from exc
+        labels.append(label or None)
+        line_nos.append(reader.line_num)
+    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(line_nos[i], f"feature {names[j]!r} is {float(matrix[i, j])!r}", path)
+    return FeatureTable(names, matrix, labels, spans)

@@ -479,15 +479,27 @@ class TestModelContract:
             assert out.read_bytes() == want.read()
 
 
-# A malformed feature CSV: how its line 4 (the third data row) is
-# changed. Every case must be a parse error that cites the line.
+def on_line_4(change):
+    """An edit of the third data row, which is line 4."""
+    return 4, lambda rows: rows[:3] + [change(rows[3])] + rows[4:]
+
+
+# A malformed feature CSV: the line of its bad row, and how its rows
+# (header first) are changed. Every case must be a parse error that
+# cites that line; lines count as csv.reader counts them.
 BAD_FEATURE_ROWS = {
-    "nan": lambda row: row[:-1] + ["nan"],
-    "inf": lambda row: row[:-1] + ["inf"],
-    "minus-inf": lambda row: row[:-1] + ["-inf"],
-    "non-numeric": lambda row: row[:-1] + ["abc"],
-    "ragged": lambda row: row[:-1],
-    "fractional-start": lambda row: row[:2] + ["1.5"] + row[3:],
+    "nan": on_line_4(lambda row: row[:-1] + ["nan"]),
+    "inf": on_line_4(lambda row: row[:-1] + ["inf"]),
+    "minus-inf": on_line_4(lambda row: row[:-1] + ["-inf"]),
+    "non-numeric": on_line_4(lambda row: row[:-1] + ["abc"]),
+    "ragged": on_line_4(lambda row: row[:-1]),
+    "fractional-start": on_line_4(lambda row: row[:2] + ["1.5"] + row[3:]),
+    # float() reads 1_0 as 10; the feature reader takes no separators.
+    "underscore": on_line_4(lambda row: row[:-1] + ["1_0"]),
+    # The row before the bad one spans lines 3 and 4.
+    "after-multiline-id": (5, lambda rows: rows[:2] + [["two\nlines"] + rows[2][1:]]
+                           + [rows[3][:-1] + ["abc"]] + rows[4:]),
+    "after-blank-line": (5, lambda rows: rows[:3] + [[], rows[3][:-1] + ["nan"]] + rows[4:]),
 }
 
 
@@ -497,16 +509,41 @@ class TestFeatureCsvContract:
     def test_exits_parse(self, workdir, trained, tmp_path, capsys, command, name):
         with open(trained["features"], newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-        rows[3] = BAD_FEATURE_ROWS[name](rows[3])
+        line, change = BAD_FEATURE_ROWS[name]
         bad = tmp_path / "features.csv"
         with open(bad, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(rows)
+            csv.writer(handle).writerows(change(rows))
         if command == "train":
             argv = ["train", "--features", bad, "--model", tmp_path / "model.json"]
         else:
             argv = ["tune", "--model", trained["model"], "--features", bad]
         assert run(argv) == EXIT_PARSE
-        assert ":4:" in capsys.readouterr().err
+        assert f":{line}:" in capsys.readouterr().err
+
+    def test_header_only_train_exits_domain(self, trained, tmp_path):
+        with open(trained["features"], newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle))
+        path = tmp_path / "features.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerow(header)
+        assert run(["train", "--features", path, "--model", tmp_path / "model.json"]) \
+            == EXIT_DOMAIN
+
+    def test_tune_checks_feature_names(self, trained, tmp_path, capsys):
+        # Two feature columns swapped, names and values together: the
+        # table is self-consistent, but not in the model's order.
+        with open(trained["features"], newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        for row in rows:
+            row[6], row[7] = row[7], row[6]
+        path = tmp_path / "features.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        model = tmp_path / "model.json"
+        shutil.copyfile(trained["model"], model)
+        assert run(["tune", "--model", model, "--features", path]) == EXIT_SCHEMA
+        assert "differ from the model's features" in capsys.readouterr().err
+        assert model.read_bytes() == open(trained["model"], "rb").read()
 
 
 def labeled_table(trained, tmp_path, source, change=lambda labels: labels):

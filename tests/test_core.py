@@ -232,6 +232,36 @@ class TestRecordIO:
         ids = [r.chunk.id for r in iter_records(path)]
         assert ids == ["sentence-1", "sentence-2"]
 
+    @pytest.mark.parametrize("field,edit", [
+        pytest.param("'id'", lambda obj: obj.update(id=None), id="id-null"),
+        pytest.param("'id'", lambda obj: obj.update(id=5), id="id-number"),
+        pytest.param("'id'", lambda obj: obj.update(id=["a"]), id="id-list"),
+        pytest.param("'text'", lambda obj: obj["tokens"][1].update(text={"a": 1}),
+                     id="text-object"),
+        pytest.param("'text'", lambda obj: obj["tokens"][1].update(text=None), id="text-null"),
+        pytest.param("'text'", lambda obj: obj["tokens"][1].update(text=1.5), id="text-number"),
+        pytest.param("'entity_type'", lambda obj: obj["gold_spans"][0].update(entity_type=None),
+                     id="entity_type-null"),
+        pytest.param("'entity_type'", lambda obj: obj["gold_spans"][0].update(entity_type=0),
+                     id="entity_type-number"),
+    ])
+    def test_string_fields_must_be_strings(self, field, edit):
+        obj = {"id": "x", "classes": ["O", "B-0", "I-0"],
+               "tokens": [{"text": "a", "probs": [1, 0, 0]},
+                          {"text": "b", "probs": [0, 1, 0]}],
+               "gold_spans": [{"entity_type": "0", "start": 1, "end": 1}]}
+        assert parse_record(obj).gold_spans[0].entity_type == "0"
+        edit(obj)
+        with pytest.raises(ParseError, match=field):
+            parse_record(obj, line_no=3)
+
+    def test_numeric_and_string_ids_do_not_collide(self):
+        payload = record_to_obj_minimal()
+        lines = [json.dumps(dict(payload, id="5")), json.dumps(dict(payload, id=5))]
+        with pytest.raises(ParseError, match="'id' must be a string") as err:
+            list(iter_records(io.StringIO("\n".join(lines) + "\n"), unique_ids=True))
+        assert err.value.line_no == 2
+
     def test_streaming_skips_blank_lines(self):
         payload = json.dumps(record_to_obj_minimal())
         lines = io.StringIO(payload + "\n\n" + payload + "\n")

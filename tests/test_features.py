@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfilter import (
     Chunk,
     ClassSchema,
+    DecayConfig,
     FeatureConfig,
+    FeatureVector,
     SpanScope,
     assemble_features,
     build_feature_schema,
@@ -16,6 +20,7 @@ from nrfilter import (
     decode_spans,
     statistical_features,
 )
+from nrfilter.core import EntitySpan
 from nrfilter.errors import InvalidConfig
 from nrfilter.features import (
     SCOPE_CONTEXT,
@@ -30,7 +35,7 @@ from nrfilter.features import (
 )
 
 from conftest import random_chunk
-from oracles import scalar_entropy
+from oracles import reference_read_feature_csv, scalar_entropy
 
 def single_token_chunk(probs_row):
     schema = ClassSchema(("",))
@@ -289,3 +294,54 @@ class TestAliasAndExport:
         table = read_feature_csv(got)
         assert [s.chunk_id for s in table.spans] == [chunk_id, chunk_id]
         assert table.matrix.tobytes() == np.vstack([values, values]).tobytes()
+
+
+# A small real schema (27 features), so that Hypothesis can vary every cell.
+SMALL_SCHEMA = build_feature_schema(
+    ClassSchema(("",)), FeatureConfig(decay=DecayConfig(bins=2), scopes=(SCOPE_TOKEN,))
+)
+# Chunk ids that need quoting, and cells at the edges of float repr:
+# signed zero, the smallest subnormal, the largest double, 1 + 1 ulp.
+QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", ""]
+EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0000000000000002]
+
+
+@st.composite
+def feature_rows(draw):
+    chunk_id = draw(st.sampled_from(QUOTED_IDS) | st.text(max_size=6))
+    start, anchor, end = sorted(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
+    span = EntitySpan(chunk_id, draw(st.sampled_from(["B", "Drug,x"])), start, end, anchor,
+                      text="")
+    label = draw(st.sampled_from(["strong", "weak", None]))
+    cells = st.sampled_from(EDGE_CELLS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cells, min_size=len(SMALL_SCHEMA), max_size=len(SMALL_SCHEMA)))
+    return span, label, FeatureVector(SMALL_SCHEMA, np.array(values))
+
+
+def assert_same_table(got, want):
+    assert got.names == want.names
+    assert got.labels == want.labels
+    assert got.spans == want.spans
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+class TestFeatureCsvReader:
+    """The numpy reader against the csv-module oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(feature_rows(), min_size=1, max_size=5))
+    def test_matches_reference_reader(self, rows):
+        buffer = io.StringIO(newline="")
+        write_feature_csv(buffer, rows)
+        got = read_feature_csv(io.StringIO(buffer.getvalue(), newline=""))
+        assert_same_table(got, reference_read_feature_csv(io.StringIO(buffer.getvalue(),
+                                                                      newline="")))
+        assert got.matrix.tobytes() == np.vstack([fv.values for _, _, fv in rows]).tobytes()
+
+    def test_header_only(self):
+        header = ",".join(("chunk_id", "entity_type", "start", "end", "anchor", "label")
+                          + SMALL_SCHEMA.names) + "\r\n"
+        got = read_feature_csv(io.StringIO(header, newline=""))
+        assert got.matrix.shape == (0, len(SMALL_SCHEMA))
+        assert_same_table(got, reference_read_feature_csv(io.StringIO(header, newline="")))
