@@ -12,9 +12,11 @@ import numpy as np
 from nrfilter import (
     ClassSchema,
     Chunk,
-    assemble_features,
+    build_feature_schema,
     build_scopes,
+    canonical_feature_name,
     decode_spans,
+    featurize_chunk,
     statistical_features,
 )
 from nrfilter.features import SCOPE_ORDER
@@ -55,11 +57,12 @@ for name in (
     print(f"   {name:<36} = {context_stats[name]:.6f}")
 
 print()
-print("3. The full vector: density cells first, then every scope block.")
-fv = assemble_features(chunk, span)
-print("   total features:", len(fv.values))
-print("   first three names:", fv.schema.names[:3])
-print("   last three names: ", fv.schema.names[-3:])
+print("3. The full row: density cells first, then every scope block.")
+row = featurize_chunk(chunk, [span])[0]  # one span's row of the (n_spans, n_features) matrix
+names = build_feature_schema(chunk.schema).names  # the matrix's columns
+print("   total features:", len(row))
+print("   first three names:", names[:3])
+print("   last three names: ", names[-3:])
 
 print()
 print("4. Names follow one grammar, so models and humans read the same string:")
@@ -68,8 +71,8 @@ for name in (
     "Token_prob_class_ratio_3_by_2",    # scope statistic
     "Neighbor_B-tag_count",
 ):
-    print(f"   {name:<36} = {fv[name]:.6f}")
+    print(f"   {name:<36} = {row[names.index(name)]:.6f}")
 
 print()
 print("5. The legacy SPD_ prefix is accepted as an alias for PDM_ on input:")
-print("   SPD_I-tag_WCount_bkt_0.0-0.1 ->", fv["SPD_I-tag_WCount_bkt_0.0-0.1"])
+print("   SPD_I-tag_WCount_bkt_0.0-0.1 ->", canonical_feature_name("SPD_I-tag_WCount_bkt_0.0-0.1"))

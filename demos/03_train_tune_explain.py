@@ -9,11 +9,11 @@ from nrfilter import (
     STRONG,
     SynthConfig,
     TrainConfig,
-    assemble_features,
     build_feature_schema,
     classify,
     decode_spans,
     explain,
+    featurize_chunk,
     generate,
     train_matrix,
     tune_threshold,
@@ -28,40 +28,34 @@ config = SynthConfig(n_strong=800, n_weak=800, label_flip_rate=0.05, seed=11)
 records = generate(config)
 fschema = build_feature_schema(records[0].chunk.schema)
 
-rows = []
-for index, record in enumerate(records):
-    (span,) = decode_spans(record.chunk)
-    fv = assemble_features(record.chunk, span, schema=fschema)
-    rows.append((fv, record.label, assign_validation(11, index, 0.2)))
+# One row per span; the matrix's columns are fschema.names.
+X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk), schema=fschema) for r in records])
+labels = np.array([record.label for record in records])  # one span per record
+is_val = np.array([assign_validation(11, index, 0.2) for index in range(len(records))])
+is_tp = labels == STRONG
 
-train_rows = [(fv, label) for fv, label, is_val in rows if not is_val]
-val_rows = [(fv, label == STRONG) for fv, label, is_val in rows if is_val]
-
-X = np.vstack([fv.values for fv, _ in train_rows])
-model = train_matrix(X, [label for _, label in train_rows], fschema.names, TrainConfig())
+model = train_matrix(X[~is_val], labels[~is_val].tolist(), fschema.names, TrainConfig())
 print(f"trained: {len(model.nodes)} nodes, {len(model.leaves)} leaves")
 
 # Sweep the leaf weak-probability threshold on held-out data: keep the
 # most aggressive cutoff whose true-positive loss stays within budget.
 for budget in (0.0, 0.02, 0.06):
-    result = tune_threshold(model, val_rows, max_tp_drop=budget)
+    result = tune_threshold(model, X[is_val], is_tp[is_val], max_tp_drop=budget)
     print(f"budget {budget:4.0%}: threshold {result.threshold:.3f} "
           f"-> drops {result.fp_drop:6.1%} of FPs at {result.tp_drop:5.1%} TP loss")
 
-tuned = model.with_threshold(tune_threshold(model, val_rows, 0.06).threshold)
+tuned = model.with_threshold(tune_threshold(model, X[is_val], is_tp[is_val], 0.06).threshold)
 
 # Every verdict is explainable as the chain of comparisons that produced it.
 print()
 print("example decision paths:")
 shown = {"strong": False, "weak": False}
-for fv, label, is_val in rows:
-    if not is_val:
-        continue
-    verdict, p_weak = classify(tuned, fv)
+for row, label in zip(X[is_val], labels[is_val].tolist()):
+    verdict, p_weak = classify(tuned, row)
     if shown[verdict]:
         continue
     shown[verdict] = True
-    path = explain(tuned, fv)
+    path = explain(tuned, row)
     print(f"\n  span labeled {label!r}, verdict {verdict!r} (p_weak={p_weak:.3f})")
     for line in path.serialize().split("\n"):
         print("   ", line)

@@ -13,10 +13,10 @@ from nrfilter import (
     STRONG,
     SynthConfig,
     TrainConfig,
-    assemble_features,
     baseline_grid,
     build_feature_schema,
     decode_spans,
+    featurize_chunk,
     generate,
     train_matrix,
     tune_threshold,
@@ -36,7 +36,7 @@ for index, record in enumerate(records):
     is_val = assign_validation(SEED, index, 0.25)
     if is_val:
         labeled_spans.append((record.chunk, span, is_tp))
-    rows.append((assemble_features(record.chunk, span, schema=fschema), is_tp, is_val))
+    rows.append((featurize_chunk(record.chunk, [span], schema=fschema)[0], is_tp, is_val))
 
 # Grid-search each reference method on the validation spans.
 results = {}
@@ -53,10 +53,12 @@ for method, grid in (
     results[method] = (best["tp_drop_pct"], best["fp_drop_pct"])
 
 # The noise tree, trained on the rest and tuned under the same budget.
-X = np.vstack([fv.values for fv, _, is_val in rows if not is_val])
-labels = ["strong" if tp else "weak" for _, tp, is_val in rows if not is_val]
-model = train_matrix(X, labels, fschema.names, TrainConfig())
-tune = tune_threshold(model, [(fv, tp) for fv, tp, is_val in rows if is_val], 0.06)
+X = np.vstack([row for row, _, _ in rows])  # columns: fschema.names
+is_tp = np.array([tp for _, tp, _ in rows])
+is_val = np.array([val for _, _, val in rows])
+labels = ["strong" if tp else "weak" for tp in is_tp[~is_val]]
+model = train_matrix(X[~is_val], labels, fschema.names, TrainConfig())
+tune = tune_threshold(model, X[is_val], is_tp[is_val], 0.06)
 results["noise tree"] = (100 * tune.tp_drop, 100 * tune.fp_drop)
 
 print("validation spans:", len(labeled_spans))

@@ -32,9 +32,7 @@ from .pdm import (
 from .features import (
     FeatureConfig,
     FeatureSchema,
-    FeatureVector,
     SpanScope,
-    assemble_features,
     build_feature_schema,
     build_scopes,
     canonical_feature_name,
@@ -94,9 +92,7 @@ __all__ = [
     "cumulative_bins",
     "FeatureConfig",
     "FeatureSchema",
-    "FeatureVector",
     "SpanScope",
-    "assemble_features",
     "build_feature_schema",
     "build_scopes",
     "canonical_feature_name",

@@ -23,6 +23,7 @@ from .core import (
     WEAK,
     config_kwargs,
     decode_spans,
+    is_utf8,
     iter_records,
     read_config_file,
     span_from_obj,
@@ -40,12 +41,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .baselines import baseline_grid
-from .features import (
-    FeatureVector,
-    feature_row_obj,
-    read_feature_csv,
-    write_feature_csv,
-)
+from .features import feature_row_obj, read_feature_csv, write_feature_csv
 from .metrics import drop_rates, entity_f1, format_drop_table
 from .pdm import ProbabilityDensityMap, grid_to_obj
 from .pipeline import (
@@ -133,28 +129,29 @@ def cmd_featurize(args) -> int:
     decay = config.feature_config.decay
     dump = open(args.dump_pdm, "w", encoding="utf-8") if args.dump_pdm else None
 
-    def rows():
+    def blocks():
         records = iter_records(args.input)
         for record, spans, schema, matrix in featurize_records(records, config, batch=True):
-            K = record.chunk.schema.K
-            for span, values in zip(spans, matrix):
-                if dump is not None:
+            if dump is not None:
+                K = record.chunk.schema.K
+                for span, values in zip(spans, matrix):
                     # The density block is class-major: (K, bins) -> (bins, K).
                     grid = values[: decay.bins * K].reshape(K, decay.bins).T
                     pdm = ProbabilityDensityMap(grid, decay, span.anchor)
                     obj = {"chunk_id": record.chunk.id, **grid_to_obj(pdm)}
                     dump.write(json.dumps(obj) + "\n")
-                yield span, record.label, FeatureVector(schema, values)
+            yield schema.names, spans, [record.label] * len(spans), matrix
 
     try:
         if args.format == "csv":
-            n = write_feature_csv(args.out, rows())
+            n = write_feature_csv(args.out, blocks())
         else:
             n = 0
             with open(args.out, "w", encoding="utf-8") as out:
-                for span, label, fv in rows():
-                    out.write(json.dumps(feature_row_obj(span, label, fv)) + "\n")
-                    n += 1
+                for names, spans, labels, matrix in blocks():
+                    for span, label, values in zip(spans, labels, matrix):
+                        out.write(json.dumps(feature_row_obj(span, label, names, values)) + "\n")
+                        n += 1
     finally:
         if dump is not None:
             dump.close()
@@ -181,7 +178,7 @@ def _read_training_table(features_path: str, labels_path: str | None):
     InvalidConfig."""
     table = read_feature_csv(features_path)
     if labels_path:
-        with open(labels_path, "r", encoding="utf-8") as handle:
+        with open(labels_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             labels = [line.strip() for line in handle if line.strip()]
         if len(labels) != table.matrix.shape[0]:
             raise SchemaMismatch(
@@ -214,8 +211,8 @@ def cmd_tune(args) -> int:
     table, labels = _read_training_table(args.features, args.labels)
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")
-    rows = [(table.matrix[i], labels[i] == STRONG) for i in range(len(labels))]
-    result = tune_threshold(model, rows, args.max_tp_drop)
+    is_tp = [label == STRONG for label in labels]
+    result = tune_threshold(model, table.matrix, is_tp, args.max_tp_drop)
     save_model(model.with_threshold(result.threshold), args.model)
     print(
         f"threshold {result.threshold!r}: tp_drop {100 * result.tp_drop:.2f}% "
@@ -268,8 +265,10 @@ def cmd_explain(args) -> int:
 
 def _load_spans(path: str, keep_only: bool):
     spans = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not is_utf8(line):
+                raise ParseError(line_no, "bytes that are not UTF-8", path)
             line = line.strip()
             if not line:
                 continue

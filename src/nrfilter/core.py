@@ -425,20 +425,34 @@ def record_to_obj(record: CorpusRecord) -> dict:
     return obj
 
 
+def is_utf8(text: str) -> bool:
+    """Whether ``text``, read with errors="surrogateescape", came from
+    UTF-8 bytes: a byte that is not UTF-8 reads as a lone surrogate, which
+    does not encode, on its own line rather than in the decoder's
+    read-ahead. ASCII text, the usual case, is not scanned."""
+    try:
+        return text.isascii() or bool(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+
+
 def iter_records(source: str | IO[str], unique_ids: bool = False) -> Iterator[CorpusRecord]:
     """Stream validated CorpusRecords from a JSONL path or open text handle.
 
     Reads one line at a time; memory stays bounded by the largest record.
-    ``unique_ids`` makes a repeated record id a ParseError; it keeps
-    every id seen, so a stream that must stay bounded does not ask for it.
+    A line with bytes that are not UTF-8 is a ParseError. ``unique_ids``
+    makes a repeated record id a ParseError; it keeps every id seen, so a
+    stream that must stay bounded does not ask for it.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             yield from iter_records(handle, unique_ids=unique_ids)
         return
     path = getattr(source, "name", None)
     first_line: dict[str, int] | None = {} if unique_ids else None
     for line_no, line in enumerate(source, start=1):
+        if not is_utf8(line):
+            raise ParseError(line_no, "bytes that are not UTF-8", path)
         line = line.strip()
         if not line:
             continue

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import Chunk, ClassSchema, EntitySpan
+from .core import Chunk, ClassSchema, EntitySpan, is_utf8
 from .errors import AnchorOutOfRange, InvalidConfig, ParseError, SchemaMismatch
 from .pdm import DecayConfig, bin_edges, binned_mass, decay_table
 
@@ -106,8 +106,8 @@ class FeatureSchema:
     """Ordered, immutable feature-name layout for one configuration.
 
     The name sequence is a pure function of (class schema, config), so
-    every span featurized under the same configuration produces vectors
-    with an identical key order.
+    every span featurized under the same configuration produces a row
+    whose columns are these names, in this order.
     """
 
     def __init__(self, class_schema: ClassSchema, config: FeatureConfig):
@@ -125,16 +125,9 @@ class FeatureSchema:
             for stat in _SCOPE_STATS:
                 names.append(f"{scope}_{stat}")
         self.names: tuple[str, ...] = tuple(names)
-        self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def position(self, name: str) -> int:
-        key = canonical_feature_name(name)
-        if key not in self.index:
-            raise SchemaMismatch(f"unknown feature {name!r}")
-        return self.index[key]
 
 
 @lru_cache(maxsize=64)
@@ -146,20 +139,6 @@ def build_feature_schema(
     class_schema: ClassSchema, config: FeatureConfig = FeatureConfig()
 ) -> FeatureSchema:
     return _cached_schema(class_schema.entity_names, config)
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Values aligned to a shared FeatureSchema."""
-
-    schema: FeatureSchema
-    values: np.ndarray
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[self.schema.position(name)])
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.schema.names, self.values)}
 
 
 def token_entropies(probs: np.ndarray) -> np.ndarray:
@@ -451,18 +430,6 @@ def featurize_chunk(
     return featurize_chunks((chunk,), (spans,), config, schema)
 
 
-def assemble_features(
-    chunk: Chunk,
-    span: EntitySpan,
-    config: FeatureConfig = FeatureConfig(),
-    schema: FeatureSchema | None = None,
-) -> FeatureVector:
-    """Full feature vector for one span: featurize_chunk on that span."""
-    if schema is None:
-        schema = build_feature_schema(chunk.schema, config)
-    return FeatureVector(schema, featurize_chunk(chunk, (span,), config, schema)[0])
-
-
 def build_scopes(
     chunk: Chunk, span: EntitySpan, neighbor_window: int = 1
 ) -> dict[str, SpanScope]:
@@ -503,9 +470,11 @@ _META_COLS = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
 
 def write_feature_csv(
     target: str | IO[str],
-    rows: Iterable[tuple[EntitySpan, str | None, FeatureVector]],
+    blocks: Iterable[tuple[Sequence[str], Sequence[EntitySpan], Sequence[str | None], np.ndarray]],
 ) -> int:
-    """Stream feature rows to CSV; header = meta columns + canonical names.
+    """Stream blocks of (names, spans, labels, rows) to CSV: a label and a
+    matrix row per span. The header, meta columns + names, comes from the
+    first block with a span; a block with other names is a SchemaMismatch.
 
     The bytes are those of a csv.writer row per span. Only the meta
     columns go through csv.writer (it quotes chunk ids); the float cells
@@ -513,23 +482,26 @@ def write_feature_csv(
     writes floats."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            return write_feature_csv(handle, rows)
+            return write_feature_csv(handle, blocks)
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append))  # one write per row
     n = 0
-    header_schema: FeatureSchema | None = None
-    for span, label, fv in rows:
-        if header_schema is None:
-            header_schema = fv.schema
-            writer.writerow(list(_META_COLS) + list(fv.schema.names))
+    header: Sequence[str] | None = None
+    for names, spans, labels, rows in blocks:
+        if not len(spans):
+            continue
+        if header is None:
+            header = names
+            writer.writerow(list(_META_COLS) + list(names))
             target.write(lines.pop())
-        elif fv.schema is not header_schema and fv.schema.names != header_schema.names:
+        elif names is not header and tuple(names) != tuple(header):
             raise SchemaMismatch("feature rows use differing schemas")
-        writer.writerow((span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
-                         label if label is not None else ""))
-        meta = lines.pop()[:-2]  # without the line end
-        target.write(meta + "," + ",".join(map(repr, fv.values.tolist())) + "\r\n")
-        n += 1
+        for span, label, values in zip(spans, labels, rows.tolist()):
+            writer.writerow((span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
+                             label if label is not None else ""))
+            meta = lines.pop()[:-2]  # without the line end
+            target.write(meta + "," + ",".join(map(repr, values)) + "\r\n")
+            n += 1
     return n
 
 
@@ -553,9 +525,10 @@ def _parse_rows(handle: IO[str], dtype: np.dtype) -> np.ndarray:
 
 def _first_bad_row(source: IO[str], lines_before: int, header: list[str],
                    names: tuple[str, ...], dtype: np.dtype, path: str | None) -> ParseError:
-    """The error of the first row of ``source`` that is ragged, does not
-    parse or holds a non-finite feature. Each row is parsed on its own by
-    the reader ``_parse_rows`` uses, so both agree on what is bad."""
+    """The error of the first row of ``source`` that holds bytes that are
+    not UTF-8, is ragged, does not parse, holds a non-finite feature or an
+    anchor outside [start, end]. Each row is parsed on its own by the
+    reader ``_parse_rows`` uses, so both agree on what is bad."""
     reader = csv.reader(source)
     one = io.StringIO()
     writer = csv.writer(one)
@@ -563,6 +536,8 @@ def _first_bad_row(source: IO[str], lines_before: int, header: list[str],
         if not row:
             continue
         line_no = lines_before + reader.line_num
+        if not is_utf8(",".join(row)):
+            return ParseError(line_no, "bytes that are not UTF-8", path)
         if len(row) != len(header):
             return ParseError(line_no, f"{len(row)} fields, header has {len(header)}", path)
         one.seek(0)
@@ -570,12 +545,15 @@ def _first_bad_row(source: IO[str], lines_before: int, header: list[str],
         writer.writerow(row)
         one.seek(0)
         try:
-            (values,) = _parse_rows(one, dtype)["values"]
+            (parsed,) = _parse_rows(one, dtype)
         except ValueError as exc:
             # numpy's "at row N, column M" counts within this one row
             msg = re.sub(r" at row \d+, column (\d+)",
                          lambda m: f" in column {header[int(m[1]) - 1]!r}", str(exc))
             return ParseError(line_no, msg, path)
+        start, anchor, end, values = (parsed[col] for col in ("start", "anchor", "end", "values"))
+        if not start <= anchor <= end:
+            return ParseError(line_no, f"anchor {anchor} outside [{start}, {end}]", path)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             j = bad[0]
@@ -587,15 +565,18 @@ def read_feature_csv(source: str | IO[str]) -> FeatureTable:
     """Read ``write_feature_csv`` output. The header goes through csv; the
     rows through one numpy ``loadtxt`` call. A position is a decimal
     integer and a feature a decimal or exponent float without ``_``
-    separators. A row that is ragged, holds a cell that does not parse or
-    a non-finite feature is a ParseError with its line number."""
+    separators. A row that holds bytes that are not UTF-8, is ragged,
+    holds a cell that does not parse, a non-finite feature or an anchor
+    outside [start, end] is a ParseError with its line number."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
             return read_feature_csv(handle)
     path = getattr(source, "name", None)
     # readline, not next(source), so that source.tell() still works
     header_reader = csv.reader(iter(source.readline, ""))
     header = next(header_reader, None)
+    if header is not None and not is_utf8(",".join(header)):
+        raise ParseError(header_reader.line_num, "bytes that are not UTF-8", path)
     if header is None or header[: len(_META_COLS)] != list(_META_COLS):
         raise SchemaMismatch("feature CSV header missing metadata columns")
     names = tuple(canonical_feature_name(n) for n in header[len(_META_COLS) :])
@@ -607,7 +588,10 @@ def read_feature_csv(source: str | IO[str]) -> FeatureTable:
         rows = _parse_rows(source, dtype)
     except ValueError:
         rows = None
-    if rows is None or not np.isfinite(rows["values"]).all():
+    if (rows is None or not np.isfinite(rows["values"]).all()
+            or not ((rows["start"] <= rows["anchor"]) & (rows["anchor"] <= rows["end"])).all()
+            or not is_utf8("".join(rows["chunk_id"].tolist() + rows["entity_type"].tolist()
+                                   + rows["label"].tolist()))):
         source.seek(data_start)
         raise _first_bad_row(source, header_reader.line_num, header, names, dtype, path)
     spans = [
@@ -620,14 +604,15 @@ def read_feature_csv(source: str | IO[str]) -> FeatureTable:
     return FeatureTable(names, np.ascontiguousarray(rows["values"]), labels, spans)
 
 
-def feature_row_obj(span: EntitySpan, label: str | None, fv: FeatureVector) -> dict:
+def feature_row_obj(span: EntitySpan, label: str | None, names: Sequence[str], values) -> dict:
+    """One span's JSONL row: its meta columns and its features by name."""
     obj = {
         "chunk_id": span.chunk_id,
         "entity_type": span.entity_type,
         "start": span.start,
         "end": span.end,
         "anchor": span.anchor,
-        "features": fv.as_dict(),
+        "features": dict(zip(names, map(float, values))),
     }
     if label is not None:
         obj["label"] = label

@@ -7,6 +7,7 @@ record at a time, so corpus size does not affect memory.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -31,7 +32,6 @@ from .features import (
     SCOPE_ORDER,
     FeatureConfig,
     FeatureSchema,
-    FeatureVector,
     build_feature_schema,
     featurize_chunks,
     write_feature_csv,
@@ -205,14 +205,13 @@ def run_pipeline(
     artifacts. The returned report carries validation drop rates.
     """
     spans: list[EntitySpan] = []
-    rows: list[np.ndarray] = []  # each span's feature row, a view into its block
-    in_val: list[bool] = []
     tp: list[bool] = []
+    blocks: list[np.ndarray] = []  # each record's rows, a view into the kernel's block
+    in_val: list[bool] = []  # each record's split
     val_gold: list[EntitySpan] = []
     val_base: list[EntitySpan] = []
     any_gold = False
     schema: FeatureSchema | None = None
-    n_records = 0
     records = iter_records(corpus, unique_ids=True)
     for index, (record, rec_spans, rec_schema, matrix) in enumerate(
         featurize_records(records, config, batch=True)
@@ -225,29 +224,36 @@ def run_pipeline(
                 f"{list(record.chunk.schema.class_names)}; the corpus began with "
                 f"{list(schema.class_schema.class_names)}"
             )
-        n_records += 1
         is_val = assign_validation(config.seed, index, config.validation_fraction)
         any_gold = any_gold or bool(record.gold_spans)
         if is_val:
             val_gold.extend(record.gold_spans)
             val_base.extend(rec_spans)
         spans.extend(rec_spans)
-        rows.extend(matrix)
-        in_val.extend([is_val] * len(rec_spans))
         tp.extend(_tp_flags(record, rec_spans))
+        blocks.append(matrix)
+        in_val.append(is_val)
     if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
     labels = [STRONG if t else WEAK for t in tp]
-    train = [i for i, val in enumerate(in_val) if not val]
-    if not train:
+    span_val = np.repeat(in_val, [len(rows) for rows in blocks])
+    if span_val.all():
         raise SingleClassTrainingSet(
             "empty training split: no predicted span is in a training record"
         )
-    X = np.vstack([rows[i] for i in train])
-    model = train_matrix(X, [labels[i] for i in train], schema.names, config.tree)
+
+    def split_rows(val: bool) -> np.ndarray:
+        """The rows of one split, copied out of the blocks."""
+        chosen = [rows for rows, is_val in zip(blocks, in_val) if is_val == val]
+        return np.vstack(chosen or [np.empty((0, len(schema)))])
+
+    X = split_rows(False)
+    train_labels = [label for label, val in zip(labels, span_val) if not val]
+    model = train_matrix(X, train_labels, schema.names, config.tree)
     del X
-    val_rows = [(row, t) for row, val, t in zip(rows, in_val, tp) if val]
-    tune = tune_threshold(model, val_rows, config.tree.max_tp_drop)
+    X = split_rows(True)
+    tune = tune_threshold(model, X, np.array(tp)[span_val], config.tree.max_tp_drop)
+    del X
     model = model.with_threshold(tune.threshold)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -258,18 +264,19 @@ def run_pipeline(
         "report": os.path.join(out_dir, "report.json"),
     }
 
+    ends = np.cumsum([len(rows) for rows in blocks]).tolist()
     write_feature_csv(
         paths["features"],
-        ((span, label, FeatureVector(schema, values))
-         for span, label, values in zip(spans, labels, rows)),
+        ((schema.names, spans[end - len(rows) : end], labels[end - len(rows) : end], rows)
+         for end, rows in zip(ends, blocks)),
     )
     save_model(model, paths["model"])
 
     filtered = {"train": EntityCounts(), "validation": EntityCounts()}
     base = {"train": EntityCounts(), "validation": EntityCounts()}
     val_kept: list[EntitySpan] = []
-    split_of = ["validation" if val else "train" for val in in_val]
-    lines = _verdict_lines(model, spans, rows, True, split_of)
+    split_of = ["validation" if val else "train" for val in span_val.tolist()]
+    lines = _verdict_lines(model, spans, itertools.chain.from_iterable(blocks), True, split_of)
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
         for span, split, span_tp, (verdict, line) in zip(spans, split_of, tp, lines):
             handle.write(line + "\n")
@@ -286,7 +293,7 @@ def run_pipeline(
                 val_kept.append(span)
 
     report: dict = {
-        "n_records": n_records,
+        "n_records": len(blocks),
         "n_spans": len(spans),
         "decision_threshold": tune.threshold,
         "config": config.to_obj(),
@@ -334,14 +341,14 @@ def stream_classify(
 def _verdict_lines(
     model: TreeModel,
     spans: Sequence[EntitySpan],
-    matrix: Sequence[np.ndarray],
+    rows: Iterable[np.ndarray],
     include_path: bool,
     splits: Sequence[str] | None = None,
 ) -> Iterator[tuple[str, str]]:
     """(verdict, JSON line) per span; ``splits``, when given, names each
     span's split in its line."""
     tree = model.compiled
-    for i, (span, values) in enumerate(zip(spans, matrix)):
+    for i, (span, values) in enumerate(zip(spans, rows)):
         leaf = tree.leaf(values)
         p_weak = tree.p_weak[leaf]
         verdict = model.verdict(p_weak)

@@ -25,7 +25,6 @@ from .errors import (
     SchemaMismatch,
     SingleClassTrainingSet,
 )
-from .features import FeatureVector
 
 DEFAULT_DECISION_THRESHOLD = 0.5
 
@@ -145,10 +144,9 @@ class TreeModel:
     def with_threshold(self, threshold: float) -> "TreeModel":
         return replace(self, decision_threshold=threshold)
 
-    def verdict(self, p_weak: float, decision_threshold: float | None = None) -> str:
-        """Weak iff p_weak >= the threshold (the model's by default)."""
-        theta = self.decision_threshold if decision_threshold is None else decision_threshold
-        return WEAK if p_weak >= theta else STRONG
+    def verdict(self, p_weak: float) -> str:
+        """Weak iff p_weak >= the model's decision threshold."""
+        return WEAK if p_weak >= self.decision_threshold else STRONG
 
 
 def _weighted_gini(w_strong: float, w_weak: float) -> float:
@@ -325,12 +323,8 @@ def train_matrix(
     )
 
 
-def _values_for(model: TreeModel, features: FeatureVector | np.ndarray) -> np.ndarray:
-    if isinstance(features, FeatureVector):
-        if features.schema.names != model.feature_names:
-            raise SchemaMismatch("feature vector schema differs from training schema")
-        return features.values
-    values = np.asarray(features, dtype=np.float64)
+def _values_for(model: TreeModel, row: np.ndarray) -> np.ndarray:
+    values = np.asarray(row, dtype=np.float64)
     if values.shape != (len(model.feature_names),):
         raise SchemaMismatch(
             f"expected {len(model.feature_names)} values, got shape {values.shape}"
@@ -338,15 +332,12 @@ def _values_for(model: TreeModel, features: FeatureVector | np.ndarray) -> np.nd
     return values
 
 
-def classify(
-    model: TreeModel,
-    features: FeatureVector | np.ndarray,
-    decision_threshold: float | None = None,
-) -> tuple[str, float]:
-    """Verdict and leaf weak-probability; weak iff p_weak >= threshold."""
+def classify(model: TreeModel, row: np.ndarray) -> tuple[str, float]:
+    """Verdict and leaf weak-probability of one row whose columns are
+    ``model.feature_names``; weak iff p_weak >= the model's threshold."""
     tree = model.compiled
-    p_weak = tree.p_weak[tree.leaf(_values_for(model, features))]
-    return model.verdict(p_weak, decision_threshold), p_weak
+    p_weak = tree.p_weak[tree.leaf(_values_for(model, row))]
+    return model.verdict(p_weak), p_weak
 
 
 @dataclass(frozen=True)
@@ -360,11 +351,13 @@ class TuneResult:
 
 def tune_threshold(
     model: TreeModel,
-    rows: Sequence[tuple[FeatureVector | np.ndarray, bool]],
+    X: np.ndarray,
+    is_tp: Sequence[bool] | np.ndarray,
     max_tp_drop: float | None = None,
 ) -> TuneResult:
     """Pick the weak-probability cutoff maximizing FP removal while the
-    validation TP-drop fraction stays within the budget.
+    TP-drop fraction of the validation rows ``X`` (columns
+    ``model.feature_names``; ``is_tp`` flags the TPs) stays within budget.
 
     Candidates are the distinct leaf probabilities plus a keep-all
     sentinel; ties prefer the higher (more conservative) threshold. When
@@ -374,10 +367,12 @@ def tune_threshold(
     budget = model.config.max_tp_drop if max_tp_drop is None else max_tp_drop
     if not 0.0 <= budget <= 1.0:
         raise InvalidConfig(f"max_tp_drop must be in [0, 1], got {budget}")
+    X = np.asarray(X, dtype=np.float64)
+    is_tp = np.asarray(is_tp, dtype=bool)
+    if is_tp.ndim != 1 or X.shape != (is_tp.size, len(model.feature_names)):
+        raise SchemaMismatch(f"matrix {X.shape} is not ({is_tp.size}, {len(model.feature_names)})")
     tree = model.compiled
-    p = np.array([tree.p_weak[tree.leaf(_values_for(model, fv))] for fv, _ in rows],
-                 dtype=np.float64)
-    is_tp = np.array([bool(t) for _, t in rows], dtype=bool)
+    p = np.array([tree.p_weak[tree.leaf(row)] for row in X.tolist()], dtype=np.float64)
     n_tp = int(is_tp.sum())
     n_fp = int(is_tp.size - n_tp)
     if n_tp == 0 or n_fp == 0:
@@ -443,16 +438,12 @@ class DecisionPath:
         return self.serialize()
 
 
-def explain(
-    model: TreeModel,
-    features: FeatureVector | np.ndarray,
-    decision_threshold: float | None = None,
-) -> DecisionPath:
-    """Root-to-leaf predicate chain for one instance, in evaluation order.
+def explain(model: TreeModel, row: np.ndarray) -> DecisionPath:
+    """Root-to-leaf predicate chain for one row, in evaluation order.
 
-    Every emitted predicate evaluates true for the instance.
+    Every emitted predicate evaluates true for the row.
     """
-    values = _values_for(model, features)
+    values = _values_for(model, row)
     tree = model.compiled
     leaf = tree.leaf(values)
     steps = tuple(
@@ -465,7 +456,7 @@ def explain(
         for i, went_left in tree.trail[leaf]
     )
     p_weak = tree.p_weak[leaf]
-    return DecisionPath(steps, model.verdict(p_weak, decision_threshold), p_weak)
+    return DecisionPath(steps, model.verdict(p_weak), p_weak)
 
 
 # ---------------------------------------------------------------------------
@@ -535,4 +526,8 @@ def save_model(model: TreeModel, path: str) -> None:
 
 def load_model(path: str) -> TreeModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return deserialize_model(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"malformed model file: {exc!r}") from exc
+    return deserialize_model(text)

@@ -22,7 +22,6 @@ from nrfilter import (
     SynthConfig,
     TrainConfig,
     WEAK,
-    assemble_features,
     build_feature_schema,
     compute_pdm,
     cumulative_bins,
@@ -30,6 +29,7 @@ from nrfilter import (
     drop_rates,
     entity_f1,
     explain,
+    featurize_chunk,
     generate,
     iter_generate,
     run_pipeline,
@@ -128,7 +128,7 @@ def noise_filter_run():
     rows = []
     for index, record in enumerate(records):
         (span,) = decode_spans(record.chunk)
-        fv = assemble_features(record.chunk, span, schema=fschema)
+        fv = featurize_chunk(record.chunk, [span], schema=fschema)[0]
         rows.append({
             "fv": fv,
             "is_tp": record.label == STRONG,
@@ -137,10 +137,11 @@ def noise_filter_run():
         })
     train_rows = [r for r in rows if not r["is_val"]]
     val_rows = [r for r in rows if r["is_val"]]
-    X = np.vstack([r["fv"].values for r in train_rows])
+    X = np.vstack([r["fv"] for r in train_rows])
     labels = [STRONG if r["is_tp"] else WEAK for r in train_rows]
     model = train_matrix(X, labels, fschema.names, TrainConfig())
-    tune = tune_threshold(model, [(r["fv"], r["is_tp"]) for r in val_rows], MAX_TP_DROP)
+    tune = tune_threshold(model, np.vstack([r["fv"] for r in val_rows]),
+                          [r["is_tp"] for r in val_rows], MAX_TP_DROP)
     elapsed = time.perf_counter() - start
     return {
         "model": model.with_threshold(tune.threshold),
@@ -214,7 +215,7 @@ class TestCriterion6DecisionPathFidelity:
             path = explain(model, fv)
             assert len(path.steps) >= 1
             for step in path.steps:
-                observed = fv.values[index[step.feature]]
+                observed = fv[index[step.feature]]
                 if step.op == "<=":
                     assert observed <= step.threshold
                 else:

@@ -387,6 +387,56 @@ class TestCorpusContract:
         assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
         assert "'B-Drug'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_featurize_feature_names_change(self, tmp_path, capsys, fmt):
+        # Two schemas of the same width (K = 5) whose names differ: one CSV
+        # header cannot hold both, while each JSONL line names its own.
+        lines = []
+        for entities in (("A", "B"), ("C", "D")):
+            classes = ["O"] + [f"{p}-{e}" for e in entities for p in "BI"]
+            lines += [json.dumps({"id": f"{entities[0]}-{i}", "classes": classes,
+                                  "tokens": [{"text": "x", "probs": [0.1, 0.9, 0, 0, 0]},
+                                             {"text": "y", "probs": [1.0, 0, 0, 0, 0]}]}) + "\n"
+                      for i in range(3)]
+        path = write_lines(tmp_path / "mixed.jsonl", lines)
+        out = tmp_path / f"features.{fmt}"
+        code = run(["featurize", "--input", path, "--out", out, "--format", fmt])
+        if fmt == "csv":
+            assert code == EXIT_SCHEMA
+            assert "feature rows use differing schemas" in capsys.readouterr().err
+        else:
+            assert code == EXIT_OK
+            rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+            assert len(rows) == 6
+            assert "PDM_B-A-tag_WCount_bkt_0.9-1.0" in rows[2]["features"]
+            assert "PDM_B-C-tag_WCount_bkt_0.9-1.0" in rows[3]["features"]
+
+    @pytest.mark.parametrize("command", ["validate", "decode", "featurize", "classify",
+                                         "explain", "evaluate", "baseline", "pipeline"])
+    def test_bytes_not_utf8_exit_parse(self, workdir, trained, tmp_path, capsys, command):
+        # Line 30 lies past the first 8 KB that a text handle decodes
+        # ahead of the line being read.
+        lines = [line.encode() for line in corpus_lines(workdir, 40)]
+        assert sum(map(len, lines[:29])) > 8192
+        lines[29] = b"\xff\xfe\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        spans = tmp_path / "spans.jsonl"
+        assert run(["decode", "--input", workdir["corpus"], "--out", spans]) == EXIT_OK
+        argv = {
+            "validate": ["--input", path],
+            "decode": ["--input", path, "--out", out],
+            "featurize": ["--input", path, "--out", out],
+            "classify": ["--input", path, "--model", trained["model"], "--out", out],
+            "explain": ["--record", path, "--model", trained["model"]],
+            "evaluate": ["--gold", path, "--pred", spans, "--base", spans],
+            "baseline": ["--method", "softmax", "--input", path, "--out", out],
+            "pipeline": ["--corpus", path, "--out-dir", out],
+        }[command]
+        assert run([command] + argv) == EXIT_PARSE
+        assert ":30: bytes that are not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "pipeline"])
     def test_duplicate_record_id(self, workdir, tmp_path, capsys, command):
         lines = corpus_lines(workdir, 30)
@@ -449,12 +499,14 @@ def mangle_model(model_path, out_path, change):
 
 
 class TestModelContract:
-    @pytest.mark.parametrize("name", ["not-json", "no-nodes", "unknown-config-key",
+    @pytest.mark.parametrize("name", ["not-json", "not-utf8", "no-nodes", "unknown-config-key",
                                       "self-loop", "feature-out-of-range"])
     def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
         model = tmp_path / "model.json"
         if name == "not-json":
             model.write_text("nodes: []\n", encoding="utf-8")
+        elif name == "not-utf8":
+            model.write_bytes(b"\xff\xfe{}\n")
         elif name == "no-nodes":
             mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
         elif name == "unknown-config-key":
@@ -500,6 +552,9 @@ BAD_FEATURE_ROWS = {
     "after-multiline-id": (5, lambda rows: rows[:2] + [["two\nlines"] + rows[2][1:]]
                            + [rows[3][:-1] + ["abc"]] + rows[4:]),
     "after-blank-line": (5, lambda rows: rows[:3] + [[], rows[3][:-1] + ["nan"]] + rows[4:]),
+    "anchor-outside": on_line_4(lambda row: row[:4] + [str(int(row[3]) + 5)] + row[5:]),
+    # Written as the bytes ff fe: not UTF-8.
+    "not-utf8": on_line_4(lambda row: ["\udcff\udcfe"]),
 }
 
 
@@ -511,7 +566,7 @@ class TestFeatureCsvContract:
             rows = list(csv.reader(handle))
         line, change = BAD_FEATURE_ROWS[name]
         bad = tmp_path / "features.csv"
-        with open(bad, "w", newline="", encoding="utf-8") as handle:
+        with open(bad, "w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
             csv.writer(handle).writerows(change(rows))
         if command == "train":
             argv = ["train", "--features", bad, "--model", tmp_path / "model.json"]
@@ -543,7 +598,8 @@ class TestFeatureCsvContract:
         shutil.copyfile(trained["model"], model)
         assert run(["tune", "--model", model, "--features", path]) == EXIT_SCHEMA
         assert "differ from the model's features" in capsys.readouterr().err
-        assert model.read_bytes() == open(trained["model"], "rb").read()
+        with open(trained["model"], "rb") as handle:
+            assert model.read_bytes() == handle.read()
 
 
 def labeled_table(trained, tmp_path, source, change=lambda labels: labels):
@@ -598,6 +654,15 @@ class TestTrainingLabels:
         assert "'maybe'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_labels_file_not_utf8_exits_config(self, trained, tmp_path, capsys, command):
+        args = labeled_table(trained, tmp_path, "file")
+        labels = (tmp_path / "labels.txt").read_bytes().split(b"\n")
+        labels[2] = b"\xff\xfe"
+        (tmp_path / "labels.txt").write_bytes(b"\n".join(labels))
+        assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_CONFIG
+        assert "label must be 'strong' or 'weak'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
     def test_labels_file_row_count_mismatch(self, trained, tmp_path, capsys, command):
         args = labeled_table(trained, tmp_path, "file", lambda labels: labels[:-1])
         assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_SCHEMA
@@ -639,13 +704,16 @@ class TestBaselineGridContract:
 
 class TestEvaluateSpanContract:
     @pytest.mark.parametrize("flag", ["--pred", "--base"])
-    @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]"])
+    # "\udcff\udcfe" is written as the bytes ff fe: not UTF-8.
+    @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]",
+                                      pytest.param('{"chunk_id": "\udcff\udcfe"}',
+                                                   id="not-utf8")])
     def test_exits_parse(self, workdir, tmp_path, capsys, flag, line):
         base = tmp_path / "base.jsonl"
         assert run(["decode", "--input", workdir["corpus"], "--out", base]) == EXIT_OK
         first = base.read_text(encoding="utf-8").splitlines()[0]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(first + "\n" + line + "\n", encoding="utf-8")
+        bad.write_text(first + "\n" + line + "\n", encoding="utf-8", errors="surrogateescape")
         files = {"--pred": base, "--base": base, flag: bad}
         code = run(["evaluate", "--pred", files["--pred"], "--gold", workdir["corpus"],
                     "--base", files["--base"]])

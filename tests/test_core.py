@@ -267,6 +267,24 @@ class TestRecordIO:
         lines = io.StringIO(payload + "\n\n" + payload + "\n")
         assert len(list(iter_records(lines))) == 2
 
+    @pytest.mark.parametrize("where", ["text", "line"])
+    def test_bytes_not_utf8_cite_their_line(self, tmp_path, where):
+        # 40 lines of about 400 bytes: line 30 lies past the first 8 KB
+        # that a text handle decodes ahead of the line being read.
+        payload = dict(record_to_obj_minimal(), note="x" * 300)
+        lines = [json.dumps(dict(payload, id=f"r{i}")).encode() for i in range(40)]
+        lines[29] = b"\xff\xfe" if where == "line" else lines[29].replace(b"xx", b"\xff\xfe", 1)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=r":30: bytes that are not UTF-8"):
+            list(iter_records(str(path)))
+
+    def test_non_ascii_utf8_text_reads(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        line = json.dumps(dict(record_to_obj_minimal(), note="é"), ensure_ascii=False)
+        path.write_bytes(line.encode() + b"\n")
+        assert len(list(iter_records(str(path)))) == 1
+
 
 # Any JSON value, and record objects whose every field is mostly well
 # formed and otherwise any JSON value, so that the fuzz reaches the checks

@@ -11,17 +11,16 @@ from nrfilter import (
     ClassSchema,
     DecayConfig,
     FeatureConfig,
-    FeatureVector,
     SpanScope,
-    assemble_features,
     build_feature_schema,
     build_scopes,
     canonical_feature_name,
     decode_spans,
+    featurize_chunk,
     statistical_features,
 )
 from nrfilter.core import EntitySpan
-from nrfilter.errors import InvalidConfig
+from nrfilter.errors import InvalidConfig, ParseError, SchemaMismatch
 from nrfilter.features import (
     SCOPE_CONTEXT,
     SCOPE_NEIGHBOR,
@@ -107,11 +106,11 @@ class TestStatisticalFeatures:
         assert out["Neighbor_size"] == 0.0
 
     def test_required_split_feature_name_exists(self, sentence1):
-        (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
-        fv["Token_prob_class_ratio_3_by_2"]  # must exist under exactly this name
-        fv["PDM_B-tag_WCount_bkt_0.9-1.0"]
-        fv["Context_B-tag_mean_prob"]
+        names = build_feature_schema(sentence1.chunk.schema).names
+        # each must exist under exactly this name
+        assert "Token_prob_class_ratio_3_by_2" in names
+        assert "PDM_B-tag_WCount_bkt_0.9-1.0" in names
+        assert "Context_B-tag_mean_prob" in names
 
 
 class TestScopes:
@@ -146,28 +145,34 @@ class TestScopes:
         assert scopes[SCOPE_NEIGHBOR].positions == (6,)
 
 
+def named_row(chunk, span, config=FeatureConfig()):
+    """One span's feature row, keyed by its schema's names."""
+    names = build_feature_schema(chunk.schema, config).names
+    return dict(zip(names, featurize_chunk(chunk, [span], config)[0].tolist()))
+
+
 class TestAssembledVector:
     def test_schema_size_k3_b10(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
+        row = featurize_chunk(sentence1.chunk, [span])[0]
         # 30 density cells + 5 scopes x (3 classes x 5 stats + 6 scope stats)
-        assert len(fv.values) == 30 + 5 * 21 == 135
-        assert len(fv.schema.names) == 135
+        assert row.shape == (30 + 5 * 21,) == (135,)
+        assert len(build_feature_schema(sentence1.chunk.schema).names) == 135
 
     def test_sentence_fixture_density_cells(self, sentence1, sentence2):
         (span1,) = decode_spans(sentence1.chunk)
-        fv1 = assemble_features(sentence1.chunk, span1)
+        fv1 = named_row(sentence1.chunk, span1)
         assert fv1["PDM_I-tag_WCount_bkt_0.0-0.1"] == pytest.approx(0.004, abs=0.0005)
         (span2,) = decode_spans(sentence2.chunk)
-        fv2 = assemble_features(sentence2.chunk, span2)
+        fv2 = named_row(sentence2.chunk, span2)
         assert fv2["PDM_I-tag_WCount_bkt_0.0-0.1"] == 0.0
 
     def test_separation_of_true_and_false_contexts(self, sentence1, sentence2):
         (span1,) = decode_spans(sentence1.chunk)
         (span2,) = decode_spans(sentence2.chunk)
-        v1 = assemble_features(sentence1.chunk, span1)
-        v2 = assemble_features(sentence2.chunk, span2)
-        linf = np.abs(v1.values - v2.values).max()
+        v1 = named_row(sentence1.chunk, span1)
+        v2 = named_row(sentence2.chunk, span2)
+        linf = np.abs(np.array(list(v1.values())) - np.array(list(v2.values()))).max()
         assert linf >= 0.004
         # The low-probability density cell carries the contrast: the true
         # entity's context leaks I mass into the bottom bin, the false
@@ -182,12 +187,12 @@ class TestAssembledVector:
         count = 0
         while count < 1000:
             chunk = random_chunk(rng, max_tokens=12, k_choices=(3,))
+            names = build_feature_schema(chunk.schema, config).names
             for span in decode_spans(chunk):
-                fv = assemble_features(chunk, span, config)
-                keys = tuple(fv.as_dict().keys())
+                row = featurize_chunk(chunk, [span], config)[0]
                 if reference is None:
-                    reference = keys
-                assert keys == reference == fv.schema.names
+                    reference = names
+                assert names == reference and row.shape == (len(names),)
                 count += 1
 
     def test_value_ranges(self):
@@ -197,8 +202,7 @@ class TestAssembledVector:
             chunk = random_chunk(rng, max_tokens=10)
             log_k = math.log(chunk.schema.K)
             for span in decode_spans(chunk):
-                fv = assemble_features(chunk, span)
-                d = fv.as_dict()
+                d = named_row(chunk, span)
                 assert all(np.isfinite(v) for v in d.values())
                 for name, value in d.items():
                     if name.endswith(("_ratio", "_ratio_2_by_1", "_ratio_3_by_2")):
@@ -223,19 +227,24 @@ class TestAssembledVector:
     def test_scope_subset_config(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
         config = FeatureConfig(scopes=(SCOPE_TOKEN, SCOPE_CONTEXT))
-        fv = assemble_features(sentence1.chunk, span, config)
-        assert len(fv.values) == 30 + 2 * 21
+        row = featurize_chunk(sentence1.chunk, [span], config)[0]
+        assert row.shape == (30 + 2 * 21,)
         with pytest.raises(InvalidConfig):
             FeatureConfig(scopes=("Sentence",))
 
 
 class TestAliasAndExport:
     def test_spd_prefix_alias(self, sentence1):
-        (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
         pdm_name = "PDM_O-tag_WCount_bkt_0.9-1.0"
         assert canonical_feature_name("SPD_O-tag_WCount_bkt_0.9-1.0") == pdm_name
-        assert fv["SPD_O-tag_WCount_bkt_0.9-1.0"] == fv[pdm_name]
+        (span,) = decode_spans(sentence1.chunk)
+        names = build_feature_schema(sentence1.chunk.schema).names
+        legacy = tuple("SPD_" + n[4:] if n.startswith("PDM_") else n for n in names)
+        buffer = io.StringIO()
+        write_feature_csv(buffer, [(legacy, [span], [None],
+                                    featurize_chunk(sentence1.chunk, [span]))])
+        buffer.seek(0)
+        assert read_feature_csv(buffer).names == names
 
     def test_jsonl_roundtrip(self, sentence1):
         import json
@@ -244,28 +253,50 @@ class TestAliasAndExport:
         from nrfilter.features import feature_row_obj
 
         (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
-        obj = json.loads(json.dumps(feature_row_obj(span, "strong", fv)))
+        names = build_feature_schema(sentence1.chunk.schema).names
+        row = featurize_chunk(sentence1.chunk, [span])[0]
+        obj = json.loads(json.dumps(feature_row_obj(span, "strong", names, row)))
         got_span = EntitySpan(obj["chunk_id"], obj["entity_type"], obj["start"],
                               obj["end"], obj["anchor"], text="")
         assert got_span.match_key() == span.match_key()
         assert obj["label"] == "strong"
-        assert obj["features"] == fv.as_dict()
+        assert obj["features"] == dict(zip(names, row.tolist()))
 
     def test_csv_roundtrip(self, sentence1, sentence2):
-        rows = []
+        names = build_feature_schema(sentence1.chunk.schema).names
+        blocks = []
         for record in (sentence1, sentence2):
-            (span,) = decode_spans(record.chunk)
-            rows.append((span, record.label, assemble_features(record.chunk, span)))
+            spans = decode_spans(record.chunk)
+            blocks.append((names, spans, [record.label], featurize_chunk(record.chunk, spans)))
         buffer = io.StringIO()
-        assert write_feature_csv(buffer, rows) == 2
+        assert write_feature_csv(buffer, blocks) == 2
         buffer.seek(0)
         table = read_feature_csv(buffer)
-        assert table.names == rows[0][2].schema.names
+        assert table.names == names
         assert table.labels == ["strong", "weak"]
-        np.testing.assert_array_equal(table.matrix[0], rows[0][2].values)
-        np.testing.assert_array_equal(table.matrix[1], rows[1][2].values)
+        np.testing.assert_array_equal(table.matrix[0], blocks[0][3][0])
+        np.testing.assert_array_equal(table.matrix[1], blocks[1][3][0])
         assert table.spans[0].chunk_id == "sentence-1"
+
+    def test_csv_blocks_share_one_schema(self, sentence1):
+        # The header comes from the first block with a span; a block
+        # without spans is skipped, and a later block with other names is
+        # a SchemaMismatch. No block with a span writes nothing at all.
+        (span,) = decode_spans(sentence1.chunk)
+        names = build_feature_schema(sentence1.chunk.schema).names
+        row = featurize_chunk(sentence1.chunk, [span])
+        other = names[:-1] + ("other",)
+        empty = np.empty((0, len(names)))
+        buffer = io.StringIO()
+        assert write_feature_csv(buffer, [(other, [], [], empty)]) == 0
+        assert buffer.getvalue() == ""
+        assert write_feature_csv(buffer, [(other, [], [], empty), (names, [span], [None], row),
+                                          (tuple(names), [span], ["weak"], row)]) == 2
+        buffer.seek(0)
+        assert read_feature_csv(buffer).names == names
+        with pytest.raises(SchemaMismatch, match="differing schemas"):
+            write_feature_csv(io.StringIO(), [(names, [span], [None], row),
+                                              (other, [span], [None], row)])
 
     @pytest.mark.parametrize("chunk_id", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"])
     def test_csv_bytes_equal_csv_writer(self, sentence1, chunk_id):
@@ -275,20 +306,19 @@ class TestAliasAndExport:
         from dataclasses import replace
 
         (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
-        values = fv.values.copy()
+        names = build_feature_schema(sentence1.chunk.schema).names
+        values = featurize_chunk(sentence1.chunk, [span])[0]
         values[:3] = (-0.0, 1e-300, 1 / 3)
-        fv = type(fv)(fv.schema, values)
-        rows = [(replace(span, chunk_id=chunk_id), label, fv) for label in ("strong", None)]
+        spans = [replace(span, chunk_id=chunk_id)] * 2
+        labels = ["strong", None]
         got = io.StringIO()
-        write_feature_csv(got, rows)
+        write_feature_csv(got, [(names, spans, labels, np.vstack([values, values]))])
         want = io.StringIO()
         writer = csv.writer(want)
-        writer.writerow(["chunk_id", "entity_type", "start", "end", "anchor", "label",
-                         *fv.schema.names])
-        for s, label, v in rows:
+        writer.writerow(["chunk_id", "entity_type", "start", "end", "anchor", "label", *names])
+        for s, label in zip(spans, labels):
             writer.writerow([s.chunk_id, s.entity_type, s.start, s.end, s.anchor, label or "",
-                             *v.values.tolist()])
+                             *values.tolist()])
         assert got.getvalue() == want.getvalue()
         got.seek(0)
         table = read_feature_csv(got)
@@ -315,7 +345,7 @@ def feature_rows(draw):
     label = draw(st.sampled_from(["strong", "weak", None]))
     cells = st.sampled_from(EDGE_CELLS) | st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(cells, min_size=len(SMALL_SCHEMA), max_size=len(SMALL_SCHEMA)))
-    return span, label, FeatureVector(SMALL_SCHEMA, np.array(values))
+    return span, label, np.array(values)
 
 
 def assert_same_table(got, want):
@@ -333,11 +363,12 @@ class TestFeatureCsvReader:
     @given(rows=st.lists(feature_rows(), min_size=1, max_size=5))
     def test_matches_reference_reader(self, rows):
         buffer = io.StringIO(newline="")
-        write_feature_csv(buffer, rows)
+        write_feature_csv(buffer, [(SMALL_SCHEMA.names, [span], [label], values[None])
+                                   for span, label, values in rows])
         got = read_feature_csv(io.StringIO(buffer.getvalue(), newline=""))
         assert_same_table(got, reference_read_feature_csv(io.StringIO(buffer.getvalue(),
                                                                       newline="")))
-        assert got.matrix.tobytes() == np.vstack([fv.values for _, _, fv in rows]).tobytes()
+        assert got.matrix.tobytes() == np.vstack([values for _, _, values in rows]).tobytes()
 
     def test_header_only(self):
         header = ",".join(("chunk_id", "entity_type", "start", "end", "anchor", "label")
@@ -345,3 +376,47 @@ class TestFeatureCsvReader:
         got = read_feature_csv(io.StringIO(header, newline=""))
         assert got.matrix.shape == (0, len(SMALL_SCHEMA))
         assert_same_table(got, reference_read_feature_csv(io.StringIO(header, newline="")))
+
+    def write_table(self, tmp_path, change):
+        """A 40-row SMALL_SCHEMA table on disk, its line 30 (the 29th
+        row) passed through ``change`` as bytes. Rows are about 400
+        bytes, so line 30 lies past the first 8 KB that a text handle
+        decodes ahead of the line being read."""
+        meta = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
+        lines = [",".join(meta + SMALL_SCHEMA.names).encode()]
+        for i in range(40):
+            cells = [f"c{i}", "B", "2", "4", "3", "strong"] + ["0.123456789"] * len(SMALL_SCHEMA)
+            lines.append(",".join(cells).encode())
+        lines[29] = change(lines[29])
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        return str(path)
+
+    @pytest.mark.parametrize("cell", [0, 1, 5, 6, -1, None],
+                             ids=["chunk_id", "entity_type", "label", "first-feature",
+                                  "last-feature", "whole-line"])
+    def test_bytes_not_utf8_cite_their_line(self, tmp_path, cell):
+        def change(line):
+            if cell is None:
+                return b"\xff\xfe"
+            cells = line.split(b",")
+            cells[cell] += b"\xff\xfe"
+            return b",".join(cells)
+
+        with pytest.raises(ParseError, match=r":30: bytes that are not UTF-8"):
+            read_feature_csv(self.write_table(tmp_path, change))
+
+    def test_non_ascii_utf8_text_reads(self, tmp_path):
+        path = self.write_table(tmp_path, lambda line: "é".encode() + line)
+        assert read_feature_csv(path).spans[28].chunk_id == "éc28"
+
+    @pytest.mark.parametrize("anchor", [b"1", b"5"])
+    def test_anchor_outside_span_cites_its_line(self, tmp_path, anchor):
+        def change(line):
+            cells = line.split(b",")
+            cells[4] = anchor
+            return b",".join(cells)
+
+        match = rf":30: anchor {int(anchor)} outside \[2, 4\]"
+        with pytest.raises(ParseError, match=match):
+            read_feature_csv(self.write_table(tmp_path, change))

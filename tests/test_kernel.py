@@ -23,7 +23,6 @@ from nrfilter import (
     DecayConfig,
     EntitySpan,
     FeatureConfig,
-    assemble_features,
     build_feature_schema,
     compute_pdm,
     featurize_chunk,
@@ -117,7 +116,7 @@ class TestKernelShape:
         chunk, spans, config = case
         matrix = featurize_chunk(chunk, spans, config)
         for span, row in zip(spans, matrix):
-            np.testing.assert_array_equal(assemble_features(chunk, span, config).values, row)
+            np.testing.assert_array_equal(featurize_chunk(chunk, [span], config)[0], row)
 
     @settings(max_examples=100, deadline=None)
     @given(chunks_with_spans())
@@ -149,7 +148,7 @@ class TestKernelShape:
         assert len(spans) == 200
         assert peak < 8 * 2**20
         for i in (0, 1, 2, 3, 99, 199):
-            np.testing.assert_array_equal(assemble_features(chunk, spans[i]).values, matrix[i])
+            np.testing.assert_array_equal(featurize_chunk(chunk, [spans[i]])[0], matrix[i])
 
     def test_no_spans(self, sentence1):
         config = FeatureConfig()

@@ -14,7 +14,7 @@ from nrfilter import (
     train_matrix,
     validate_chunk,
 )
-from nrfilter import assemble_features, build_feature_schema, classify
+from nrfilter import build_feature_schema, classify, featurize_chunk
 from nrfilter.errors import InvalidConfig
 from nrfilter.features import SCOPE_CONTEXT, build_scopes
 from nrfilter.tree import Internal, TrainConfig
@@ -104,12 +104,11 @@ class TestSeparability:
         config = SynthConfig(n_strong=80, n_weak=80, seed=23)
         records = generate(config)
         fschema = build_feature_schema(records[0].chunk.schema)
-        column = fschema.position("PDM_I-tag_WCount_bkt_0.0-0.1")
+        column = fschema.names.index("PDM_I-tag_WCount_bkt_0.0-0.1")
         X, labels = [], []
         for record in records:
-            (span,) = decode_spans(record.chunk)
-            fv = assemble_features(record.chunk, span)
-            X.append([fv.values[column]])
+            (row,) = featurize_chunk(record.chunk, decode_spans(record.chunk))
+            X.append([row[column]])
             labels.append(record.label)
         model = train_matrix(np.array(X), labels, ("bottom_bin_i_density",),
                              TrainConfig(max_depth=1, min_samples_leaf=1))
@@ -119,18 +118,15 @@ class TestSeparability:
     def test_full_depth_one_tree_splits_on_bottom_bin(self):
         config = SynthConfig(n_strong=80, n_weak=80, seed=29)
         records = generate(config)
-        rows = []
-        for record in records:
-            (span,) = decode_spans(record.chunk)
-            rows.append((assemble_features(record.chunk, span), record.label))
-        X = np.vstack([fv.values for fv, _ in rows])
-        model = train_matrix(X, [label for _, label in rows], rows[0][0].schema.names,
+        X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk)) for r in records])
+        labels = [record.label for record in records]
+        model = train_matrix(X, labels, build_feature_schema(records[0].chunk.schema).names,
                              TrainConfig(max_depth=1, min_samples_leaf=1))
         root = model.nodes[0]
         assert isinstance(root, Internal)
         assert model.feature_names[root.feature].endswith("_WCount_bkt_0.0-0.1")
-        hits = sum(classify(model, fv)[0] == label for fv, label in rows)
-        assert hits == len(rows)
+        hits = sum(classify(model, row)[0] == label for row, label in zip(X, labels))
+        assert hits == len(labels)
 
 
 class TestConfigValidation:

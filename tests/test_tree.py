@@ -12,14 +12,14 @@ from nrfilter import (
     STRONG,
     iter_records,
     WEAK,
-    FeatureVector,
     PipelineConfig,
     SynthConfig,
-    assemble_features,
+    build_feature_schema,
     classify,
     decode_spans,
     deserialize_model,
     explain,
+    featurize_chunk,
     featurize_records,
     iter_generate,
     serialize_model,
@@ -195,21 +195,18 @@ class TestTrain:
         walk(0, X[:, 0])
 
     def test_train_from_feature_vectors(self, sentence1, sentence2):
-        rows = []
-        for record in (sentence1, sentence2):
-            (span,) = decode_spans(record.chunk)
-            rows.append((assemble_features(record.chunk, span), record.label))
-        X = np.vstack([fv.values for fv, _ in rows])
-        labels = [label for _, label in rows]
-        model = train_matrix(X, labels, rows[0][0].schema.names, TrainConfig(min_samples_leaf=1))
-        for fv, label in rows:
-            assert classify(model, fv)[0] == label
+        records = (sentence1, sentence2)
+        X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk)) for r in records])
+        labels = [sentence1.label, sentence2.label]
+        names = build_feature_schema(sentence1.chunk.schema).names
+        model = train_matrix(X, labels, names, TrainConfig(min_samples_leaf=1))
+        for row, label in zip(X, labels):
+            assert classify(model, row)[0] == label
 
     def test_schema_mismatch_between_rows(self, sentence1):
-        (span,) = decode_spans(sentence1.chunk)
-        fv = assemble_features(sentence1.chunk, span)
-        X = np.vstack([fv.values, fv.values])
-        model = train_matrix(X, [STRONG, WEAK], fv.schema.names,
+        (row,) = featurize_chunk(sentence1.chunk, decode_spans(sentence1.chunk))
+        X = np.vstack([row, row])
+        model = train_matrix(X, [STRONG, WEAK], build_feature_schema(sentence1.chunk.schema).names,
                              TrainConfig(min_samples_leaf=1))
         with pytest.raises(SchemaMismatch):
             classify(model, np.ones(3))
@@ -284,19 +281,18 @@ class TestPresortedSearch:
         # What pipeline featurizes in memory and what train reads back
         # from features.csv give the same model (repr floats round-trip).
         corpus = iter_generate(SynthConfig(n_strong=150, n_weak=150, noise_sigma=0.01, seed=5))
-        rows = [
-            (span, record.label, FeatureVector(schema, values))
+        blocks = [
+            (schema.names, spans, [record.label] * len(spans), matrix)
             for record, spans, schema, matrix in featurize_records(corpus, PipelineConfig())
-            for span, values in zip(spans, matrix)
         ]
         buffer = io.StringIO()
-        write_feature_csv(buffer, rows)
+        write_feature_csv(buffer, blocks)
         buffer.seek(0)
         table = read_feature_csv(buffer)
-        X = np.vstack([fv.values for _, _, fv in rows])
-        labels = [label for _, label, _ in rows]
+        X = np.vstack([matrix for *_, matrix in blocks])
+        labels = [label for _, _, block_labels, _ in blocks for label in block_labels]
         assert table.matrix.tobytes() == X.tobytes()
-        in_memory = train_matrix(X, labels, rows[0][2].schema.names)
+        in_memory = train_matrix(X, labels, blocks[0][0])
         assert len(in_memory.nodes) > 3
         from_csv = train_matrix(table.matrix, table.labels, table.names)
         assert serialize_model(from_csv) == serialize_model(in_memory)
@@ -341,18 +337,19 @@ class TestClassify:
     def test_theta_zero_everything_weak(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        assert all(classify(model, row, 0.0)[0] == WEAK for row in X)
+        assert all(classify(model.with_threshold(0.0), row)[0] == WEAK for row in X)
 
     def test_theta_above_one_everything_strong(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        assert all(classify(model, row, THRESHOLD_KEEP_ALL)[0] == STRONG for row in X)
+        keep_all = model.with_threshold(THRESHOLD_KEEP_ALL)
+        assert all(classify(keep_all, row)[0] == STRONG for row in X)
 
     def test_pure_weak_leaf_at_default_threshold(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         weak_row = X[[label == WEAK for label in labels]][0]
-        verdict, p_weak = classify(model, weak_row, 0.5)
+        verdict, p_weak = classify(model.with_threshold(0.5), weak_row)
         assert verdict == WEAK and p_weak == 1.0
 
     def test_monotone_in_theta(self):
@@ -362,7 +359,8 @@ class TestClassify:
         model = train_matrix(X, labels, NAMES)
         previous = None
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0, THRESHOLD_KEEP_ALL):
-            weak_set = {i for i, row in enumerate(X) if classify(model, row, theta)[0] == WEAK}
+            tuned = model.with_threshold(theta)
+            weak_set = {i for i, row in enumerate(X) if classify(tuned, row)[0] == WEAK}
             if previous is not None:
                 assert weak_set <= previous
             previous = weak_set
@@ -373,17 +371,17 @@ class TestTuneThreshold:
         X = np.ones((20, 3))  # single mixed leaf
         labels = [STRONG] * 10 + [WEAK] * 10
         model = train_matrix(X, labels, NAMES)
-        rows = [(X[i], labels[i] == STRONG) for i in range(20)]
+        is_tp = [label == STRONG for label in labels]
         with pytest.warns(NoFeasibleThreshold):
-            result = tune_threshold(model, rows, max_tp_drop=0.0)
+            result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
         assert result.fp_drop == 0.0 and result.tp_drop == 0.0
         assert result.threshold == THRESHOLD_KEEP_ALL
 
     def test_perfect_model_drops_all_fps(self):
         X, labels = make_separable(n=80, seed=6)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        rows = [(X[i], labels[i] == STRONG) for i in range(80)]
-        result = tune_threshold(model, rows, max_tp_drop=0.0)
+        is_tp = [label == STRONG for label in labels]
+        result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
         assert result.tp_drop == 0.0 and result.fp_drop == 1.0
         assert result.threshold == 1.0  # smallest leaf p_weak above all TP leaves
 
@@ -395,9 +393,9 @@ class TestTuneThreshold:
             if len(set(labels)) < 2:
                 continue
             model = train_matrix(X, labels, NAMES)
-            rows = [(X[i], labels[i] == STRONG) for i in range(120)]
+            is_tp = [label == STRONG for label in labels]
             budget = float(rng.choice([0.0, 0.02, 0.06, 0.2]))
-            result = tune_threshold(model, rows, budget)
+            result = tune_threshold(model, X, is_tp, budget)
             assert result.tp_drop <= budget
 
     def test_tie_prefers_higher_threshold(self):
@@ -408,8 +406,8 @@ class TestTuneThreshold:
         X = np.array([[0.0], [0.0], [1.0], [1.0], [0.5], [0.5], [0.5], [0.5], [0.5]])
         labels = [STRONG, STRONG, WEAK, WEAK, STRONG, STRONG, STRONG, STRONG, WEAK]
         model = train_matrix(X, labels, ("f0",), TrainConfig(min_samples_leaf=1))
-        rows = [(X[i], labels[i] == STRONG) for i in range(len(labels))]
-        result = tune_threshold(model, rows, max_tp_drop=0.0)
+        is_tp = [label == STRONG for label in labels]
+        result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
         leaf_ps = sorted({leaf.p_weak for leaf in model.leaves})
         assert result.threshold == max(p for p in leaf_ps if p >= result.threshold)
 
@@ -417,14 +415,23 @@ class TestTuneThreshold:
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES)
         with pytest.raises(SingleClassTrainingSet):
-            tune_threshold(model, [(X[0], True), (X[1], True)], 0.06)
+            tune_threshold(model, X[:2], [True, True], 0.06)
 
     def test_bad_budget(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES)
-        rows = [(X[i], labels[i] == STRONG) for i in range(len(labels))]
+        is_tp = [label == STRONG for label in labels]
         with pytest.raises(InvalidConfig):
-            tune_threshold(model, rows, 1.5)
+            tune_threshold(model, X, is_tp, 1.5)
+
+    @pytest.mark.parametrize("shape", [(39, 3), (40, 2), (40,), (40, 3, 1)])
+    def test_matrix_shape_checked(self, shape):
+        X, labels = make_separable()
+        model = train_matrix(X, labels, NAMES)
+        is_tp = [label == STRONG for label in labels]
+        assert X.shape == (40, 3)
+        with pytest.raises(SchemaMismatch, match=r"is not \(40, 3\)"):
+            tune_threshold(model, np.zeros(shape), is_tp)
 
 
 class TestExplain:
