@@ -15,7 +15,7 @@ import numpy as np
 from .core import Chunk, EntitySpan
 from .errors import InvalidConfig, NonPositiveTemperature, PassMisalignment
 from .features import token_entropies
-from .metrics import EntityCounts, drop_rates
+from .metrics import drop_pcts, filter_counts
 
 # Printed probability tables contain exact zeros; flooring keeps the
 # recovered log-probabilities finite without disturbing the ordering.
@@ -113,23 +113,13 @@ def evaluate_filter(
     ``spans`` yields (chunk, span, is_tp); ``keep_fn(chunk, span)`` is the
     rule under test.
     """
-    base, kept = EntityCounts(), EntityCounts()
-    for chunk, span, is_tp in spans:
-        keep = keep_fn(chunk, span)
-        if is_tp:
-            base.tp += 1
-            kept.tp += keep
-            kept.fn += not keep
-        else:
-            base.fp += 1
-            kept.fp += keep
-    tp_drop, fp_drop = drop_rates(base, kept)
+    spans = list(spans)
+    base, filtered = filter_counts([t for *_, t in spans], [keep_fn(c, s) for c, s, _ in spans])
     return {
-        "tp_drop_pct": tp_drop,
-        "fp_drop_pct": fp_drop,
-        "precision": kept.precision,
-        "recall": kept.recall,
-        "f1": kept.f1,
+        **drop_pcts(base, filtered),
+        "precision": filtered.precision,
+        "recall": filtered.recall,
+        "f1": filtered.f1,
     }
 
 

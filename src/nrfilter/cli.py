@@ -9,6 +9,7 @@ log level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .baselines import baseline_grid
 from .features import feature_row_obj, read_feature_csv, write_feature_csv
-from .metrics import drop_rates, entity_f1, format_drop_table
+from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
 from .pdm import ProbabilityDensityMap, grid_to_obj
 from .pipeline import (
     PipelineConfig,
@@ -104,6 +105,21 @@ def _add_feature_flags(sub: argparse.ArgumentParser):
                      choices=ORPHAN_POLICIES, default=None)
 
 
+@contextlib.contextmanager
+def _output(path: str, **kwargs):
+    """Open a streaming command's output file. An error inside the block
+    removes the file, so a failed command leaves no partial output; a
+    symlink such as /dev/stdout is never removed."""
+    with open(path, "w", encoding="utf-8", **kwargs) as handle:
+        try:
+            yield handle
+        except BaseException:
+            handle.close()
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+            raise
+
+
 def cmd_validate(args) -> int:
     n = 0
     for _ in iter_records(args.input, unique_ids=True):
@@ -115,7 +131,7 @@ def cmd_validate(args) -> int:
 def cmd_decode(args) -> int:
     config = _pipeline_config(args)
     n = 0
-    with open(args.out, "w", encoding="utf-8") as out:
+    with _output(args.out) as out:
         for record in iter_records(args.input):
             for span in decode_spans(record.chunk, config.orphan_policy):
                 out.write(json.dumps(span_to_obj(span)) + "\n")
@@ -127,9 +143,8 @@ def cmd_decode(args) -> int:
 def cmd_featurize(args) -> int:
     config = _pipeline_config(args)
     decay = config.feature_config.decay
-    dump = open(args.dump_pdm, "w", encoding="utf-8") if args.dump_pdm else None
 
-    def blocks():
+    def blocks(dump):
         records = iter_records(args.input)
         for record, spans, schema, matrix in featurize_records(records, config, batch=True):
             if dump is not None:
@@ -142,19 +157,17 @@ def cmd_featurize(args) -> int:
                     dump.write(json.dumps(obj) + "\n")
             yield schema.names, spans, [record.label] * len(spans), matrix
 
-    try:
+    with _output(args.dump_pdm) if args.dump_pdm else contextlib.nullcontext() as dump:
         if args.format == "csv":
-            n = write_feature_csv(args.out, blocks())
+            with _output(args.out, newline="") as out:
+                n = write_feature_csv(out, blocks(dump))
         else:
             n = 0
-            with open(args.out, "w", encoding="utf-8") as out:
-                for names, spans, labels, matrix in blocks():
+            with _output(args.out) as out:
+                for names, spans, labels, matrix in blocks(dump):
                     for span, label, values in zip(spans, labels, matrix):
                         out.write(json.dumps(feature_row_obj(span, label, names, values)) + "\n")
                         n += 1
-    finally:
-        if dump is not None:
-            dump.close()
     print(f"featurized {n} spans -> {args.out}")
     return EXIT_OK
 
@@ -227,7 +240,7 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.threshold is not None:
         model = model.with_threshold(args.threshold)
-    with open(args.out, "w", encoding="utf-8") as out:
+    with _output(args.out) as out:
         counts = stream_classify(
             args.input, model, out, config, include_path=not args.no_path
         )
@@ -279,7 +292,7 @@ def _load_spans(path: str, keep_only: bool):
                 if keep_only and obj.get("verdict") == WEAK:
                     continue
                 spans.append(span_from_obj(obj))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, SchemaMismatch) as exc:
                 raise ParseError(line_no, f"not a span: {exc!r}", path) from exc
     return spans
 
@@ -295,25 +308,16 @@ def cmd_evaluate(args) -> int:
     base_report = entity_f1(base_spans, gold, chunk_ids)
     filt_report = entity_f1(pred_spans, gold, chunk_ids)
 
-    table_rows = {}
-    drops = {}
-    for entity_type in sorted(set(base_report.per_type) | set(filt_report.per_type)):
-        b = base_report.per_type.get(entity_type)
-        f = filt_report.per_type.get(entity_type)
-        if b is None:
-            continue
-        tp_drop, fp_drop = drop_rates(b, f) if f else (100.0, 100.0)
-        drops[entity_type] = {"tp_drop_pct": tp_drop, "fp_drop_pct": fp_drop}
-        table_rows[entity_type] = {"filtered": (tp_drop, fp_drop)}
-    total_drops = drop_rates(base_report.totals, filt_report.totals)
+    drops = {
+        entity_type: drop_pcts(b, filt_report.per_type.get(entity_type, EntityCounts()))
+        for entity_type, b in sorted(base_report.per_type.items())
+    }
+    table_rows = {t: {"filtered": (d["tp_drop_pct"], d["fp_drop_pct"])} for t, d in drops.items()}
     report = {
         "base": base_report.to_dict(),
         "filtered": filt_report.to_dict(),
         "drops": drops,
-        "total_drops": {
-            "tp_drop_pct": total_drops[0],
-            "fp_drop_pct": total_drops[1],
-        },
+        "total_drops": drop_pcts(base_report.totals, filt_report.totals),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -485,26 +485,26 @@ def write_records(target: str | IO[str], records: Iterable[CorpusRecord]) -> int
     return n
 
 
+# A span's JSON object: EntitySpan's fields in order, with the JSON type
+# each must have.
+_SPAN_FIELDS = (("chunk_id", str), ("entity_type", str), ("start", int), ("end", int),
+                ("anchor", int), ("text", str))
+
+
 def span_to_obj(span: EntitySpan) -> dict:
-    return {
-        "chunk_id": span.chunk_id,
-        "entity_type": span.entity_type,
-        "start": span.start,
-        "end": span.end,
-        "anchor": span.anchor,
-        "text": span.text,
-    }
+    return {name: getattr(span, name) for name, _ in _SPAN_FIELDS}
 
 
 def span_from_obj(obj: dict) -> EntitySpan:
-    return EntitySpan(
-        chunk_id=str(obj["chunk_id"]),
-        entity_type=str(obj["entity_type"]),
-        start=int(obj["start"]),
-        end=int(obj["end"]),
-        anchor=int(obj.get("anchor", obj["start"])),
-        text=str(obj.get("text", "")),
-    )
+    """The span of one JSON object, by ``parse_record``'s rule: positions
+    must be JSON integers and the id, type and text JSON strings, else
+    TypeError (so 0.4, "2" or true is never a position)."""
+    obj = {"anchor": obj["start"], "text": "", **obj}
+    for name, kind in _SPAN_FIELDS:
+        if type(obj[name]) is not kind:
+            raise TypeError(f"{name!r} must be a JSON {'string' if kind is str else 'integer'}, "
+                            f"got {obj[name]!r}")
+    return EntitySpan(*(obj[name] for name, _ in _SPAN_FIELDS))
 
 
 # ---------------------------------------------------------------------------

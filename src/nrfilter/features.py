@@ -469,20 +469,18 @@ _META_COLS = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
 
 
 def write_feature_csv(
-    target: str | IO[str],
+    target: IO[str],
     blocks: Iterable[tuple[Sequence[str], Sequence[EntitySpan], Sequence[str | None], np.ndarray]],
 ) -> int:
-    """Stream blocks of (names, spans, labels, rows) to CSV: a label and a
-    matrix row per span. The header, meta columns + names, comes from the
-    first block with a span; a block with other names is a SchemaMismatch.
+    """Stream blocks of (names, spans, labels, rows) to a CSV handle opened
+    with newline="": a label and a matrix row per span. The header, meta
+    columns + names, comes from the first block with a span; a block with
+    other names is a SchemaMismatch.
 
     The bytes are those of a csv.writer row per span. Only the meta
     columns go through csv.writer (it quotes chunk ids); the float cells
     never need quoting and are joined as their repr, as csv.writer
     writes floats."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            return write_feature_csv(handle, blocks)
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append))  # one write per row
     n = 0

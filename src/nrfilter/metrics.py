@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .core import EntitySpan
 from .errors import ChunkIdMismatch, CountInflation
 
@@ -101,6 +103,18 @@ def entity_f1(
     return report
 
 
+def filter_counts(is_tp, kept) -> tuple[EntityCounts, EntityCounts]:
+    """Base and filtered counts of a keep/drop filter, from a TP flag and a
+    keep flag per span: the base keeps every span; after filtering, a kept
+    TP is a TP, a dropped TP an FN and a kept FP an FP."""
+    is_tp = np.asarray(is_tp, dtype=bool)
+    kept = np.asarray(kept, dtype=bool)
+    n_tp = int(np.count_nonzero(is_tp))
+    kept_tp = int(np.count_nonzero(is_tp & kept))
+    kept_fp = int(np.count_nonzero(kept)) - kept_tp
+    return EntityCounts(n_tp, is_tp.size - n_tp), EntityCounts(kept_tp, kept_fp, n_tp - kept_tp)
+
+
 def drop_rates(base: EntityCounts, filtered: EntityCounts) -> tuple[float, float]:
     """Percentage of base TPs and FPs eliminated by a filter."""
     if filtered.tp > base.tp or filtered.fp > base.fp:
@@ -111,6 +125,12 @@ def drop_rates(base: EntityCounts, filtered: EntityCounts) -> tuple[float, float
     tp_drop = 100.0 * (base.tp - filtered.tp) / base.tp if base.tp else 0.0
     fp_drop = 100.0 * (base.fp - filtered.fp) / base.fp if base.fp else 0.0
     return tp_drop, fp_drop
+
+
+def drop_pcts(base: EntityCounts, filtered: EntityCounts) -> dict[str, float]:
+    """``drop_rates`` as the report fields tp_drop_pct and fp_drop_pct."""
+    tp_drop, fp_drop = drop_rates(base, filtered)
+    return {"tp_drop_pct": tp_drop, "fp_drop_pct": fp_drop}
 
 
 def format_drop_table(rows: dict[str, dict[str, tuple[float, float]]]) -> str:

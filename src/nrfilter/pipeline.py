@@ -36,7 +36,7 @@ from .features import (
     featurize_chunks,
     write_feature_csv,
 )
-from .metrics import EntityCounts, drop_rates, entity_f1
+from .metrics import drop_pcts, entity_f1, filter_counts
 from .pdm import DecayConfig
 from .tree import (
     TrainConfig,
@@ -209,7 +209,6 @@ def run_pipeline(
     blocks: list[np.ndarray] = []  # each record's rows, a view into the kernel's block
     in_val: list[bool] = []  # each record's split
     val_gold: list[EntitySpan] = []
-    val_base: list[EntitySpan] = []
     any_gold = False
     schema: FeatureSchema | None = None
     records = iter_records(corpus, unique_ids=True)
@@ -228,32 +227,31 @@ def run_pipeline(
         any_gold = any_gold or bool(record.gold_spans)
         if is_val:
             val_gold.extend(record.gold_spans)
-            val_base.extend(rec_spans)
         spans.extend(rec_spans)
         tp.extend(_tp_flags(record, rec_spans))
         blocks.append(matrix)
         in_val.append(is_val)
     if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
+    # Per-span flags. The label and split lists hold the shared constants,
+    # not one new string per span.
     labels = [STRONG if t else WEAK for t in tp]
-    span_val = np.repeat(in_val, [len(rows) for rows in blocks])
-    if span_val.all():
+    tp = np.array(tp)
+    val = np.repeat(in_val, [len(rows) for rows in blocks])
+    if val.all():
         raise SingleClassTrainingSet(
             "empty training split: no predicted span is in a training record"
         )
 
-    def split_rows(val: bool) -> np.ndarray:
+    def split_rows(is_val: bool) -> np.ndarray:
         """The rows of one split, copied out of the blocks."""
-        chosen = [rows for rows, is_val in zip(blocks, in_val) if is_val == val]
+        chosen = [rows for rows, v in zip(blocks, in_val) if v == is_val]
         return np.vstack(chosen or [np.empty((0, len(schema)))])
 
-    X = split_rows(False)
-    train_labels = [label for label, val in zip(labels, span_val) if not val]
-    model = train_matrix(X, train_labels, schema.names, config.tree)
-    del X
-    X = split_rows(True)
-    tune = tune_threshold(model, X, np.array(tp)[span_val], config.tree.max_tp_drop)
-    del X
+    # Each split's rows live only for the call that reads them.
+    train_labels = list(itertools.compress(labels, ~val))
+    model = train_matrix(split_rows(False), train_labels, schema.names, config.tree)
+    tune = tune_threshold(model, split_rows(True), tp[val], config.tree.max_tp_drop)
     model = model.with_threshold(tune.threshold)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -265,32 +263,21 @@ def run_pipeline(
     }
 
     ends = np.cumsum([len(rows) for rows in blocks]).tolist()
-    write_feature_csv(
-        paths["features"],
-        ((schema.names, spans[end - len(rows) : end], labels[end - len(rows) : end], rows)
-         for end, rows in zip(ends, blocks)),
-    )
+    with open(paths["features"], "w", encoding="utf-8", newline="") as handle:
+        write_feature_csv(handle, (
+            (schema.names, spans[end - len(rows) : end], labels[end - len(rows) : end], rows)
+            for end, rows in zip(ends, blocks)
+        ))
     save_model(model, paths["model"])
 
-    filtered = {"train": EntityCounts(), "validation": EntityCounts()}
-    base = {"train": EntityCounts(), "validation": EntityCounts()}
-    val_kept: list[EntitySpan] = []
-    split_of = ["validation" if val else "train" for val in span_val.tolist()]
+    split_of = ["validation" if v else "train" for v in val.tolist()]
     lines = _verdict_lines(model, spans, itertools.chain.from_iterable(blocks), True, split_of)
+    kept = []
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
-        for span, split, span_tp, (verdict, line) in zip(spans, split_of, tp, lines):
+        for verdict, line in lines:
             handle.write(line + "\n")
-            kept = verdict == STRONG
-            part, whole = filtered[split], base[split]
-            whole.tp += span_tp
-            whole.fp += not span_tp
-            if kept:
-                part.tp += span_tp
-                part.fp += not span_tp
-            elif span_tp:
-                part.fn += 1
-            if split == "validation" and kept:
-                val_kept.append(span)
+            kept.append(verdict == STRONG)
+    kept = np.array(kept)
 
     report: dict = {
         "n_records": len(blocks),
@@ -298,18 +285,13 @@ def run_pipeline(
         "decision_threshold": tune.threshold,
         "config": config.to_obj(),
     }
-    for split in ("train", "validation"):
-        tp_drop, fp_drop = drop_rates(base[split], filtered[split])
-        report[split] = {
-            "n_tp": base[split].tp,
-            "n_fp": base[split].fp,
-            "tp_drop_pct": tp_drop,
-            "fp_drop_pct": fp_drop,
-        }
+    for split, mask in (("train", ~val), ("validation", val)):
+        base, filtered = filter_counts(tp[mask], kept[mask])
+        report[split] = {"n_tp": base.tp, "n_fp": base.fp, **drop_pcts(base, filtered)}
     if any_gold:
         report["entity_f1_validation"] = {
-            "base": entity_f1(val_base, val_gold).to_dict(),
-            "filtered": entity_f1(val_kept, val_gold).to_dict(),
+            "base": entity_f1(itertools.compress(spans, val), val_gold).to_dict(),
+            "filtered": entity_f1(itertools.compress(spans, val & kept), val_gold).to_dict(),
         }
     with open(paths["report"], "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

@@ -404,12 +404,38 @@ class TestCorpusContract:
         if fmt == "csv":
             assert code == EXIT_SCHEMA
             assert "feature rows use differing schemas" in capsys.readouterr().err
+            assert not out.exists()  # not a header and the A/B rows that train would read
         else:
             assert code == EXIT_OK
             rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
             assert len(rows) == 6
             assert "PDM_B-A-tag_WCount_bkt_0.9-1.0" in rows[2]["features"]
             assert "PDM_B-C-tag_WCount_bkt_0.9-1.0" in rows[3]["features"]
+
+    @pytest.mark.parametrize("command", ["decode", "featurize", "classify"])
+    def test_failed_stream_leaves_no_output(self, workdir, trained, tmp_path, capsys, command):
+        lines = corpus_lines(workdir, 60)
+        record = json.loads(lines[50])
+        del record["classes"]
+        lines[50] = json.dumps(record) + "\n"
+        path = write_lines(tmp_path / "bad.jsonl", lines)
+        out, dump = tmp_path / "out", tmp_path / "grids.jsonl"
+        argv = {
+            "decode": [],
+            "featurize": ["--dump-pdm", dump],
+            "classify": ["--model", trained["model"]],
+        }[command]
+        assert run([command, "--input", path, "--out", out] + argv) == EXIT_PARSE
+        assert ":51" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+
+    def test_failed_command_keeps_file_it_did_not_open(self, workdir, tmp_path):
+        out = tmp_path / "verdicts.jsonl"
+        out.write_text("an earlier run\n", encoding="utf-8")
+        code = run(["classify", "--input", workdir["corpus"],
+                    "--model", tmp_path / "absent.json", "--out", out])
+        assert code == EXIT_IO
+        assert out.read_text(encoding="utf-8") == "an earlier run\n"
 
     @pytest.mark.parametrize("command", ["validate", "decode", "featurize", "classify",
                                          "explain", "evaluate", "baseline", "pipeline"])
@@ -702,12 +728,56 @@ class TestBaselineGridContract:
         assert "--var-grid" in capsys.readouterr().err
 
 
+# A span that `decode` writes for the `workdir` corpus, and changes to it
+# that must exit 4 with the line number, not be coerced: a field of the
+# wrong JSON type, or an anchor outside [start, end].
+SPAN = {"chunk_id": "synth-000001", "entity_type": "Biomarker", "start": 5, "end": 5,
+        "anchor": 5, "text": "BRAF"}
+BAD_SPANS = {
+    "position-fractions": {"start": 0.4, "end": 0.4, "anchor": 0.4},
+    "start-boolean": {"start": True},
+    "end-string": {"end": "5"},
+    "anchor-fraction": {"anchor": 5.0},
+    "anchor-outside-span": {"anchor": 7},
+    "chunk-id-number": {"chunk_id": 5},
+    "entity-type-null": {"entity_type": None},
+    "text-number": {"text": 3},
+}
+
+
 class TestEvaluateSpanContract:
+    def test_type_without_filtered_spans(self, tmp_path):
+        # Gold holds one Drug span; the base adds a Dose FP, which the
+        # filter drops, so no Dose entry is left in the filtered report.
+        classes = ["O", "B-Drug", "I-Drug", "B-Dose", "I-Dose"]
+        gold = write_lines(tmp_path / "gold.jsonl", [json.dumps({
+            "id": "n1", "classes": classes,
+            "tokens": [{"text": t, "probs": [0.0, 1.0, 0.0, 0.0, 0.0]} for t in "abc"],
+            "gold_spans": [{"entity_type": "Drug", "start": 0, "end": 0}]}) + "\n"])
+        drug = {"chunk_id": "n1", "entity_type": "Drug", "start": 0, "end": 0}
+        dose = {"chunk_id": "n1", "entity_type": "Dose", "start": 2, "end": 2}
+        base = write_lines(tmp_path / "base.jsonl", [json.dumps(drug) + "\n",
+                                                     json.dumps(dose) + "\n"])
+        pred = write_lines(tmp_path / "pred.jsonl", [
+            json.dumps({**drug, "verdict": "strong"}) + "\n",
+            json.dumps({**dose, "verdict": "weak"}) + "\n"])
+        out = tmp_path / "report.json"
+        code = run(["evaluate", "--pred", pred, "--gold", gold, "--base", base, "--out", out])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["drops"] == {
+            "Dose": {"tp_drop_pct": 0.0, "fp_drop_pct": 100.0},
+            "Drug": {"tp_drop_pct": 0.0, "fp_drop_pct": 0.0},
+        }
+        assert report["total_drops"] == {"tp_drop_pct": 0.0, "fp_drop_pct": 100.0}
+
     @pytest.mark.parametrize("flag", ["--pred", "--base"])
     # "\udcff\udcfe" is written as the bytes ff fe: not UTF-8.
     @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]",
                                       pytest.param('{"chunk_id": "\udcff\udcfe"}',
-                                                   id="not-utf8")])
+                                                   id="not-utf8")]
+                             + [pytest.param(json.dumps({**SPAN, **fields}), id=name)
+                                for name, fields in BAD_SPANS.items()])
     def test_exits_parse(self, workdir, tmp_path, capsys, flag, line):
         base = tmp_path / "base.jsonl"
         assert run(["decode", "--input", workdir["corpus"], "--out", base]) == EXIT_OK

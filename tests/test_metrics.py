@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from nrfilter import EntityCounts, drop_rates, entity_f1
 from nrfilter.core import EntitySpan
 from nrfilter.errors import ChunkIdMismatch, CountInflation
-from nrfilter.metrics import format_drop_table
+from nrfilter.metrics import filter_counts, format_drop_table
 
 
 def span(chunk_id, start, end, entity_type="Biomarker"):
@@ -90,34 +91,32 @@ class TestDropRates:
             drop_rates(EntityCounts(10, 10), EntityCounts(4, 12))
 
 
-def label_counts(labeled):
-    """Counts from (is_tp, kept) pairs, for corpora supervised by labels
-    rather than gold spans: a dropped TP counts as FN, a kept FP as FP."""
-    counts = EntityCounts()
-    for is_tp, kept in labeled:
-        if is_tp and kept:
-            counts.tp += 1
-        elif is_tp:
-            counts.fn += 1
-        elif kept:
-            counts.fp += 1
-    return counts
-
-
 class TestLabelCounts:
+    """filter_counts, for corpora supervised by labels rather than gold
+    spans: a dropped TP counts as FN, a kept FP as FP."""
+
     def test_partitions(self):
-        pairs = [
-            (True, True), (True, True), (True, False),
-            (False, True), (False, False), (False, False),
-        ]
-        counts = label_counts(pairs)
+        is_tp = [True, True, True, False, False, False]
+        kept = [True, True, False, True, False, False]
+        base, counts = filter_counts(is_tp, kept)
         assert (counts.tp, counts.fn, counts.fp) == (2, 1, 1)
+        assert (base.tp, base.fn, base.fp) == (3, 0, 3)
 
     def test_drop_rates_from_labels(self):
-        base = label_counts([(True, True)] * 100 + [(False, True)] * 100)
-        filt = label_counts([(True, True)] * 94 + [(True, False)] * 6 +
-                            [(False, True)] * 12 + [(False, False)] * 88)
+        is_tp = [True] * 100 + [False] * 100
+        kept = [True] * 94 + [False] * 6 + [True] * 12 + [False] * 88
+        base, filt = filter_counts(is_tp, kept)
+        assert (base.tp, base.fp) == (100, 100)
         assert drop_rates(base, filt) == (6.0, 88.0)
+
+    def test_counts_are_python_ints(self):
+        base, filt = filter_counts(np.array([True, False]), np.array([True, True]))
+        for counts in (base, filt):
+            assert all(type(n) is int for n in (counts.tp, counts.fp, counts.fn))
+
+    def test_empty(self):
+        base, filt = filter_counts([], [])
+        assert base == filt == EntityCounts()
 
 
 class TestFormatting:

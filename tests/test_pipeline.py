@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from nrfilter import (
 )
 from nrfilter.core import EntitySpan, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
+from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
 from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
 
@@ -161,6 +164,50 @@ class TestStreamMatchesPipeline:
         for got, want in zip(streamed, batch):
             for key in ("chunk_id", "start", "end", "anchor", "verdict", "p_weak", "path"):
                 assert got[key] == want[key], key
+
+
+def recount_report(paths):
+    """Each split's counts and drop rates, recounted from the split and
+    verdict of every line of predictions.jsonl and the label of the same
+    row of features.csv."""
+    table = read_feature_csv(paths["features"])
+    with open(paths["predictions"], "r", encoding="utf-8") as handle:
+        predictions = [json.loads(line) for line in handle]
+    assert len(predictions) == len(table.labels)
+    cells = {"train": Counter(), "validation": Counter()}
+    for pred, label, span in zip(predictions, table.labels, table.spans):
+        assert (pred["chunk_id"], pred["start"], pred["end"]) == (span.chunk_id, span.start, span.end)
+        cells[pred["split"]][label, pred["verdict"]] += 1
+    splits = {}
+    for split, cell in cells.items():
+        n_tp = cell[STRONG, STRONG] + cell[STRONG, WEAK]
+        n_fp = cell[WEAK, STRONG] + cell[WEAK, WEAK]
+        splits[split] = {
+            "n_tp": n_tp,
+            "n_fp": n_fp,
+            "tp_drop_pct": 100.0 * cell[STRONG, WEAK] / n_tp if n_tp else 0.0,
+            "fp_drop_pct": 100.0 * cell[WEAK, WEAK] / n_fp if n_fp else 0.0,
+        }
+    return splits
+
+
+class TestReportMatchesPredictions:
+    @pytest.mark.parametrize("supervision", ["labels", "gold"])
+    def test_split_counts(self, tmp_path, supervision):
+        corpus = str(tmp_path / "corpus.jsonl")
+        records = list(iter_generate(SynthConfig(n_strong=240, n_weak=240, seed=47)))
+        if supervision == "labels":
+            write_records(corpus, [dataclasses.replace(r, gold_spans=()) for r in records])
+        else:
+            merged_corpus(corpus, records)
+        result = run_pipeline(corpus, str(tmp_path / "run"), PipelineConfig())
+        with open(result.paths["report"], "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+        recount = recount_report(result.paths)
+        for split in ("train", "validation"):
+            assert report[split] == recount[split], split
+        assert recount["validation"]["fp_drop_pct"] > 0.0
+        assert ("entity_f1_validation" in report) == (supervision == "gold")
 
 
 class TestFeaturizeBlocks:
