@@ -329,15 +329,14 @@ def _verdict_lines(
 ) -> Iterator[tuple[str, str]]:
     """(verdict, JSON line) per span; ``splits``, when given, names each
     span's split in its line."""
-    tree = model.compiled
     for i, (span, values) in enumerate(zip(spans, rows)):
-        leaf = tree.leaf(values)
-        p_weak = tree.p_weak[leaf]
+        leaf = model.leaf(values)
+        p_weak = model.nodes[leaf].p_weak
         verdict = model.verdict(p_weak)
         obj = span_to_obj(span)
         obj.update(verdict=verdict, p_weak=p_weak)
         if splits is not None:
             obj["split"] = splits[i]
         if include_path:
-            obj["path"] = tree.path[leaf]
+            obj["path"] = model.paths[leaf]
         yield verdict, json.dumps(obj)

@@ -70,67 +70,46 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class CompiledTree:
-    """A tree as flat per-node lists for the scalar walk. A leaf has
-    ``left == -1``. A node's ``trail`` holds the (node, went left) steps
-    from the root and its ``path`` their rendering: at a leaf,
-    DecisionPath.serialize() of any instance that reaches it."""
-
-    feature: list[int]
-    threshold: list[float]
-    left: list[int]
-    right: list[int]
-    p_weak: list[float]
-    trail: list[tuple[tuple[int, bool], ...]]
-    path: list[str]
-
-    def leaf(self, values) -> int:
-        """Id of the leaf ``values`` (indexable by feature) reaches."""
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        i = 0
-        while left[i] >= 0:
-            i = left[i] if values[feature[i]] <= threshold[i] else right[i]
-        return i
-
-
-def _compile(feature_names: tuple[str, ...], nodes: tuple) -> CompiledTree:
-    """Flatten ``nodes``; a child must come after its parent (preorder
-    does), so every walk ends at a leaf."""
-    n = len(nodes)
-    if n == 0:
-        raise SchemaMismatch("a tree needs at least one node")
-    tree = CompiledTree([0] * n, [0.0] * n, [-1] * n, [-1] * n, [0.0] * n, [()] * n, [""] * n)
-    for i, node in enumerate(nodes):  # a node's ancestors come before it
-        if isinstance(node, Internal):
-            if not (i < node.left < n and i < node.right < n):
-                raise SchemaMismatch(f"node {i}: children {node.left}, {node.right} out of order")
-            if not 0 <= node.feature < len(feature_names):
-                raise SchemaMismatch(f"node {i}: feature {node.feature} out of range")
-            tree.feature[i], tree.threshold[i] = node.feature, node.threshold
-            tree.left[i], tree.right[i] = node.left, node.right
-            name = feature_names[node.feature]
-            for child, went_left in ((node.left, True), (node.right, False)):
-                tree.trail[child] = tree.trail[i] + ((i, went_left),)
-                step = _predicate(name, "<=" if went_left else ">", node.threshold)
-                tree.path[child] = tree.path[i] + _PATH_SEP + step if tree.path[i] else step
-        else:
-            tree.p_weak[i] = node.p_weak
-    return tree
-
-
-@dataclass(frozen=True)
 class TreeModel:
-    """An immutable trained tree; node 0 is the root. Compiled for the
-    walk on construction."""
+    """An immutable trained tree; node 0 is the root. ``paths[i]`` is the
+    rendered decision path to node i: at a leaf, DecisionPath.serialize()
+    of any instance that reaches it."""
 
     feature_names: tuple[str, ...]
     nodes: tuple[Internal | Leaf, ...]
     decision_threshold: float
     config: TrainConfig
-    compiled: CompiledTree = field(init=False, repr=False, compare=False)
+    paths: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "compiled", _compile(self.feature_names, self.nodes))
+        n = len(self.nodes)
+        if n == 0:
+            raise SchemaMismatch("a tree needs at least one node")
+        # A child must come after its parent (preorder does), so every
+        # walk ends at a leaf and a node's path is rendered before its
+        # children's.
+        paths = [""] * n
+        for i, node in enumerate(self.nodes):
+            if isinstance(node, Internal):
+                if not (i < node.left < n and i < node.right < n):
+                    raise SchemaMismatch(f"node {i}: children {node.left}, {node.right} out of order")
+                if not 0 <= node.feature < len(self.feature_names):
+                    raise SchemaMismatch(f"node {i}: feature {node.feature} out of range")
+                name = self.feature_names[node.feature]
+                for child, op in ((node.left, "<="), (node.right, ">")):
+                    step = _predicate(name, op, node.threshold)
+                    paths[child] = paths[i] + _PATH_SEP + step if paths[i] else step
+        object.__setattr__(self, "paths", tuple(paths))
+
+    def leaf(self, values) -> int:
+        """Id of the leaf ``values`` (indexable by feature) reaches."""
+        nodes = self.nodes
+        i = 0
+        node = nodes[0]
+        while isinstance(node, Internal):
+            i = node.left if values[node.feature] <= node.threshold else node.right
+            node = nodes[i]
+        return i
 
     @property
     def schema_hash(self) -> str:
@@ -335,8 +314,7 @@ def _values_for(model: TreeModel, row: np.ndarray) -> np.ndarray:
 def classify(model: TreeModel, row: np.ndarray) -> tuple[str, float]:
     """Verdict and leaf weak-probability of one row whose columns are
     ``model.feature_names``; weak iff p_weak >= the model's threshold."""
-    tree = model.compiled
-    p_weak = tree.p_weak[tree.leaf(_values_for(model, row))]
+    p_weak = model.nodes[model.leaf(_values_for(model, row))].p_weak
     return model.verdict(p_weak), p_weak
 
 
@@ -371,8 +349,8 @@ def tune_threshold(
     is_tp = np.asarray(is_tp, dtype=bool)
     if is_tp.ndim != 1 or X.shape != (is_tp.size, len(model.feature_names)):
         raise SchemaMismatch(f"matrix {X.shape} is not ({is_tp.size}, {len(model.feature_names)})")
-    tree = model.compiled
-    p = np.array([tree.p_weak[tree.leaf(row)] for row in X.tolist()], dtype=np.float64)
+    nodes = model.nodes
+    p = np.array([nodes[model.leaf(row)].p_weak for row in X.tolist()], dtype=np.float64)
     n_tp = int(is_tp.sum())
     n_fp = int(is_tp.size - n_tp)
     if n_tp == 0 or n_fp == 0:
@@ -444,19 +422,18 @@ def explain(model: TreeModel, row: np.ndarray) -> DecisionPath:
     Every emitted predicate evaluates true for the row.
     """
     values = _values_for(model, row)
-    tree = model.compiled
-    leaf = tree.leaf(values)
-    steps = tuple(
-        PathStep(
-            feature=model.feature_names[tree.feature[i]],
+    steps = []
+    node = model.nodes[0]
+    while isinstance(node, Internal):
+        went_left = values[node.feature] <= node.threshold
+        steps.append(PathStep(
+            feature=model.feature_names[node.feature],
             op="<=" if went_left else ">",
-            threshold=tree.threshold[i],
-            observed=float(values[tree.feature[i]]),
-        )
-        for i, went_left in tree.trail[leaf]
-    )
-    p_weak = tree.p_weak[leaf]
-    return DecisionPath(steps, model.verdict(p_weak), p_weak)
+            threshold=node.threshold,
+            observed=float(values[node.feature]),
+        ))
+        node = model.nodes[node.left if went_left else node.right]
+    return DecisionPath(tuple(steps), model.verdict(node.p_weak), node.p_weak)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ its own oracle. reference_features is the span-at-a-time featurizer the
 batched kernel replaced: one span, one scope and one statistic at a
 time, over explicit position lists. reference_train_matrix is the CART
 grower the presorted split search replaced: it sorts every column again
-at every node. reference_leaf_for is the node-object tree walk the
-compiled walker replaced. reference_read_feature_csv is the csv-module
+at every node. reference_leaf_for is a plain walk of a model's
+nodes that TreeModel.leaf, its stored paths and explain are checked
+against. reference_read_feature_csv is the csv-module
 reader, one float() per cell, that the numpy feature CSV reader replaced.
 """
 

@@ -525,12 +525,11 @@ def oracle_path(model, values):
 
 
 def assert_walk_matches_oracle(model, X):
-    tree_ = model.compiled
     for row in X:
         leaf, p_weak, path, steps = oracle_path(model, row)
-        assert tree_.leaf(row) == leaf
-        assert tree_.p_weak[leaf] == p_weak == classify(model, row)[1]
-        assert tree_.path[leaf] == path
+        assert model.leaf(row) == leaf
+        assert model.nodes[leaf].p_weak == p_weak == classify(model, row)[1]
+        assert model.paths[leaf] == path
         got = explain(model, row)
         assert got.steps == steps and got.serialize() == path
         assert (got.verdict, got.p_weak) == classify(model, row)
@@ -563,7 +562,7 @@ class TestCompiledWalk:
 
         X = np.vstack([X, leaf_rows(0, X[0])])
         assert_walk_matches_oracle(model, X)
-        reached = {model.compiled.leaf(row) for row in X}
+        reached = {model.leaf(row) for row in X}
         assert len(reached) == len(model.leaves) == 6
 
     def test_trained_model_matches_oracle(self):
