@@ -93,7 +93,7 @@ def reference_scope_block(probs, positions):
     n = len(positions)
     counts = np.bincount(np.argmax(sub, axis=1), minlength=K).astype(np.float64)
     meanp = sub.sum(axis=0) / n
-    var = np.maximum((sub * sub).sum(axis=0) / n - meanp * meanp, 0.0)
+    var = ((sub - meanp) ** 2).sum(axis=0) / n
     block = np.empty((K, 5))
     block[:, 0] = counts
     block[:, 1] = counts / n

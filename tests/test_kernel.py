@@ -4,12 +4,15 @@ against one-record calls.
 featurize_chunks featurizes every span of a block of chunks in one
 batched pass; tests/oracles.py holds the span-at-a-time reference it
 replaced. Every feature must agree within 1e-12 relative, except the
-*_cov_prob features, which go through E[x^2] - E[x]^2 and must agree
-within 1e-12 absolute. A block's rows must equal one-record calls
-(featurize_chunk) bit for bit.
+*_cov_prob features, which must agree within 1e-12 absolute: the
+reference takes the two-pass sqrt(mean((x - mean)^2)) / mean, and the
+kernel E[x^2] - E[x]^2 wherever that cannot cancel. A block's rows must
+equal one-record calls (featurize_chunk) bit for bit.
 """
 
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,8 +27,10 @@ from nrfilter import (
     EntitySpan,
     FeatureConfig,
     build_feature_schema,
+    build_scopes,
     compute_pdm,
     featurize_chunk,
+    statistical_features,
 )
 from nrfilter import features
 from nrfilter.errors import AnchorOutOfRange, SchemaMismatch
@@ -91,6 +96,18 @@ def assert_matches_reference(chunk, spans, config, got):
     np.testing.assert_allclose(got[:, cov], want[:, cov], rtol=0, atol=COV_ATOL)
 
 
+def exact_cov(values):
+    """Population CoV in rational arithmetic, rounded at the end."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    return math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs)) / float(mean)
+
+
+# A Neighbor scope's I-class values from a block that the one-pass CoV
+# missed by 4.2e-11: E[x^2] - E[x]^2 cancels where values nearly agree.
+NEARLY_EQUAL = (0.9999993653748577, 0.999999882108715, 1.0)
+
+
 class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(chunks_with_spans())
@@ -107,6 +124,27 @@ class TestKernelAgainstReference:
             assert_matches_reference(
                 record.chunk, spans, config, featurize_chunk(record.chunk, spans, config)
             )
+
+
+    @pytest.mark.parametrize("span, word_ids, scope", [
+        ((3, 3, 3), None, "Neighbor"),
+        ((0, 2, 0), None, "Phrase"),
+        ((0, 2, 0), (0, 0, 0, 1), "Word"),
+    ], ids=["Neighbor", "Phrase", "Word-ids"])
+    def test_nearly_equal_values(self, span, word_ids, scope):
+        probs = np.zeros((4, 5))
+        probs[:3, 2] = NEARLY_EQUAL
+        probs[:3, 0] = 1.0 - probs[:3, 2]
+        probs[3, 1] = 1.0
+        chunk = Chunk("c", ClassSchema(("E0", "E1")), ("t",) * 4, probs, word_ids)
+        spans = [EntitySpan("c", "E0", *span, "")]
+        config = FeatureConfig(neighbor_window=3)
+        got = featurize_chunk(chunk, spans, config)
+        name = f"{scope}_I-E0-tag_cov_prob"
+        cov = got[0, build_feature_schema(chunk.schema, config).names.index(name)]
+        assert abs(cov - exact_cov(NEARLY_EQUAL)) <= COV_ATOL
+        assert statistical_features(chunk, build_scopes(chunk, spans[0], 3)[scope])[name] == cov
+        assert_matches_reference(chunk, spans, config, got)
 
 
 class TestKernelShape:
