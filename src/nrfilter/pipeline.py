@@ -76,6 +76,8 @@ class PipelineConfig:
             raise InvalidConfig(
                 f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         self.feature_config  # checks decay_rate, bins, neighbor_window and scopes
 
     @property

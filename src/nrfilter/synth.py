@@ -61,6 +61,8 @@ class SynthConfig:
             # Larger noise would start flipping argmax tags, breaking the
             # one-span-per-chunk contract.
             raise InvalidConfig("noise_sigma must be in [0, 0.05]")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total(self) -> int:

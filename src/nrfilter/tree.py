@@ -82,6 +82,13 @@ class TreeModel:
     paths: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Every p_weak is in [0, 1], so any other threshold (NaN too)
+        # would act as 0 or as keep-all.
+        if not 0.0 <= self.decision_threshold <= THRESHOLD_KEEP_ALL:
+            raise InvalidConfig(
+                f"decision_threshold must be in [0, {THRESHOLD_KEEP_ALL!r}], "
+                f"got {self.decision_threshold!r}"
+            )
         n = len(self.nodes)
         if n == 0:
             raise SchemaMismatch("a tree needs at least one node")

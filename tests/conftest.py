@@ -2,10 +2,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nrfilter import ClassSchema, Chunk, iter_records
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# A CI runner keeps no example database, so a failing property test
+# there prints the @reproduce_failure line that replays its case.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def fixture_path(name: str) -> str:

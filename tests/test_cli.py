@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from nrfilter import SynthConfig, iter_generate, load_model, write_records
+from nrfilter import (
+    STRONG,
+    SynthConfig,
+    iter_generate,
+    load_model,
+    tune_threshold,
+    write_records,
+)
 from nrfilter.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -18,6 +25,7 @@ from nrfilter.cli import (
     EXIT_VALIDATION,
     main,
 )
+from nrfilter.features import read_feature_csv
 
 from conftest import fixture_path
 
@@ -106,15 +114,19 @@ def trained(workdir):
 
 
 class TestTrainTuneClassifyExplain:
-    def test_tune_updates_threshold(self, workdir, trained, capsys):
-        before = load_model(trained["model"]).decision_threshold
-        code = run(["tune", "--model", trained["model"],
+    def test_tune_updates_threshold(self, trained, tmp_path, capsys):
+        model = str(tmp_path / "model.json")
+        shutil.copyfile(trained["model"], model)
+        code = run(["tune", "--model", model,
                     "--features", trained["features"], "--max-tp-drop", 0.06])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "tp_drop" in out
-        after = load_model(trained["model"]).decision_threshold
-        assert isinstance(after, float) and (after != before or before == after)
+        assert "tp_drop" in capsys.readouterr().out
+        table = read_feature_csv(trained["features"])
+        is_tp = [label == STRONG for label in table.labels]
+        untuned = load_model(trained["model"])
+        want = tune_threshold(untuned, table.matrix, is_tp, 0.06).threshold
+        assert want != untuned.decision_threshold
+        assert load_model(model) == untuned.with_threshold(want)
 
     def test_classify_stream(self, workdir, trained):
         out = str(workdir["root"] / "verdicts.jsonl")
@@ -142,12 +154,13 @@ class TestTrainTuneClassifyExplain:
         assert "Decision Path:" in out
         assert "(" in out and ("<=" in out or ">" in out)
 
-    def test_evaluate_reports_drops(self, workdir, trained, capsys):
-        base = str(workdir["root"] / "base_spans.jsonl")
-        pred = str(workdir["root"] / "verdicts.jsonl")
-        report = str(workdir["root"] / "report.json")
+    def test_evaluate_reports_drops(self, workdir, trained, tmp_path, capsys):
+        base = str(tmp_path / "base_spans.jsonl")
+        pred = str(tmp_path / "verdicts.jsonl")
+        report = str(tmp_path / "report.json")
         assert run(["decode", "--input", workdir["corpus"], "--out", base]) == EXIT_OK
-        assert os.path.exists(pred)
+        assert run(["classify", "--input", workdir["corpus"],
+                    "--model", trained["model"], "--out", pred]) == EXIT_OK
         code = run(["evaluate", "--pred", pred, "--gold", workdir["corpus"],
                     "--base", base, "--out", report])
         assert code == EXIT_OK
@@ -501,6 +514,8 @@ BAD_CONFIGS = {
     "removed-threads": ('{"threads": 2}', [], "threads"),
     "removed-baseline-grids": ('{"baseline_grids": {}}', [], "baseline_grids"),
     "removed-tree-seed": ('{"tree": {"seed": 0}}', [], "seed"),
+    "seed-negative-flag": (None, ["--seed", -1], "seed must be >= 0"),
+    "seed-negative": ('{"seed": -1}', [], "seed must be >= 0"),
 }
 
 
@@ -526,7 +541,7 @@ def mangle_model(model_path, out_path, change):
 
 class TestModelContract:
     @pytest.mark.parametrize("name", ["not-json", "not-utf8", "no-nodes", "unknown-config-key",
-                                      "self-loop", "feature-out-of-range"])
+                                      "self-loop", "feature-out-of-range", "threshold-nan"])
     def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
         model = tmp_path / "model.json"
         if name == "not-json":
@@ -539,11 +554,24 @@ class TestModelContract:
             mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
         elif name == "self-loop":  # a walk that never reaches a leaf
             mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
+        elif name == "threshold-nan":  # would keep every span
+            mangle_model(trained["model"], model,
+                         lambda p: p.update(decision_threshold=float("nan")))
         else:
             mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(f=10**6))
         code = run(["classify", "--input", workdir["corpus"], "--model", model,
                     "--out", tmp_path / "out.jsonl"])
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+    def test_classify_threshold_out_of_range(self, workdir, trained, tmp_path, capsys,
+                                             threshold):
+        out = tmp_path / "out.jsonl"
+        code = run(["classify", "--input", workdir["corpus"], "--model", trained["model"],
+                    "--out", out, "--threshold", threshold])
+        assert code == EXIT_CONFIG
+        assert "decision_threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seeded_v1_model_classifies_as_before(self, tmp_path):
         """tests/data/v1_model.json was written while TrainConfig still had a
@@ -697,7 +725,8 @@ class TestTrainingLabels:
 
 class TestSynthConfigContract:
     @pytest.mark.parametrize("text, word", [('{"n_strongs": 3}', "n_strongs"),
-                                            ("n_strong = 3\n", "JSON")])
+                                            ("n_strong = 3\n", "JSON"),
+                                            ('{"seed": -1}', "seed must be >= 0")])
     def test_exits_config(self, tmp_path, capsys, text, word):
         (tmp_path / "synth.json").write_text(text, encoding="utf-8")
         code = run(["synth", "--out", tmp_path / "gen.jsonl", "--config", tmp_path / "synth.json"])
