@@ -223,9 +223,10 @@ def _scope_statistics(sums: np.ndarray, maxs: np.ndarray, K: int, out: np.ndarra
 # Where the n values of a scope nearly agree, the one-pass variance
 # E[x^2] - E[x]^2 cancels: it can be off by (3n + 5)u E[x]^2 (u = 2^-53),
 # which moves the CoV by up to (3n + 5)u / (2 CoV). A CoV below
-# _CANCELS * (n - 1) is therefore summed again, two-pass; any other
-# misses the two-pass CoV by at most 6.2e-13 (at n = 2).
-_CANCELS = 1e-3
+# (3n + 5)u / (2 _COV_TOL) is therefore summed again, two-pass, so that
+# every CoV is within _COV_TOL of the two-pass one.
+_COV_TOL = 5e-13
+_CANCELS = 2.0**-54 / _COV_TOL  # u / (2 _COV_TOL)
 
 
 def _two_pass_cov(blocks: np.ndarray, bounds: np.ndarray, values: np.ndarray, K: int) -> None:
@@ -233,8 +234,10 @@ def _two_pass_cov(blocks: np.ndarray, bounds: np.ndarray, values: np.ndarray, K:
     ``blocks`` (P, 5K + 6) that can have cancelled, as
     sqrt(mean((x - mean)^2)) / mean over the rows of ``values`` in its
     block's [lo, hi) ranges ``bounds`` (P, s, 2)."""
+    size = blocks[:, -1:]
     cov = blocks[:, 4 : 5 * K : 5]
-    cancels = cov < _CANCELS * (blocks[:, -1:] - 1.0)
+    # A scope of one row has CoV 0 either way.
+    cancels = (cov < (3.0 * size + 5.0) * _CANCELS) & (size > 1)
     if not cancels.any():
         return
     mean = blocks[:, 3 : 5 * K : 5]
@@ -243,7 +246,7 @@ def _two_pass_cov(blocks: np.ndarray, bounds: np.ndarray, values: np.ndarray, K:
         k = cancels[i]
         m = mean[i, k]
         dev = np.concatenate([values[lo:hi] for lo, hi in bounds[i].tolist()])[:, k] - m
-        cov[i, k] = np.sqrt((dev * dev).sum(axis=0) / blocks[i, -1]) / m
+        cov[i, k] = np.sqrt((dev * dev).sum(axis=0) / size[i]) / m
 
 
 # Columns of the per-span bound rows _span_rows builds.
