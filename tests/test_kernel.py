@@ -125,7 +125,6 @@ class TestKernelAgainstReference:
                 record.chunk, spans, config, featurize_chunk(record.chunk, spans, config)
             )
 
-
     @pytest.mark.parametrize("span, word_ids, scope", [
         ((3, 3, 3), None, "Neighbor"),
         ((0, 2, 0), None, "Phrase"),
