@@ -1,8 +1,9 @@
 """End-to-end orchestration: featurize, train, tune, classify, report.
 
 The training pipeline materializes the feature matrix (training needs
-it anyway); classification is a pure streaming pass that holds one
-record at a time, so corpus size does not affect memory.
+it anyway); classification is a streaming pass that holds one small
+block of records at a time, a few times its widest record, so corpus
+size does not affect memory.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ _SPLIT_SALT = 104729
 # kernel call (a record without spans counts as one span). Larger blocks
 # are no faster, and the parsed records a block holds cost memory.
 _BLOCK_CELLS = 1 << 12
+# A stream's block holds at most this many times the tokens of the
+# widest record seen so far. A kernel call costs about 64 numpy calls
+# whatever its size, most of a short record's featurization; a block of
+# several records pays that once, and what a stream holds stays a small
+# multiple of its widest record, inside the streaming bound of ten.
+_STREAM_WIDTHS = 4
 
 
 @dataclass(frozen=True)
@@ -137,12 +144,28 @@ def featurize_records(
     spans, feature schema and (n_spans, n_features) matrix, in order.
 
     ``feature_names``, when given, must equal every record's schema (a
-    model's training schema). With ``batch``, one kernel call featurizes
-    a block of records: about _BLOCK_CELLS (span, token, class) cells, or
-    fewer where the class schema changes. Without it every block is one
-    record, and no reference to a record survives while the next one is
-    parsed, so a stream holds one record at a time.
+    model's training schema). One kernel call featurizes a block of
+    records of one class schema: at most _BLOCK_CELLS (span, token,
+    class) cells, unless the block is one record. Without ``batch`` (a
+    stream) a block also holds at most _STREAM_WIDTHS times the tokens
+    of the widest record seen so far, so a stream's memory follows its
+    widest record, not the corpus. A record's rows are the same bits in
+    any block.
     """
+    return itertools.chain.from_iterable(
+        _featurized_blocks(records, config, feature_names, batch)
+    )
+
+
+def _featurized_blocks(
+    records: Iterable[CorpusRecord],
+    config: PipelineConfig,
+    feature_names: tuple[str, ...] | None,
+    batch: bool,
+) -> Iterator[Iterator[Featurized]]:
+    """The blocks of ``featurize_records``, each an iterator over its
+    records. No reference to a block's records survives once its
+    iterator is exhausted."""
     fconfig = config.feature_config
 
     def decode(record: CorpusRecord):
@@ -158,21 +181,25 @@ def featurize_records(
         return record, spans, schema, max(len(spans), 1) * chunk.n_tokens * chunk.schema.K
 
     block: list = []
-    cells = 0
+    cells = tokens = widest = 0
     for record in records:
         item = decode(record)
+        n_tokens = record.chunk.n_tokens
         del record
-        if block and (item[2] is not block[0][2] or cells + item[3] > _BLOCK_CELLS):
-            yield from _featurize_block(block, fconfig)
-            block, cells = [], 0
+        widest = max(widest, n_tokens)
+        if block and (
+            item[2] is not block[0][2]
+            or cells + item[3] > _BLOCK_CELLS
+            or not batch and tokens + n_tokens > _STREAM_WIDTHS * widest
+        ):
+            yield _featurize_block(block, fconfig)
+            block, cells, tokens = [], 0, 0
         block.append(item)
         cells += item[3]
+        tokens += n_tokens
         del item
-        if not batch:
-            yield from _featurize_block(block, fconfig)
-            block, cells = [], 0
     if block:
-        yield from _featurize_block(block, fconfig)
+        yield _featurize_block(block, fconfig)
 
 
 def _featurize_block(block: list, fconfig: FeatureConfig) -> Iterator[Featurized]:
@@ -308,17 +335,28 @@ def stream_classify(
     config: PipelineConfig = PipelineConfig(),
     include_path: bool = True,
 ) -> dict[str, int]:
-    """Classify every decoded span of a corpus, one record at a time.
+    """Classify every decoded span of a corpus in input order, one block
+    of records at a time (see ``featurize_records``).
 
     Dropped spans are kept in the output flagged "weak" so rejections
-    stay reviewable. Returns verdict counts.
+    stay reviewable. ``out`` is flushed after each block. A record that
+    fails to parse, validate or match the model raises before the
+    earlier records of its block are written, so ``out`` then holds
+    only the blocks before it. Returns verdict counts.
     """
     counts = {STRONG: 0, WEAK: 0}
-    featurized = featurize_records(iter_records(corpus), config, model.feature_names)
-    for _, spans, _, matrix in featurized:
-        for verdict, line in _verdict_lines(model, spans, matrix, include_path):
-            out.write(line + "\n")
-            counts[verdict] += 1
+    blocks = _featurized_blocks(iter_records(corpus), config, model.feature_names, batch=False)
+    for block in blocks:
+        for _, spans, _, matrix in block:
+            for verdict, line in _verdict_lines(model, spans, matrix, include_path):
+                out.write(line + "\n")
+                counts[verdict] += 1
+        # The next block is read while these names would still hold this
+        # one's last spans and its whole matrix; the flush empties the
+        # handle's pending writes, which would otherwise grow to its
+        # buffer size.
+        del spans, matrix
+        out.flush()
     return counts
 
 

@@ -94,9 +94,12 @@ class TreeModel:
             raise SchemaMismatch("a tree needs at least one node")
         # A child must come after its parent (preorder does), so every
         # walk ends at a leaf and a node's path is rendered before its
-        # children's.
-        paths = [""] * n
+        # children's. Every other node has exactly one parent, so a node
+        # has one path.
+        paths: list[str | None] = [""] + [None] * (n - 1)
         for i, node in enumerate(self.nodes):
+            if paths[i] is None:
+                raise SchemaMismatch(f"node {i} has no parent")
             if isinstance(node, Internal):
                 if not (i < node.left < n and i < node.right < n):
                     raise SchemaMismatch(f"node {i}: children {node.left}, {node.right} out of order")
@@ -104,6 +107,8 @@ class TreeModel:
                     raise SchemaMismatch(f"node {i}: feature {node.feature} out of range")
                 name = self.feature_names[node.feature]
                 for child, op in ((node.left, "<="), (node.right, ">")):
+                    if paths[child] is not None:
+                        raise SchemaMismatch(f"node {child} has a second parent, node {i}")
                     step = _predicate(name, op, node.threshold)
                     paths[child] = paths[i] + _PATH_SEP + step if paths[i] else step
         object.__setattr__(self, "paths", tuple(paths))

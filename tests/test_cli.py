@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ from nrfilter import (
     SynthConfig,
     iter_generate,
     load_model,
+    stream_classify,
     tune_threshold,
     write_records,
 )
@@ -25,7 +27,9 @@ from nrfilter.cli import (
     EXIT_VALIDATION,
     main,
 )
+from nrfilter.errors import NrFilterError
 from nrfilter.features import read_feature_csv
+from nrfilter.pipeline import _STREAM_WIDTHS
 
 from conftest import fixture_path
 
@@ -442,6 +446,37 @@ class TestCorpusContract:
         assert ":51" in capsys.readouterr().err
         assert not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize("name", ["parse", "nan"])
+    def test_classify_error_in_a_blocks_middle(self, workdir, trained, tmp_path, capsys, name):
+        # Copies of one record have one width, so the stream holds
+        # _STREAM_WIDTHS of them per block: the bad record is the second
+        # of the second block, after the first block was written.
+        record = json.loads(corpus_lines(workdir, 1)[0])
+        lines = []
+        for i in range(3 * _STREAM_WIDTHS):
+            record["id"] = f"copy-{i}"
+            lines.append(json.dumps(record) + "\n")
+        bad = _STREAM_WIDTHS + 1
+        if name == "parse":
+            lines[bad] = "{not json\n"
+        else:
+            broken = json.loads(lines[bad])
+            broken["tokens"][1]["probs"][0] = float("nan")
+            lines[bad] = json.dumps(broken) + "\n"
+        path = write_lines(tmp_path / "bad.jsonl", lines)
+        out = tmp_path / "verdicts.jsonl"
+        code = run(["classify", "--input", path, "--model", trained["model"], "--out", out])
+        assert code == {"parse": EXIT_PARSE, "nan": EXIT_VALIDATION}[name]
+        err = capsys.readouterr().err
+        assert (f":{bad + 1}:" in err) if name == "parse" else ("token 1" in err)
+        assert not out.exists()
+        # A caller's own handle keeps the blocks before the bad record's.
+        handle = io.StringIO()
+        with pytest.raises(NrFilterError):
+            stream_classify(path, load_model(trained["model"]), handle)
+        ids = [json.loads(line)["chunk_id"] for line in handle.getvalue().splitlines()]
+        assert ids == [f"copy-{i}" for i in range(_STREAM_WIDTHS)]
+
     def test_failed_command_keeps_file_it_did_not_open(self, workdir, tmp_path):
         out = tmp_path / "verdicts.jsonl"
         out.write_text("an earlier run\n", encoding="utf-8")
@@ -541,7 +576,8 @@ def mangle_model(model_path, out_path, change):
 
 class TestModelContract:
     @pytest.mark.parametrize("name", ["not-json", "not-utf8", "no-nodes", "unknown-config-key",
-                                      "self-loop", "feature-out-of-range", "threshold-nan"])
+                                      "self-loop", "shared-child", "feature-out-of-range",
+                                      "threshold-nan"])
     def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
         model = tmp_path / "model.json"
         if name == "not-json":
@@ -554,6 +590,12 @@ class TestModelContract:
             mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
         elif name == "self-loop":  # a walk that never reaches a leaf
             mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
+        elif name == "shared-child":  # node 3's path would be one parent's only
+            mangle_model(trained["model"], model, lambda p: p.update(nodes=[
+                {"f": 0, "t": 0.5, "l": 1, "r": 2}, {"f": 1, "t": 0.5, "l": 3, "r": 4},
+                {"f": 1, "t": 0.7, "l": 3, "r": 4}, {"ns": 1, "nw": 1, "pw": 0.5},
+                {"ns": 1, "nw": 1, "pw": 0.5},
+            ]))
         elif name == "threshold-nan":  # would keep every span
             mangle_model(trained["model"], model,
                          lambda p: p.update(decision_threshold=float("nan")))

@@ -10,7 +10,11 @@ import pytest
 
 from nrfilter import (
     PipelineConfig,
+    build_feature_schema,
+    classify,
     decode_spans,
+    explain,
+    featurize_chunk,
     STRONG,
     SynthConfig,
     WEAK,
@@ -20,7 +24,7 @@ from nrfilter import (
     stream_classify,
     write_records,
 )
-from nrfilter.core import EntitySpan, parse_record, record_to_obj
+from nrfilter.core import EntitySpan, parse_record, record_to_obj, span_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
@@ -210,11 +214,44 @@ class TestReportMatchesPredictions:
         assert ("entity_f1_validation" in report) == (supervision == "gold")
 
 
+def one_record_at_a_time(records, config):
+    """The oracle: (spans, schema, rows) of each record, one kernel call
+    per record."""
+    fconfig = config.feature_config
+    for record in records:
+        spans = decode_spans(record.chunk, config.orphan_policy)
+        schema = build_feature_schema(record.chunk.schema, fconfig)
+        yield spans, schema, featurize_chunk(record.chunk, spans, fconfig, schema)
+
+
+def without_spans(record, suffix):
+    """A copy of a K=3 record whose every token is a confident O."""
+    obj = record_to_obj(record)
+    obj["id"] += suffix
+    for tok in obj["tokens"]:
+        tok["probs"] = [1.0, 0.0, 0.0]
+    return parse_record(obj)
+
+
+def widening_corpus():
+    """Short records, then wider ones from partway through (so the widest
+    record seen grows), with records without spans in between."""
+    def synth(seed, tokens):
+        return [parse_record(record_to_obj(r)) for r in iter_generate(SynthConfig(
+            n_strong=12, n_weak=12, min_tokens=tokens[0], max_tokens=tokens[1], seed=seed))]
+
+    records = synth(61, (8, 10)) + synth(62, (30, 40)) + synth(63, (8, 14))
+    for i in range(0, len(records), 5):
+        records.insert(i + 1, without_spans(records[i], "-none"))
+    return records
+
+
 class TestFeaturizeBlocks:
     @pytest.mark.parametrize("cells", [1, 300, pipeline._BLOCK_CELLS])
     def test_blocks_equal_one_record_at_a_time(self, cells):
         # Records of two class schemas interleave, so blocks also end
-        # where the schema changes; a record's rows are the same bits.
+        # where the schema changes; a record's rows are the same bits in
+        # the pipeline's blocks and in a stream's.
         records = [parse_record(record_to_obj(r)) for r in
                    iter_generate(SynthConfig(n_strong=30, n_weak=30, seed=44))]
         for i, record in enumerate(parse_record(record_to_obj(r)) for r in
@@ -222,14 +259,54 @@ class TestFeaturizeBlocks:
                                                              entity_name="Drug"))):
             records.insert(7 * i, record)
         config = PipelineConfig()
-        with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
-            blocked = list(featurize_records(records, config, batch=True))
-        single = list(featurize_records(records, config))
-        assert [r.chunk.id for r, *_ in blocked] == [r.chunk.id for r, *_ in single]
-        for (_, spans_a, schema_a, a), (_, spans_b, schema_b, b) in zip(blocked, single):
-            assert spans_a == spans_b and schema_a is schema_b
-            assert a.tobytes() == b.tobytes()
-        assert len({schema.class_schema for *_, schema, _ in single}) == 2
+        single = list(one_record_at_a_time(records, config))
+        assert len({schema.class_schema for _, schema, _ in single}) == 2
+        for batch in (True, False):
+            with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
+                blocked = list(featurize_records(records, config, batch=batch))
+            assert [r.chunk.id for r, *_ in blocked] == [r.chunk.id for r in records]
+            for (_, spans_a, schema_a, a), (spans_b, schema_b, b) in zip(blocked, single):
+                assert spans_a == spans_b and schema_a is schema_b
+                assert a.tobytes() == b.tobytes()
+
+    def test_stream_holds_at_most_its_budget(self):
+        records = widening_corpus()
+        consumed = 0
+        held_records = []
+
+        def pulled():
+            # What the stream holds when it pulls record k: every record
+            # pulled and not yet handed out.
+            for k, record in enumerate(records):
+                held = records[consumed:k]
+                widest = max((r.chunk.n_tokens for r in records[:k]), default=0)
+                assert sum(r.chunk.n_tokens for r in held) <= pipeline._STREAM_WIDTHS * widest
+                held_records.append(len(held))
+                yield record
+
+        for record, *_ in featurize_records(pulled(), PipelineConfig()):
+            assert record is records[consumed]
+            consumed += 1
+        assert consumed == len(records)
+        assert max(held_records) > 1  # the stream does batch records
+
+    def test_stream_classify_equals_one_record_at_a_time(self, tmp_path, pipeline_run):
+        result, _ = pipeline_run
+        model, config = result.model, PipelineConfig()
+        records = widening_corpus()
+        corpus = str(tmp_path / "widening.jsonl")
+        write_records(corpus, records)
+        want = []
+        for spans, _, rows in one_record_at_a_time(records, config):
+            for span, row in zip(spans, rows):
+                verdict, p_weak = classify(model, row)
+                obj = span_to_obj(span)
+                obj.update(verdict=verdict, p_weak=p_weak, path=explain(model, row).serialize())
+                want.append(json.dumps(obj) + "\n")
+        assert len(want) < len(records)  # some records have no spans
+        out = io.StringIO()
+        stream_classify(corpus, model, out, config)
+        assert out.getvalue() == "".join(want)
 
 
 class TestHelpers:

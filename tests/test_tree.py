@@ -578,6 +578,10 @@ class TestCompiledWalk:
         (Internal(0, 0.5, 1, 5), Leaf(1, 1, 0.5)),  # a child that does not exist
         (Internal(3, 0.5, 1, 2), Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # no feature 3
         (),
+        (Internal(0, 0.5, 1, 1), Leaf(1, 1, 0.5)),  # both children one node
+        (Internal(0, 0.5, 1, 2), Internal(1, 0.5, 3, 4), Internal(1, 0.7, 3, 4),
+         Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # two parents: which path is node 3's?
+        (Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # a node no walk reaches
     ])
     def test_malformed_trees_rejected(self, nodes):
         with pytest.raises(SchemaMismatch):
