@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import __version__
 from .core import (
@@ -93,16 +93,20 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig.from_obj(obj)
 
 
-def _add_feature_flags(sub: argparse.ArgumentParser):
+def _add_decode_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="pipeline config JSON file")
+    sub.add_argument("--orphan-policy", dest="orphan_policy",
+                     choices=ORPHAN_POLICIES, default=None)
+
+
+def _add_feature_flags(sub: argparse.ArgumentParser):
+    _add_decode_flags(sub)
     sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=None,
                      help=f"Gaussian decay rate (default {PipelineConfig.decay_rate})")
     sub.add_argument("--bins", type=int, default=None,
                      help=f"density bins (default {PipelineConfig.bins})")
     sub.add_argument("--neighbor-window", dest="neighbor_window", type=int, default=None,
                      help=f"neighbor tokens per side (default {PipelineConfig.neighbor_window})")
-    sub.add_argument("--orphan-policy", dest="orphan_policy",
-                     choices=ORPHAN_POLICIES, default=None)
 
 
 @contextlib.contextmanager
@@ -210,10 +214,10 @@ def _read_training_table(features_path: str, labels_path: str | None):
 
 
 def cmd_train(args) -> int:
+    config = _pipeline_config(args)
     table, labels = _read_training_table(args.features, args.labels)
-    config = TrainConfig(**_given(args, TrainConfig))
-    model = train_matrix(table.matrix, labels, table.names, config)
-    save_model(model, args.model)
+    model = train_matrix(table.matrix, labels, table.names, config.tree)
+    save_model(replace(model, featurization=config.featurization), args.model)
     leaves = len(model.leaves)
     print(f"trained tree: {len(model.nodes)} nodes, {leaves} leaves -> {args.model}")
     return EXIT_OK
@@ -236,8 +240,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _pipeline_config(args)
     model = load_model(args.model)
+    config = PipelineConfig.from_model(model)
     if args.threshold is not None:
         model = model.with_threshold(args.threshold)
     with _output(args.out) as out:
@@ -252,8 +256,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    config = _pipeline_config(args)
     model = load_model(args.model)
+    config = PipelineConfig.from_model(model)
     n_records = shown = 0
     for record, spans, _, matrix in featurize_records(
         iter_records(args.record), config, model.feature_names
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decode", help="decode argmax tags into entity spans")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_feature_flags(p)
+    _add_decode_flags(p)
     p.set_defaults(fn=cmd_decode)
 
     p = subs.add_parser("featurize", help="emit per-span feature vectors")
@@ -428,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"default {TrainConfig.max_tp_drop}")
     p.add_argument("--no-class-weights", dest="class_weighted", action="store_const",
                    const=False, default=None)
+    _add_feature_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = subs.add_parser("tune", help="pick the decision threshold on validation data")
@@ -443,14 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--no-path", dest="no_path", action="store_true")
-    _add_feature_flags(p)
     p.set_defaults(fn=cmd_classify)
 
     p = subs.add_parser("explain", help="print the decision path for a record's spans")
     p.add_argument("--model", required=True)
     p.add_argument("--record", required=True, help="JSONL file with the record(s)")
     p.add_argument("--span-index", dest="span_index", type=int, default=None)
-    _add_feature_flags(p)
     p.set_defaults(fn=cmd_explain)
 
     p = subs.add_parser("evaluate", help="entity F1 and drop rates vs the base output")

@@ -72,6 +72,10 @@ class FeatureConfig:
         unknown = [s for s in self.scopes if s not in SCOPE_ORDER]
         if unknown:
             raise InvalidConfig(f"unknown scopes: {unknown}")
+        # A scope named twice would name each of its columns twice.
+        repeated = [s for s in SCOPE_ORDER if self.scopes.count(s) > 1]
+        if repeated:
+            raise InvalidConfig(f"scopes named more than once: {repeated}")
 
 
 def canonical_feature_name(name: str) -> str:

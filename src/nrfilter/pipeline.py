@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .core import (
     read_config_file,
     span_to_obj,
 )
-from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
+from .errors import InvalidConfig, NonPositiveDecayRate, SchemaMismatch, SingleClassTrainingSet
 from .features import (
     SCOPE_ORDER,
     FeatureConfig,
@@ -95,6 +95,19 @@ class PipelineConfig:
             scopes=self.scopes,
         )
 
+    @property
+    def featurization(self) -> dict:
+        """The fields that change a decoded span or a feature row: the
+        object a model records, so that it is classified as it was
+        trained."""
+        return {
+            "decay_rate": self.decay_rate,
+            "bins": self.bins,
+            "neighbor_window": self.neighbor_window,
+            "scopes": list(self.scopes),
+            "orphan_policy": self.orphan_policy,
+        }
+
     def to_obj(self) -> dict:
         return asdict(self)
 
@@ -111,6 +124,21 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         return cls.from_obj(read_config_file(path))
+
+    @classmethod
+    def from_model(cls, model: TreeModel) -> "PipelineConfig":
+        """The config of a model's recorded featurization, its other
+        fields at their defaults. A model that records none was trained
+        under the defaults; a malformed record is a SchemaMismatch, like
+        any other malformed part of a model file."""
+        try:
+            obj = config_kwargs(cls, model.featurization, "featurization")
+            unknown = sorted(set(obj) - set(cls().featurization))
+            if unknown:
+                raise InvalidConfig(f"unknown featurization fields: {unknown}")
+            return cls.from_obj(obj)
+        except (InvalidConfig, NonPositiveDecayRate) as exc:
+            raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
 def _tp_flags(record: CorpusRecord, spans: Sequence[EntitySpan]) -> list[bool]:
@@ -281,7 +309,7 @@ def run_pipeline(
     train_labels = list(itertools.compress(labels, ~val))
     model = train_matrix(split_rows(False), train_labels, schema.names, config.tree)
     tune = tune_threshold(model, split_rows(True), tp[val], config.tree.max_tp_drop)
-    model = model.with_threshold(tune.threshold)
+    model = replace(model, decision_threshold=tune.threshold, featurization=config.featurization)
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -332,11 +360,15 @@ def stream_classify(
     corpus: str | IO[str],
     model: TreeModel,
     out: IO[str],
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig | None = None,
     include_path: bool = True,
 ) -> dict[str, int]:
     """Classify every decoded span of a corpus in input order, one block
     of records at a time (see ``featurize_records``).
+
+    The spans are decoded and featurized as the model records
+    (``PipelineConfig.from_model``); a ``config`` whose featurization
+    differs from the model's is a SchemaMismatch.
 
     Dropped spans are kept in the output flagged "weak" so rejections
     stay reviewable. ``out`` is flushed after each block. A record that
@@ -344,6 +376,14 @@ def stream_classify(
     earlier records of its block are written, so ``out`` then holds
     only the blocks before it. Returns verdict counts.
     """
+    recorded = PipelineConfig.from_model(model)
+    if config is None:
+        config = recorded
+    elif config.featurization != recorded.featurization:
+        raise SchemaMismatch(
+            f"the config's featurization {config.featurization} differs from the "
+            f"model's {recorded.featurization}"
+        )
     counts = {STRONG: 0, WEAK: 0}
     blocks = _featurized_blocks(iter_records(corpus), config, model.feature_names, batch=False)
     for block in blocks:

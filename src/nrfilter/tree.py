@@ -73,12 +73,16 @@ class Leaf:
 class TreeModel:
     """An immutable trained tree; node 0 is the root. ``paths[i]`` is the
     rendered decision path to node i: at a leaf, DecisionPath.serialize()
-    of any instance that reaches it."""
+    of any instance that reaches it. ``featurization`` is the JSON object
+    of the settings that made the tree's feature rows, kept as read;
+    ``nrfilter.pipeline`` interprets it, and an empty one means its
+    defaults."""
 
     feature_names: tuple[str, ...]
     nodes: tuple[Internal | Leaf, ...]
     decision_threshold: float
     config: TrainConfig
+    featurization: dict = field(default_factory=dict)
     paths: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -471,6 +475,7 @@ def serialize_model(model: TreeModel) -> str:
         "feature_names": list(model.feature_names),
         "decision_threshold": model.decision_threshold,
         "config": asdict(model.config),
+        "featurization": model.featurization,
         "nodes": nodes,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -498,6 +503,7 @@ def deserialize_model(text: str) -> TreeModel:
             nodes=tuple(nodes),
             decision_threshold=float(payload["decision_threshold"]),
             config=TrainConfig(**config_kwargs(TrainConfig, stored, "model config")),
+            featurization=payload.get("featurization", {}),
         )
         stored_hash = payload["schema_hash"]
     except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:

@@ -141,10 +141,13 @@ class TestTrainTuneClassifyExplain:
             first = json.loads(handle.readline())
         assert first["verdict"] in ("strong", "weak") and "path" in first
 
-    def test_classify_schema_mismatch(self, workdir, trained):
+    def test_classify_schema_mismatch(self, workdir, trained, tmp_path):
+        """A model whose recorded bin count does not make its 10-bin
+        feature names."""
+        model = tmp_path / "model.json"
+        mangle_model(trained["model"], model, lambda p: p["featurization"].update(bins=5))
         out = str(workdir["root"] / "nope.jsonl")
-        code = run(["classify", "--input", workdir["corpus"],
-                    "--model", trained["model"], "--out", out, "--bins", 5])
+        code = run(["classify", "--input", workdir["corpus"], "--model", model, "--out", out])
         assert code == EXIT_SCHEMA
 
     def test_explain_prints_path_block(self, workdir, trained, capsys):
@@ -238,6 +241,47 @@ class TestPipelineCommand:
             report = json.load(handle)
         assert report["config"]["tree"]["max_tp_drop"] == 0.02
         assert report["validation"]["tp_drop_pct"] <= 2.0
+
+    def test_train_records_the_config_as_pipeline_does(self, workdir, tmp_path):
+        """``train --config`` writes the featurization and tree settings that
+        ``pipeline --config`` writes, and ``classify`` reads them back."""
+        config = tmp_path / "config.json"
+        config.write_text('{"bins": 8, "decay_rate": 2.0, "tree": {"max_depth": 4}}',
+                          encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", out_dir,
+                    "--config", config]) == EXIT_OK
+        model = tmp_path / "retrain.json"
+        assert run(["train", "--features", out_dir / "features.csv", "--model", model,
+                    "--config", config]) == EXIT_OK
+        payloads = []
+        for path in (out_dir / "model.json", model):
+            with open(path, "r", encoding="utf-8") as handle:
+                payloads.append(json.load(handle))
+        assert payloads[0]["featurization"] == payloads[1]["featurization"]
+        assert payloads[0]["featurization"]["bins"] == 8
+        assert payloads[0]["config"] == payloads[1]["config"]
+        assert payloads[1]["config"]["max_depth"] == 4
+        assert run(["classify", "--input", workdir["corpus"], "--model", model,
+                    "--out", tmp_path / "verdicts.jsonl"]) == EXIT_OK
+
+
+FEATURIZATION_FLAGS = {"--config", "--decay-rate", "--bins", "--neighbor-window",
+                       "--orphan-policy"}
+
+
+class TestFeaturizationFlags:
+    @pytest.mark.parametrize("command, kept", [
+        ("decode", {"--config", "--orphan-policy"}),  # decoding reads nothing else
+        ("classify", set()),  # the model records the featurization
+        ("explain", set()),
+        ("train", FEATURIZATION_FLAGS),  # to record it
+    ])
+    def test_flags_in_help(self, capsys, command, kept):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert {flag for flag in FEATURIZATION_FLAGS if flag in text} == kept
 
 
 class TestConsoleEntrypoint:
@@ -551,6 +595,7 @@ BAD_CONFIGS = {
     "removed-tree-seed": ('{"tree": {"seed": 0}}', [], "seed"),
     "seed-negative-flag": (None, ["--seed", -1], "seed must be >= 0"),
     "seed-negative": ('{"seed": -1}', [], "seed must be >= 0"),
+    "scopes-repeated": ('{"scopes": ["Token", "Token"]}', [], "more than once"),
 }
 
 
@@ -574,36 +619,61 @@ def mangle_model(model_path, out_path, change):
         json.dump(payload, handle)
 
 
+# A malformed "featurization" object of a model file, by case name.
+BAD_FEATURIZATIONS = {
+    "featurization-not-object": ["bins", 10],
+    "featurization-unknown-key": {"decay": 1.0},
+    "featurization-pipeline-key": {"seed": 0},  # a config field, but not a featurization one
+    "featurization-bins-zero": {"bins": 0},
+    "featurization-decay-zero": {"decay_rate": 0.0},
+    "featurization-unknown-scope": {"scopes": ["Token", "Sentence"]},
+}
+BAD_MODELS = ["not-json", "not-utf8", "no-nodes", "unknown-config-key", "self-loop",
+              "shared-child", "feature-out-of-range", "threshold-nan", *BAD_FEATURIZATIONS]
+
+
+def write_bad_model(trained, model, name):
+    """Write the malformed model file ``name`` of BAD_MODELS to ``model``."""
+    if name == "not-json":
+        model.write_text("nodes: []\n", encoding="utf-8")
+    elif name == "not-utf8":
+        model.write_bytes(b"\xff\xfe{}\n")
+    elif name == "no-nodes":
+        mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
+    elif name == "unknown-config-key":
+        mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
+    elif name == "self-loop":  # a walk that never reaches a leaf
+        mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
+    elif name == "shared-child":  # node 3's path would be one parent's only
+        mangle_model(trained["model"], model, lambda p: p.update(nodes=[
+            {"f": 0, "t": 0.5, "l": 1, "r": 2}, {"f": 1, "t": 0.5, "l": 3, "r": 4},
+            {"f": 1, "t": 0.7, "l": 3, "r": 4}, {"ns": 1, "nw": 1, "pw": 0.5},
+            {"ns": 1, "nw": 1, "pw": 0.5},
+        ]))
+    elif name == "threshold-nan":  # would keep every span
+        mangle_model(trained["model"], model,
+                     lambda p: p.update(decision_threshold=float("nan")))
+    elif name in BAD_FEATURIZATIONS:
+        mangle_model(trained["model"], model,
+                     lambda p: p.update(featurization=BAD_FEATURIZATIONS[name]))
+    else:
+        mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(f=10**6))
+
+
 class TestModelContract:
-    @pytest.mark.parametrize("name", ["not-json", "not-utf8", "no-nodes", "unknown-config-key",
-                                      "self-loop", "shared-child", "feature-out-of-range",
-                                      "threshold-nan"])
+    @pytest.mark.parametrize("name", BAD_MODELS)
     def test_classify_exits_schema(self, workdir, trained, tmp_path, name):
         model = tmp_path / "model.json"
-        if name == "not-json":
-            model.write_text("nodes: []\n", encoding="utf-8")
-        elif name == "not-utf8":
-            model.write_bytes(b"\xff\xfe{}\n")
-        elif name == "no-nodes":
-            mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
-        elif name == "unknown-config-key":
-            mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
-        elif name == "self-loop":  # a walk that never reaches a leaf
-            mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
-        elif name == "shared-child":  # node 3's path would be one parent's only
-            mangle_model(trained["model"], model, lambda p: p.update(nodes=[
-                {"f": 0, "t": 0.5, "l": 1, "r": 2}, {"f": 1, "t": 0.5, "l": 3, "r": 4},
-                {"f": 1, "t": 0.7, "l": 3, "r": 4}, {"ns": 1, "nw": 1, "pw": 0.5},
-                {"ns": 1, "nw": 1, "pw": 0.5},
-            ]))
-        elif name == "threshold-nan":  # would keep every span
-            mangle_model(trained["model"], model,
-                         lambda p: p.update(decision_threshold=float("nan")))
-        else:
-            mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(f=10**6))
+        write_bad_model(trained, model, name)
         code = run(["classify", "--input", workdir["corpus"], "--model", model,
                     "--out", tmp_path / "out.jsonl"])
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("name", BAD_MODELS)
+    def test_explain_exits_schema(self, workdir, trained, tmp_path, name):
+        model = tmp_path / "model.json"
+        write_bad_model(trained, model, name)
+        assert run(["explain", "--model", model, "--record", workdir["corpus"]]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
     def test_classify_threshold_out_of_range(self, workdir, trained, tmp_path, capsys,

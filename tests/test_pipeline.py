@@ -24,6 +24,7 @@ from nrfilter import (
     stream_classify,
     write_records,
 )
+from nrfilter.cli import main
 from nrfilter.core import EntitySpan, parse_record, record_to_obj, span_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
@@ -119,6 +120,14 @@ class TestStreamClassify:
                 PipelineConfig(bins=5),
             )
 
+    def test_config_featurization_must_match_model(self, corpus_path, pipeline_run):
+        """A decay rate keeps the feature names but changes their values."""
+        result, _ = pipeline_run
+        assert PipelineConfig.from_model(result.model) == PipelineConfig()
+        with pytest.raises(SchemaMismatch, match="featurization"):
+            stream_classify(corpus_path, result.model, io.StringIO(),
+                            PipelineConfig(decay_rate=5.0))
+
     def test_no_path_flag(self, corpus_path, pipeline_run):
         result, _ = pipeline_run
         out = io.StringIO()
@@ -154,20 +163,30 @@ def merged_corpus(path, records, per_record=3):
 
 
 class TestStreamMatchesPipeline:
-    def test_verdicts_p_weak_and_paths(self, tmp_path):
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(),
+        PipelineConfig(decay_rate=2.0, bins=8, neighbor_window=3, orphan_policy="ignore"),
+    ], ids=["default", "non-default"])
+    def test_verdicts_p_weak_and_paths(self, tmp_path, config):
+        """``stream_classify`` without a config, and ``classify`` without
+        feature flags, featurize as the model records."""
         corpus = str(tmp_path / "merged.jsonl")
         merged_corpus(corpus, list(iter_generate(SynthConfig(n_strong=240, n_weak=240, seed=43))))
-        result = run_pipeline(corpus, str(tmp_path / "run"), PipelineConfig())
+        result = run_pipeline(corpus, str(tmp_path / "run"), config)
         with open(result.paths["predictions"], "r", encoding="utf-8") as handle:
             batch = [json.loads(line) for line in handle]
         out = io.StringIO()
-        stream_classify(corpus, result.model, out, PipelineConfig())
-        streamed = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert len(streamed) == len(batch) == result.report["n_spans"]
-        assert {obj["verdict"] for obj in streamed} == {STRONG, WEAK}
-        for got, want in zip(streamed, batch):
-            for key in ("chunk_id", "start", "end", "anchor", "verdict", "p_weak", "path"):
-                assert got[key] == want[key], key
+        stream_classify(corpus, result.model, out)
+        classified = tmp_path / "classify.jsonl"
+        assert main(["classify", "--input", corpus, "--model", result.paths["model"],
+                     "--out", str(classified)]) == 0
+        for lines in (out.getvalue().splitlines(), classified.read_text("utf-8").splitlines()):
+            streamed = [json.loads(line) for line in lines]
+            assert len(streamed) == len(batch) == result.report["n_spans"]
+            assert {obj["verdict"] for obj in streamed} == {STRONG, WEAK}
+            for got, want in zip(streamed, batch):
+                for key in ("chunk_id", "start", "end", "anchor", "verdict", "p_weak", "path"):
+                    assert got[key] == want[key], key
 
 
 def recount_report(paths):

@@ -621,3 +621,15 @@ class TestPersistence:
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES).with_threshold(0.75)
         assert deserialize_model(serialize_model(model)).decision_threshold == 0.75
+
+    def test_featurization_kept_as_read(self):
+        """The object round-trips as read, through a threshold change too;
+        the tree does not interpret it. Without the key it reads as {}."""
+        X, labels = make_separable()
+        payload = json.loads(serialize_model(train_matrix(X, labels, NAMES)))
+        assert payload["featurization"] == {}
+        payload["featurization"] = {"bins": 8, "anything": [1, "a"]}
+        model = deserialize_model(json.dumps(payload)).with_threshold(0.75)
+        assert json.loads(serialize_model(model))["featurization"] == payload["featurization"]
+        del payload["featurization"]
+        assert deserialize_model(json.dumps(payload)).featurization == {}
