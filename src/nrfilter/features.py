@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -510,6 +511,10 @@ def statistical_features(chunk: Chunk, scope: SpanScope) -> dict[str, float]:
 _META_COLS = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
 
 
+# Cells of one group of rows the feature CSV writer formats at once.
+_CSV_CELLS = 1 << 16
+
+
 def write_feature_csv(
     target: IO[str],
     blocks: Iterable[tuple[Sequence[str], Sequence[EntitySpan], Sequence[str | None], np.ndarray]],
@@ -517,31 +522,57 @@ def write_feature_csv(
     """Stream blocks of (names, spans, labels, rows) to a CSV handle opened
     with newline="": a label and a matrix row per span. The header, meta
     columns + names, comes from the first block with a span; a block with
-    other names is a SchemaMismatch.
+    other names, or rows of another width, is a SchemaMismatch.
 
     The bytes are those of a csv.writer row per span. Only the meta
     columns go through csv.writer (it quotes chunk ids); the float cells
     never need quoting and are joined as their repr, as csv.writer
-    writes floats."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append))  # one write per row
-    n = 0
+    writes floats. Rows are written in groups of about _CSV_CELLS cells,
+    and each distinct value of a group is formatted once. Values are
+    told apart by their bits, so 0.0 and -0.0 keep their own repr."""
+    metas: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=metas.append))  # one write per row
+    parts: list[np.ndarray] = []
+    n = cells = 0
     header: Sequence[str] | None = None
+
+    def flush() -> None:
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        distinct, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        target.write("".join(
+            meta[:-2] + "," + ",".join(values) + "\r\n"  # meta without its line end
+            for meta, values in zip(metas, text[inverse.reshape(rows.shape)].tolist())
+        ))
+        metas.clear()
+        parts.clear()
+
     for names, spans, labels, rows in blocks:
         if not len(spans):
             continue
         if header is None:
             header = names
             writer.writerow(list(_META_COLS) + list(names))
-            target.write(lines.pop())
+            target.write(metas.pop())
         elif names is not header and tuple(names) != tuple(header):
             raise SchemaMismatch("feature rows use differing schemas")
-        for span, label, values in zip(spans, labels, rows.tolist()):
-            writer.writerow((span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
-                             label if label is not None else ""))
-            meta = lines.pop()[:-2]  # without the line end
-            target.write(meta + "," + ",".join(map(repr, values)) + "\r\n")
-            n += 1
+        m = min(len(spans), len(labels), len(rows))
+        rows = np.ascontiguousarray(rows[:m], dtype=np.float64)
+        if rows.shape[1:] != (len(header),):
+            raise SchemaMismatch(f"feature rows of shape {rows.shape} under {len(header)} names")
+        writer.writerows(
+            (span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
+             label if label is not None else "")
+            for span, label in itertools.islice(zip(spans, labels), m)
+        )
+        parts.append(rows)
+        n += m
+        cells += rows.size
+        if cells >= _CSV_CELLS:
+            flush()
+            cells = 0
+    if parts:
+        flush()
     return n
 
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .core import (
     decode_spans,
     iter_records,
     read_config_file,
-    span_to_obj,
 )
 from .errors import InvalidConfig, NonPositiveDecayRate, SchemaMismatch, SingleClassTrainingSet
 from .features import (
@@ -49,14 +49,16 @@ from .tree import (
 )
 
 _SPLIT_SALT = 104729
-# (span, token, class) cells of one block of records featurized in one
-# kernel call (a record without spans counts as one span). Larger blocks
-# are no faster, and the parsed records a block holds cost memory.
+# A batch block (the pipeline's, featurize's) holds at most this many
+# (span, token, class) cells, unless it is one record (a record without
+# spans counts as one span): the kernel's temporaries stay a few MB.
 _BLOCK_CELLS = 1 << 12
 # A stream's block holds at most this many times the tokens of the
-# widest record seen so far. A kernel call costs about 64 numpy calls
-# whatever its size, most of a short record's featurization; a block of
-# several records pays that once, and what a stream holds stays a small
+# widest record seen so far, whatever its cells. A kernel call costs
+# about 64 numpy calls whatever its size: a block of several records
+# pays that once, even records of over _BLOCK_CELLS cells each (a
+# 130-token note of 12 spans is about 11,000), while the density maps
+# still go in groups of _PDM_CELLS. What a stream holds stays a small
 # multiple of its widest record, inside the streaming bound of ten.
 _STREAM_WIDTHS = 4
 
@@ -173,12 +175,12 @@ def featurize_records(
 
     ``feature_names``, when given, must equal every record's schema (a
     model's training schema). One kernel call featurizes a block of
-    records of one class schema: at most _BLOCK_CELLS (span, token,
-    class) cells, unless the block is one record. Without ``batch`` (a
-    stream) a block also holds at most _STREAM_WIDTHS times the tokens
-    of the widest record seen so far, so a stream's memory follows its
-    widest record, not the corpus. A record's rows are the same bits in
-    any block.
+    records of one class schema. With ``batch`` a block holds at most
+    _BLOCK_CELLS (span, token, class) cells, unless it is one record.
+    Without it (a stream) a block holds at most _STREAM_WIDTHS times the
+    tokens of the widest record seen so far, so a stream's memory follows
+    its widest record, not the corpus. A record's rows are the same bits
+    in any block.
     """
     return itertools.chain.from_iterable(
         _featurized_blocks(records, config, feature_names, batch)
@@ -217,8 +219,8 @@ def _featurized_blocks(
         widest = max(widest, n_tokens)
         if block and (
             item[2] is not block[0][2]
-            or cells + item[3] > _BLOCK_CELLS
-            or not batch and tokens + n_tokens > _STREAM_WIDTHS * widest
+            or (cells + item[3] > _BLOCK_CELLS if batch
+                else tokens + n_tokens > _STREAM_WIDTHS * widest)
         ):
             yield _featurize_block(block, fconfig)
             block, cells, tokens = [], 0, 0
@@ -328,7 +330,7 @@ def run_pipeline(
     save_model(model, paths["model"])
 
     split_of = ["validation" if v else "train" for v in val.tolist()]
-    lines = _verdict_lines(model, spans, itertools.chain.from_iterable(blocks), True, split_of)
+    lines = _verdict_lines(model, True)(spans, itertools.chain.from_iterable(blocks), split_of)
     kept = []
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
         for verdict, line in lines:
@@ -385,10 +387,11 @@ def stream_classify(
             f"model's {recorded.featurization}"
         )
     counts = {STRONG: 0, WEAK: 0}
+    lines = _verdict_lines(model, include_path)
     blocks = _featurized_blocks(iter_records(corpus), config, model.feature_names, batch=False)
     for block in blocks:
         for _, spans, _, matrix in block:
-            for verdict, line in _verdict_lines(model, spans, matrix, include_path):
+            for verdict, line in lines(spans, matrix):
                 out.write(line + "\n")
                 counts[verdict] += 1
         # The next block is read while these names would still hold this
@@ -400,23 +403,39 @@ def stream_classify(
     return counts
 
 
-def _verdict_lines(
-    model: TreeModel,
-    spans: Sequence[EntitySpan],
-    rows: Iterable[np.ndarray],
-    include_path: bool,
-    splits: Sequence[str] | None = None,
-) -> Iterator[tuple[str, str]]:
-    """(verdict, JSON line) per span; ``splits``, when given, names each
-    span's split in its line."""
-    for i, (span, values) in enumerate(zip(spans, rows)):
-        leaf = model.leaf(values)
+def _verdict_lines(model: TreeModel, include_path: bool):
+    """A function (spans, rows, splits=None) -> iterator of (verdict, JSON
+    line) per span; ``splits``, when given, names each span's split in
+    its line.
+
+    A line is the bytes of ``json.dumps`` of the span's object with its
+    verdict, p_weak, split and path added. Everything from "verdict" on
+    is the same for every span of one leaf and split, so it is rendered
+    once per (leaf, split) for the life of the returned function; the
+    span's fields are formatted here, each string escaped by the encoder
+    ``json.dumps`` uses."""
+    tails: dict[tuple[int, str | None], tuple[str, str]] = {}
+
+    def tail(leaf: int, split: str | None) -> tuple[str, str]:
         p_weak = model.nodes[leaf].p_weak
-        verdict = model.verdict(p_weak)
-        obj = span_to_obj(span)
-        obj.update(verdict=verdict, p_weak=p_weak)
-        if splits is not None:
-            obj["split"] = splits[i]
+        obj = {"verdict": model.verdict(p_weak), "p_weak": p_weak}
+        if split is not None:
+            obj["split"] = split
         if include_path:
             obj["path"] = model.paths[leaf]
-        yield verdict, json.dumps(obj)
+        return obj["verdict"], ", " + json.dumps(obj)[1:]  # without its "{"
+
+    def lines(spans: Sequence[EntitySpan], rows: Iterable[np.ndarray],
+              splits: Sequence[str] | None = None) -> Iterator[tuple[str, str]]:
+        for i, (span, values) in enumerate(zip(spans, rows)):
+            key = (model.leaf(values), None if splits is None else splits[i])
+            if key not in tails:
+                tails[key] = tail(*key)
+            verdict, rest = tails[key]
+            yield verdict, (
+                f'{{"chunk_id": {_quote(span.chunk_id)}, '
+                f'"entity_type": {_quote(span.entity_type)}, "start": {span.start}, '
+                f'"end": {span.end}, "anchor": {span.anchor}, "text": {_quote(span.text)}{rest}'
+            )
+
+    return lines

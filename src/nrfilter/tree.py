@@ -343,6 +343,11 @@ class TuneResult:
     n_fp: int
 
 
+# Rows of X that tune_threshold holds as Python floats at a time (the
+# scalar walk is fastest on them): a bounded slice, not the whole matrix.
+_WALK_ROWS = 256
+
+
 def tune_threshold(
     model: TreeModel,
     X: np.ndarray,
@@ -366,7 +371,11 @@ def tune_threshold(
     if is_tp.ndim != 1 or X.shape != (is_tp.size, len(model.feature_names)):
         raise SchemaMismatch(f"matrix {X.shape} is not ({is_tp.size}, {len(model.feature_names)})")
     nodes = model.nodes
-    p = np.array([nodes[model.leaf(row)].p_weak for row in X.tolist()], dtype=np.float64)
+    p = np.array([
+        nodes[model.leaf(row)].p_weak
+        for lo in range(0, len(X), _WALK_ROWS)
+        for row in X[lo : lo + _WALK_ROWS].tolist()
+    ], dtype=np.float64)
     n_tp = int(is_tp.sum())
     n_fp = int(is_tp.size - n_tp)
     if n_tp == 0 or n_fp == 0:

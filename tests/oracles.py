@@ -10,13 +10,19 @@ at every node. reference_leaf_for is a plain walk of a model's
 nodes that TreeModel.leaf, its stored paths and explain are checked
 against. reference_read_feature_csv is the csv-module
 reader, one float() per cell, that the numpy feature CSV reader replaced.
+reference_write_feature_csv is the writer that formatted every cell on
+its own, and reference_verdict_line the json.dumps of one span's whole
+output object, that the writers rendering each distinct value, and each
+leaf's line tail, once replaced.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -292,3 +298,41 @@ def reference_read_feature_csv(source):
         i, j = np.argwhere(~finite)[0]
         raise ParseError(line_nos[i], f"feature {names[j]!r} is {float(matrix[i, j])!r}", path)
     return FeatureTable(names, matrix, labels, spans)
+
+
+def reference_write_feature_csv(target, blocks):
+    """The feature CSV of blocks of (names, spans, labels, rows): the
+    header, then per span its meta columns through csv.writer and each
+    cell's own repr."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    n = 0
+    header = None
+    for names, spans, labels, rows in blocks:
+        if not len(spans):
+            continue
+        if header is None:
+            header = names
+            writer.writerow(list(_META_COLS) + list(names))
+            target.write(lines.pop())
+        elif tuple(names) != tuple(header):
+            raise SchemaMismatch("feature rows use differing schemas")
+        for span, label, values in zip(spans, labels, rows.tolist()):
+            writer.writerow((span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
+                             label if label is not None else ""))
+            target.write(lines.pop()[:-2] + "," + ",".join(map(repr, values)) + "\r\n")
+            n += 1
+    return n
+
+
+def reference_verdict_line(span, verdict, p_weak, split=None, path=None):
+    """One output line of a classified span: json.dumps of its fields,
+    verdict, p_weak and, when given, split and path, in that order."""
+    obj = {"chunk_id": span.chunk_id, "entity_type": span.entity_type, "start": span.start,
+           "end": span.end, "anchor": span.anchor, "text": span.text,
+           "verdict": verdict, "p_weak": p_weak}
+    if split is not None:
+        obj["split"] = split
+    if path is not None:
+        obj["path"] = path
+    return json.dumps(obj)

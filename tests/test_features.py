@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nrfilter import (
 )
 from nrfilter.core import EntitySpan
 from nrfilter.errors import InvalidConfig, ParseError, SchemaMismatch
+from nrfilter import features
 from nrfilter.features import (
     SCOPE_CONTEXT,
     SCOPE_NEIGHBOR,
@@ -34,7 +36,7 @@ from nrfilter.features import (
 )
 
 from conftest import random_chunk
-from oracles import reference_read_feature_csv, scalar_entropy
+from oracles import reference_read_feature_csv, reference_write_feature_csv, scalar_entropy
 
 def single_token_chunk(probs_row):
     schema = ClassSchema(("",))
@@ -280,8 +282,9 @@ class TestAliasAndExport:
 
     def test_csv_blocks_share_one_schema(self, sentence1):
         # The header comes from the first block with a span; a block
-        # without spans is skipped, and a later block with other names is
-        # a SchemaMismatch. No block with a span writes nothing at all.
+        # without spans is skipped, and a later block with other names, or
+        # rows of another width, is a SchemaMismatch. No block with a span
+        # writes nothing at all.
         (span,) = decode_spans(sentence1.chunk)
         names = build_feature_schema(sentence1.chunk.schema).names
         row = featurize_chunk(sentence1.chunk, [span])
@@ -297,6 +300,9 @@ class TestAliasAndExport:
         with pytest.raises(SchemaMismatch, match="differing schemas"):
             write_feature_csv(io.StringIO(), [(names, [span], [None], row),
                                               (other, [span], [None], row)])
+        with pytest.raises(SchemaMismatch, match="shape"):
+            write_feature_csv(io.StringIO(), [(names, [span], [None], row),
+                                              (names, [span], [None], row[:, :-1])])
 
     @pytest.mark.parametrize("chunk_id", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"])
     def test_csv_bytes_equal_csv_writer(self, sentence1, chunk_id):
@@ -336,14 +342,19 @@ QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", ""]
 EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0000000000000002]
 
 
+# Cells whose repr changes form (exponent or not) at the edges, and both
+# zeros, which compare equal but write differently.
+WRITER_CELLS = [0.0, -0.0, 5e-324, 1e16, 1e-05, 9.999999999999999e-05]
+
+
 @st.composite
-def feature_rows(draw):
+def feature_rows(draw, edge_cells=EDGE_CELLS):
     chunk_id = draw(st.sampled_from(QUOTED_IDS) | st.text(max_size=6))
     start, anchor, end = sorted(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
     span = EntitySpan(chunk_id, draw(st.sampled_from(["B", "Drug,x"])), start, end, anchor,
                       text="")
     label = draw(st.sampled_from(["strong", "weak", None]))
-    cells = st.sampled_from(EDGE_CELLS) | st.floats(allow_nan=False, allow_infinity=False)
+    cells = st.sampled_from(edge_cells) | st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(cells, min_size=len(SMALL_SCHEMA), max_size=len(SMALL_SCHEMA)))
     return span, label, np.array(values)
 
@@ -420,3 +431,35 @@ class TestFeatureCsvReader:
         match = rf":30: anchor {int(anchor)} outside \[2, 4\]"
         with pytest.raises(ParseError, match=match):
             read_feature_csv(self.write_table(tmp_path, change))
+
+
+class TestFeatureCsvWriter:
+    """The writer that formats each distinct value of a group once, against
+    the oracle that formats every cell."""
+
+    @pytest.mark.parametrize("group_cells", [1, 60, features._CSV_CELLS])
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=st.lists(st.lists(feature_rows(EDGE_CELLS + WRITER_CELLS), max_size=4),
+                           min_size=1, max_size=5))
+    def test_matches_reference_writer(self, group_cells, blocks):
+        width = len(SMALL_SCHEMA)
+        blocks = [(SMALL_SCHEMA.names, [span for span, _, _ in rows],
+                   [label for _, label, _ in rows],
+                   np.array([values for _, _, values in rows]).reshape(-1, width))
+                  for rows in blocks]
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        with mock.patch.object(features, "_CSV_CELLS", group_cells):
+            n = write_feature_csv(got, blocks)
+        assert n == reference_write_feature_csv(want, blocks)
+        assert got.getvalue() == want.getvalue()
+
+    def test_signed_zeros_in_one_group(self):
+        span = EntitySpan("a,b", "B", 0, 0, 0, text="")
+        values = np.zeros((2, len(SMALL_SCHEMA)))
+        values[0, :2] = (-0.0, 0.0)
+        values[1, :2] = (0.0, -0.0)
+        buffer = io.StringIO(newline="")
+        write_feature_csv(buffer, [(SMALL_SCHEMA.names, [span] * 2, ["weak", None], values)])
+        rows = buffer.getvalue().split("\r\n")[1:3]
+        zeros = ",0.0" * (len(SMALL_SCHEMA) - 2)
+        assert rows == ['"a,b",B,0,0,0,weak,-0.0,0.0' + zeros, '"a,b",B,0,0,0,,0.0,-0.0' + zeros]

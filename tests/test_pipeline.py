@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfilter import (
     PipelineConfig,
@@ -25,11 +27,14 @@ from nrfilter import (
     write_records,
 )
 from nrfilter.cli import main
-from nrfilter.core import EntitySpan, parse_record, record_to_obj, span_to_obj
+from nrfilter.core import EntitySpan, iter_records, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
 from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
+from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel
+
+from oracles import reference_verdict_line
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +248,16 @@ def one_record_at_a_time(records, config):
         yield spans, schema, featurize_chunk(record.chunk, spans, fconfig, schema)
 
 
+def one_record_at_a_time_lines(records, model, config):
+    """The oracle's classify output: each span's line, rendered whole by
+    json.dumps, from one kernel call per record."""
+    for spans, _, rows in one_record_at_a_time(records, config):
+        for span, row in zip(spans, rows):
+            verdict, p_weak = classify(model, row)
+            path = explain(model, row).serialize()
+            yield reference_verdict_line(span, verdict, p_weak, path=path) + "\n"
+
+
 def without_spans(record, suffix):
     """A copy of a K=3 record whose every token is a confident O."""
     obj = record_to_obj(record)
@@ -315,17 +330,83 @@ class TestFeaturizeBlocks:
         records = widening_corpus()
         corpus = str(tmp_path / "widening.jsonl")
         write_records(corpus, records)
-        want = []
-        for spans, _, rows in one_record_at_a_time(records, config):
-            for span, row in zip(spans, rows):
-                verdict, p_weak = classify(model, row)
-                obj = span_to_obj(span)
-                obj.update(verdict=verdict, p_weak=p_weak, path=explain(model, row).serialize())
-                want.append(json.dumps(obj) + "\n")
+        want = list(one_record_at_a_time_lines(records, model, config))
         assert len(want) < len(records)  # some records have no spans
         out = io.StringIO()
         stream_classify(corpus, model, out, config)
         assert out.getvalue() == "".join(want)
+
+    def test_stream_blocks_hold_several_long_records(self, tmp_path, pipeline_run):
+        # Every record is over _BLOCK_CELLS cells, yet a stream's block
+        # holds several of them, within its token budget.
+        result, _ = pipeline_run
+        model, config = result.model, PipelineConfig()
+        corpus = str(tmp_path / "long.jsonl")
+        merged_corpus(corpus, list(iter_generate(SynthConfig(n_strong=60, n_weak=60, seed=48))),
+                      per_record=12)
+        records = list(iter_records(corpus))
+        for record in records:
+            chunk = record.chunk
+            cells = len(decode_spans(chunk)) * chunk.n_tokens * chunk.schema.K
+            assert cells > pipeline._BLOCK_CELLS
+        sizes, seen = [], []
+        for block in pipeline._featurized_blocks(iter(records), config, None, batch=False):
+            held = [record.chunk.n_tokens for record, *_ in block]
+            seen.extend(held)
+            assert sum(held) <= pipeline._STREAM_WIDTHS * max(seen)
+            sizes.append(len(held))
+        assert sum(sizes) == len(records) and max(sizes) > 1
+        out = io.StringIO()
+        stream_classify(corpus, model, out, config)
+        assert out.getvalue() == "".join(one_record_at_a_time_lines(records, model, config))
+
+
+# Strings that json.dumps escapes: quotes, backslashes, control and
+# non-ASCII characters, and a lone surrogate.
+ESCAPED = st.text(st.sampled_from('a"\\\n\r\t\x00\x1f\x7f\u00e9\u4e2d\u2028\ud800')
+                  | st.characters(), max_size=8)
+# Three leaves, weak from p_weak 0.5 on.
+VERDICT_TREE = TreeModel(
+    ("f0", "f1"),
+    (Internal(0, 0.5, 1, 2), Leaf(3, 1, 0.25), Internal(1, 0.0, 3, 4), Leaf(1, 3, 0.75),
+     Leaf(0, 4, 1.0)),
+    0.5, TrainConfig(),
+)
+
+
+@st.composite
+def classified_spans(draw):
+    start = draw(st.integers(0, 10**6))
+    end = start + draw(st.integers(0, 3))
+    span = EntitySpan(draw(ESCAPED), draw(ESCAPED), start, end, draw(st.integers(start, end)),
+                      draw(ESCAPED))
+    row = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+    return span, row, draw(st.sampled_from(["train", "validation"]))
+
+
+class TestVerdictLines:
+    @pytest.mark.parametrize("include_path", [True, False])
+    @pytest.mark.parametrize("with_split", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(items=st.lists(classified_spans(), min_size=1, max_size=6))
+    def test_lines_equal_json_dumps(self, include_path, with_split, items):
+        model = VERDICT_TREE
+        spans, rows, splits = zip(*items)
+        if not with_split:
+            splits = [None] * len(spans)
+        want = []
+        for span, row, split in zip(spans, rows, splits):
+            verdict, p_weak = classify(model, row)
+            path = explain(model, row).serialize() if include_path else None
+            want.append((verdict, reference_verdict_line(span, verdict, p_weak, split, path)))
+        lines = pipeline._verdict_lines(model, include_path)
+        given_splits = splits if with_split else None
+        assert list(lines(spans, rows, given_splits)) == want
+        # One span per call, as a stream of one-span records: the tails
+        # rendered by the first calls are reused.
+        one_by_one = [line for i in range(len(spans)) for line in lines(
+            spans[i : i + 1], rows[i : i + 1], given_splits and given_splits[i : i + 1])]
+        assert one_by_one == want
 
 
 class TestHelpers:
