@@ -55,9 +55,8 @@ for row, label in zip(X[is_val], labels[is_val].tolist()):
     if shown[verdict]:
         continue
     shown[verdict] = True
-    path = explain(tuned, row)
     print(f"\n  span labeled {label!r}, verdict {verdict!r} (p_weak={p_weak:.3f})")
-    for line in path.serialize().split("\n"):
+    for line in explain(tuned, row).split("\n"):
         print("   ", line)
     if all(shown.values()):
         break

@@ -50,7 +50,6 @@ from .baselines import (
     temperature_scale,
 )
 from .tree import (
-    DecisionPath,
     TrainConfig,
     TreeModel,
     TuneResult,
@@ -106,7 +105,6 @@ __all__ = [
     "softmax_threshold_filter",
     "span_confidence",
     "temperature_scale",
-    "DecisionPath",
     "TrainConfig",
     "TreeModel",
     "TuneResult",

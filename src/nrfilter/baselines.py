@@ -74,18 +74,26 @@ def entropy_filter(span: EntitySpan, chunk: Chunk, cutoff: float) -> bool:
     return mean_span_entropy(chunk, span) <= cutoff
 
 
+def check_passes(chunk: Chunk, passes: Sequence[Chunk]) -> None:
+    """PassMisalignment, naming the chunk, unless there are at least two
+    passes and each has ``chunk``'s token texts and classes."""
+    if len(passes) < 2:
+        raise PassMisalignment(f"chunk {chunk.id!r}: {len(passes)} passes, need >= 2")
+    for i, p in enumerate(passes, start=1):
+        if p.texts != chunk.texts or p.schema != chunk.schema:
+            raise PassMisalignment(f"chunk {chunk.id!r}: pass {i} has other tokens or classes")
+
+
 def mc_dropout_aggregate(
     passes: Sequence[Chunk], span: EntitySpan
 ) -> tuple[float, float]:
     """Mean and population variance of the anchor's predicted-class
     probability across stochastic forward passes of the same input.
     """
-    if len(passes) < 2:
-        raise PassMisalignment(f"need >= 2 passes, got {len(passes)}")
+    if not passes:
+        raise PassMisalignment("need >= 2 passes, got 0")
     first = passes[0]
-    for i, p in enumerate(passes[1:], start=2):
-        if p.n_tokens != first.n_tokens or p.texts != first.texts:
-            raise PassMisalignment(f"pass {i} token sequence differs from pass 1")
+    check_passes(first, passes)
     entity = first.schema.entity_names.index(span.entity_type)
     k = first.schema.b_index(entity)
     values = np.array([p.probs[span.anchor, k] for p in passes], dtype=np.float64)
@@ -135,7 +143,8 @@ def baseline_grid(
     Methods: softmax (grid = thresholds), temp (grid = temperatures; each
     keeps a span iff its scaled weakest-token confidence is at least
     TEMP_GRID_THRESHOLD), entropy (grid = cutoffs), mcdropout (grid = mean
-    cutoffs crossed with var_grid).
+    cutoffs crossed with var_grid; each span's chunk must pass
+    ``check_passes`` against its ``passes_by_chunk`` entry).
     """
     rows: list[dict[str, float]] = []
     if method == "softmax":
@@ -161,6 +170,8 @@ def baseline_grid(
     elif method == "mcdropout":
         if passes_by_chunk is None:
             raise InvalidConfig("mcdropout grid needs passes_by_chunk")
+        for chunk in {c.id: c for c, _, _ in labeled_spans}.values():
+            check_passes(chunk, passes_by_chunk.get(chunk.id, ()))
         var_grid = var_grid if var_grid is not None else (0.01,)
         for mean_cutoff in grid:
             for var_cutoff in var_grid:

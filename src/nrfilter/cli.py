@@ -33,8 +33,6 @@ from .core import (
 )
 from .errors import (
     InvalidConfig,
-    NonPositiveDecayRate,
-    NonPositiveTemperature,
     NrFilterError,
     ParseError,
     ProbabilityOutOfRange,
@@ -55,7 +53,6 @@ from .pipeline import (
 from .synth import SynthConfig, iter_generate
 from .tree import (
     TrainConfig,
-    explain as explain_instance,
     load_model,
     save_model,
     train_matrix,
@@ -146,7 +143,6 @@ def cmd_decode(args) -> int:
 
 def cmd_featurize(args) -> int:
     config = _pipeline_config(args)
-    decay = config.feature_config.decay
 
     def blocks(dump):
         records = iter_records(args.input)
@@ -155,8 +151,8 @@ def cmd_featurize(args) -> int:
                 K = record.chunk.schema.K
                 for span, values in zip(spans, matrix):
                     # The density block is class-major: (K, bins) -> (bins, K).
-                    grid = values[: decay.bins * K].reshape(K, decay.bins).T
-                    pdm = ProbabilityDensityMap(grid, decay, span.anchor)
+                    grid = values[: config.bins * K].reshape(K, config.bins).T
+                    pdm = ProbabilityDensityMap(grid, config, span.anchor)
                     obj = {"chunk_id": record.chunk.id, **grid_to_obj(pdm)}
                     dump.write(json.dumps(obj) + "\n")
             yield schema.names, spans, [record.label] * len(spans), matrix
@@ -266,17 +262,19 @@ def cmd_explain(args) -> int:
         for i, (span, values) in enumerate(zip(spans, matrix)):
             if args.span_index is not None and i != args.span_index:
                 continue
-            path = explain_instance(model, values)
+            leaf = model.leaf(values)
+            p_weak = model.nodes[leaf].p_weak
             print(f"chunk {record.chunk.id} span [{span.start}, {span.end}] "
-                  f"{span.text!r} -> {path.verdict} (p_weak={path.p_weak!r})")
+                  f"{span.text!r} -> {model.verdict(p_weak)} (p_weak={p_weak!r})")
             print("Decision Path:")
-            print(path.serialize())
+            print(model.paths[leaf])
             print()
             shown += 1
     if n_records == 0:
         raise InvalidConfig(f"no records in {args.record}")
     if shown == 0:
-        raise InvalidConfig("no span matched --span-index")
+        raise InvalidConfig(f"no span was decoded in {args.record}" if args.span_index is None
+                            else "no span matched --span-index")
     return EXIT_OK
 
 
@@ -502,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (InvalidConfig, NonPositiveDecayRate, NonPositiveTemperature) as exc:
+    except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NrFilterError as exc:

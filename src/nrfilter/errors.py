@@ -35,20 +35,13 @@ class SchemaMismatch(NrFilterError):
     """Class schema or feature schema does not match what was expected."""
 
 
-class NonPositiveDecayRate(NrFilterError):
-    """Decay rate must be strictly positive."""
-
-
 class AnchorOutOfRange(NrFilterError):
     """Anchor token index lies outside the chunk."""
 
 
-class NonPositiveTemperature(NrFilterError):
-    """Temperature must be strictly positive."""
-
-
 class PassMisalignment(NrFilterError):
-    """Stochastic forward passes disagree on token count or token texts."""
+    """Stochastic forward passes disagree with each other or with the corpus
+    chunk on token texts or classes, or a chunk has fewer than two."""
 
 
 class SingleClassTrainingSet(NrFilterError):
@@ -65,6 +58,14 @@ class CountInflation(NrFilterError):
 
 class InvalidConfig(NrFilterError):
     """Configuration value outside its documented range."""
+
+
+class NonPositiveDecayRate(InvalidConfig):
+    """Decay rate must be strictly positive."""
+
+
+class NonPositiveTemperature(InvalidConfig):
+    """Temperature must be strictly positive."""
 
 
 class ParseError(NrFilterError):

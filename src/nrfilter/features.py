@@ -18,14 +18,14 @@ import io
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import Chunk, ClassSchema, EntitySpan, is_utf8
+from .core import ORPHAN_POLICIES, Chunk, ClassSchema, EntitySpan, is_utf8
 from .errors import AnchorOutOfRange, InvalidConfig, ParseError, SchemaMismatch
 from .pdm import DecayConfig, bin_edges, binned_mass, decay_table
 
@@ -60,14 +60,22 @@ class SpanScope:
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    """Knobs that fix the feature schema."""
+class FeatureConfig(DecayConfig):
+    """The featurization: the density-map knobs of DecayConfig plus the
+    neighbor window, the scopes and the orphan policy. Every field
+    changes a decoded span or a feature row, so a model records them
+    all (``featurization``)."""
 
-    decay: DecayConfig = DecayConfig()
     neighbor_window: int = 1
     scopes: tuple[str, ...] = SCOPE_ORDER
+    orphan_policy: str = "promote"
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.orphan_policy not in ORPHAN_POLICIES:
+            raise InvalidConfig(
+                f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
+            )
         if self.neighbor_window < 0:
             raise InvalidConfig(f"neighbor window must be >= 0, got {self.neighbor_window}")
         unknown = [s for s in self.scopes if s not in SCOPE_ORDER]
@@ -77,6 +85,14 @@ class FeatureConfig:
         repeated = [s for s in SCOPE_ORDER if self.scopes.count(s) > 1]
         if repeated:
             raise InvalidConfig(f"scopes named more than once: {repeated}")
+
+    @property
+    def featurization(self) -> dict:
+        """The JSON object of the FeatureConfig fields, which a model
+        records so that it is classified as it was trained."""
+        obj = {f.name: getattr(self, f.name) for f in fields(FeatureConfig)}
+        obj["scopes"] = list(self.scopes)
+        return obj
 
 
 def canonical_feature_name(name: str) -> str:
@@ -121,7 +137,7 @@ class FeatureSchema:
         self.tags = class_tags(class_schema)
         names: list[str] = []
         for tag in self.tags:
-            for label in bin_labels(config.decay.bins):
+            for label in bin_labels(config.bins):
                 names.append(f"PDM_{tag}_WCount_bkt_{label}")
         for scope in config.scopes:
             for tag in self.tags:
@@ -385,7 +401,7 @@ def featurize_chunks(
                 f"the block {list(class_schema.class_names)}"
             )
     K = class_schema.K
-    bins = config.decay.bins
+    bins = config.bins
     kinds = config.scopes
     step = 5 * K + 6
     width = bins * K + len(kinds) * step
@@ -420,7 +436,7 @@ def featurize_chunks(
         for c in range(first, last + 1):
             padded[c - first, : len(used[c])] = used[c]
         part, t = local[lo:hi], np.arange(L)
-        weights = decay_table(L, config.decay.decay_rate).take(np.abs(t - part[:, _ANCHOR, None]))
+        weights = decay_table(L, config.decay_rate).take(np.abs(t - part[:, _ANCHOR, None]))
         weights[(t >= part[:, _START, None]) & (t < part[:, _STOP, None])] = 0.0
         pdm = binned_mass(padded, rows[lo:hi, _CHUNK] - first, weights, bins, norm[lo:hi])
         out[lo:hi, : bins * K] = pdm.transpose(0, 2, 1).reshape(hi - lo, K * bins)

@@ -18,7 +18,6 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    ORPHAN_POLICIES,
     CorpusRecord,
     EntitySpan,
     STRONG,
@@ -28,9 +27,8 @@ from .core import (
     iter_records,
     read_config_file,
 )
-from .errors import InvalidConfig, NonPositiveDecayRate, SchemaMismatch, SingleClassTrainingSet
+from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
 from .features import (
-    SCOPE_ORDER,
     FeatureConfig,
     FeatureSchema,
     build_feature_schema,
@@ -38,7 +36,6 @@ from .features import (
     write_feature_csv,
 )
 from .metrics import drop_pcts, entity_f1, filter_counts
-from .pdm import DecayConfig
 from .tree import (
     TrainConfig,
     TreeModel,
@@ -64,51 +61,23 @@ _STREAM_WIDTHS = 4
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Every knob of the pipeline, serializable to one JSON file."""
+class PipelineConfig(FeatureConfig):
+    """Every knob of the pipeline, serializable to one JSON file: the
+    featurization's fields, the tree's TrainConfig, and the validation
+    split's fraction and seed."""
 
-    decay_rate: float = DecayConfig.decay_rate
-    bins: int = DecayConfig.bins
-    neighbor_window: int = FeatureConfig.neighbor_window
-    scopes: tuple[str, ...] = SCOPE_ORDER
     tree: TrainConfig = field(default_factory=TrainConfig)
     validation_fraction: float = 0.2
-    orphan_policy: str = "promote"
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.validation_fraction < 1.0:
             raise InvalidConfig(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
-        if self.orphan_policy not in ORPHAN_POLICIES:
-            raise InvalidConfig(
-                f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
-            )
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        self.feature_config  # checks decay_rate, bins, neighbor_window and scopes
-
-    @property
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            decay=DecayConfig(self.decay_rate, self.bins),
-            neighbor_window=self.neighbor_window,
-            scopes=self.scopes,
-        )
-
-    @property
-    def featurization(self) -> dict:
-        """The fields that change a decoded span or a feature row: the
-        object a model records, so that it is classified as it was
-        trained."""
-        return {
-            "decay_rate": self.decay_rate,
-            "bins": self.bins,
-            "neighbor_window": self.neighbor_window,
-            "scopes": list(self.scopes),
-            "orphan_policy": self.orphan_policy,
-        }
 
     def to_obj(self) -> dict:
         return asdict(self)
@@ -134,12 +103,8 @@ class PipelineConfig:
         under the defaults; a malformed record is a SchemaMismatch, like
         any other malformed part of a model file."""
         try:
-            obj = config_kwargs(cls, model.featurization, "featurization")
-            unknown = sorted(set(obj) - set(cls().featurization))
-            if unknown:
-                raise InvalidConfig(f"unknown featurization fields: {unknown}")
-            return cls.from_obj(obj)
-        except (InvalidConfig, NonPositiveDecayRate) as exc:
+            return cls.from_obj(config_kwargs(FeatureConfig, model.featurization, "featurization"))
+        except InvalidConfig as exc:
             raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
@@ -196,12 +161,11 @@ def _featurized_blocks(
     """The blocks of ``featurize_records``, each an iterator over its
     records. No reference to a block's records survives once its
     iterator is exhausted."""
-    fconfig = config.feature_config
 
     def decode(record: CorpusRecord):
         """(record, spans, schema, the record's cells in a block)"""
         chunk = record.chunk
-        schema = build_feature_schema(chunk.schema, fconfig)
+        schema = build_feature_schema(chunk.schema, config)
         if feature_names is not None and schema.names != feature_names:
             raise SchemaMismatch(
                 f"record {chunk.id!r}: the model was trained under a different "
@@ -222,21 +186,21 @@ def _featurized_blocks(
             or (cells + item[3] > _BLOCK_CELLS if batch
                 else tokens + n_tokens > _STREAM_WIDTHS * widest)
         ):
-            yield _featurize_block(block, fconfig)
+            yield _featurize_block(block, config)
             block, cells, tokens = [], 0, 0
         block.append(item)
         cells += item[3]
         tokens += n_tokens
         del item
     if block:
-        yield _featurize_block(block, fconfig)
+        yield _featurize_block(block, config)
 
 
-def _featurize_block(block: list, fconfig: FeatureConfig) -> Iterator[Featurized]:
+def _featurize_block(block: list, config: FeatureConfig) -> Iterator[Featurized]:
     """One kernel call over a block of decoded records of one schema."""
     matrix = featurize_chunks(
         [record.chunk for record, *_ in block], [spans for _, spans, *_ in block],
-        fconfig, block[0][2],
+        config, block[0][2],
     )
     lo = 0
     for record, spans, schema, _ in block:

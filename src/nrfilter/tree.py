@@ -32,6 +32,9 @@ DEFAULT_DECISION_THRESHOLD = 0.5
 # i.e. "drop nothing".
 THRESHOLD_KEEP_ALL = math.nextafter(1.0, 2.0)
 
+# Joins the "(name op threshold)" predicates of a rendered decision path.
+_PATH_SEP = "\n& "
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -72,11 +75,11 @@ class Leaf:
 @dataclass(frozen=True)
 class TreeModel:
     """An immutable trained tree; node 0 is the root. ``paths[i]`` is the
-    rendered decision path to node i: at a leaf, DecisionPath.serialize()
-    of any instance that reaches it. ``featurization`` is the JSON object
-    of the settings that made the tree's feature rows, kept as read;
-    ``nrfilter.pipeline`` interprets it, and an empty one means its
-    defaults."""
+    rendered decision path to node i, one predicate per internal node on
+    the way: at a leaf, the path of every instance that reaches it.
+    ``featurization`` is the JSON object of the settings that made the
+    tree's feature rows, kept as read; ``nrfilter.pipeline`` interprets
+    it, and an empty one means its defaults."""
 
     feature_names: tuple[str, ...]
     nodes: tuple[Internal | Leaf, ...]
@@ -113,7 +116,7 @@ class TreeModel:
                 for child, op in ((node.left, "<="), (node.right, ">")):
                     if paths[child] is not None:
                         raise SchemaMismatch(f"node {child} has a second parent, node {i}")
-                    step = _predicate(name, op, node.threshold)
+                    step = f"({name} {op} {node.threshold!r})"
                     paths[child] = paths[i] + _PATH_SEP + step if paths[i] else step
         object.__setattr__(self, "paths", tuple(paths))
 
@@ -334,6 +337,13 @@ def classify(model: TreeModel, row: np.ndarray) -> tuple[str, float]:
     return model.verdict(p_weak), p_weak
 
 
+def explain(model: TreeModel, row: np.ndarray) -> str:
+    """The rendered root-to-leaf predicate chain of one row whose columns
+    are ``model.feature_names``: the stored path of the leaf it reaches.
+    Every predicate holds for the row."""
+    return model.paths[model.leaf(_values_for(model, row))]
+
+
 @dataclass(frozen=True)
 class TuneResult:
     threshold: float
@@ -405,60 +415,6 @@ def tune_threshold(
         )
     assert best.tp_drop <= budget
     return best
-
-
-# ---------------------------------------------------------------------------
-# Decision paths
-# ---------------------------------------------------------------------------
-
-
-_PATH_SEP = "\n& "
-
-
-def _predicate(name: str, op: str, threshold: float) -> str:
-    """One step of a rendered decision path; steps are joined by _PATH_SEP."""
-    return f"({name} {op} {threshold!r})"
-
-
-@dataclass(frozen=True)
-class PathStep:
-    feature: str
-    op: str  # "<=" or ">"
-    threshold: float
-    observed: float
-
-
-@dataclass(frozen=True)
-class DecisionPath:
-    steps: tuple[PathStep, ...]
-    verdict: str
-    p_weak: float
-
-    def serialize(self) -> str:
-        return _PATH_SEP.join(_predicate(s.feature, s.op, s.threshold) for s in self.steps)
-
-    def __str__(self) -> str:
-        return self.serialize()
-
-
-def explain(model: TreeModel, row: np.ndarray) -> DecisionPath:
-    """Root-to-leaf predicate chain for one row, in evaluation order.
-
-    Every emitted predicate evaluates true for the row.
-    """
-    values = _values_for(model, row)
-    steps = []
-    node = model.nodes[0]
-    while isinstance(node, Internal):
-        went_left = values[node.feature] <= node.threshold
-        steps.append(PathStep(
-            feature=model.feature_names[node.feature],
-            op="<=" if went_left else ">",
-            threshold=node.threshold,
-            observed=float(values[node.feature]),
-        ))
-        node = model.nodes[node.left if went_left else node.right]
-    return DecisionPath(tuple(steps), model.verdict(node.p_weak), node.p_weak)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ its own oracle. reference_features is the span-at-a-time featurizer the
 batched kernel replaced: one span, one scope and one statistic at a
 time, over explicit position lists. reference_train_matrix is the CART
 grower the presorted split search replaced: it sorts every column again
-at every node. reference_leaf_for is a plain walk of a model's
-nodes that TreeModel.leaf, its stored paths and explain are checked
-against. reference_read_feature_csv is the csv-module
-reader, one float() per cell, that the numpy feature CSV reader replaced.
+at every node. reference_leaf_for is a plain walk of a model's nodes
+that TreeModel.leaf is checked against; reference_path_steps and
+reference_decision_path list and render that walk's predicates one by
+one, the text that TreeModel.paths stores once per leaf and explain
+returns. reference_read_feature_csv is the csv-module reader, one
+float() per cell, that the numpy feature CSV reader replaced.
 reference_write_feature_csv is the writer that formatted every cell on
 its own, and reference_verdict_line the json.dumps of one span's whole
 output object, that the writers rendering each distinct value, and each
@@ -250,11 +252,33 @@ def reference_leaf_for(model, values):
     return i, trail
 
 
+def reference_path_steps(model, values):
+    """[(feature name, "<=" or ">", threshold)] of one instance's walk."""
+    _, trail = reference_leaf_for(model, values)
+    return [
+        (model.feature_names[model.nodes[i].feature], "<=" if went_left else ">",
+         model.nodes[i].threshold)
+        for i, went_left in trail
+    ]
+
+
+def reference_decision_path(model, values):
+    """The rendered predicate chain of one instance's walk: one
+    "(name op threshold)" per step, threshold repr'd, joined by a line
+    break and "& "."""
+    return "\n& ".join(
+        f"({name} {op} {threshold!r})" for name, op, threshold in reference_path_steps(model, values)
+    )
+
+
 _PREDICATE = re.compile(r"\(([^\s()]+) (<=|>) ([^\s()]+)\)")
 
 
 def parse_decision_path(text: str):
-    """Parse "(name op value)" predicates joined by '& ' back into tuples."""
+    """Parse "(name op value)" predicates joined by '& ' back into tuples;
+    the empty path of a one-leaf tree is no predicate."""
+    if not text:
+        return []
     parts = [p.strip() for p in text.split("&")]
     steps = []
     for part in parts:

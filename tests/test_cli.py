@@ -150,7 +150,7 @@ class TestTrainTuneClassifyExplain:
         code = run(["classify", "--input", workdir["corpus"], "--model", model, "--out", out])
         assert code == EXIT_SCHEMA
 
-    def test_explain_prints_path_block(self, workdir, trained, capsys):
+    def test_explain_prints_path_block(self, workdir, trained, tmp_path, capsys):
         record_file = str(workdir["root"] / "one.jsonl")
         with open(workdir["corpus"], "r", encoding="utf-8") as src, \
                 open(record_file, "w", encoding="utf-8") as dst:
@@ -160,6 +160,42 @@ class TestTrainTuneClassifyExplain:
         out = capsys.readouterr().out
         assert "Decision Path:" in out
         assert "(" in out and ("<=" in out or ">" in out)
+        # A span index past the record's spans, and a record without spans.
+        code = run(["explain", "--model", trained["model"], "--record", record_file,
+                    "--span-index", 99])
+        assert code == EXIT_CONFIG
+        assert "no span matched --span-index" in capsys.readouterr().err
+        with open(record_file, "r", encoding="utf-8") as handle:
+            record = json.loads(handle.readline())
+        for token in record["tokens"]:
+            token["probs"] = [1.0, 0.0, 0.0]
+        record_file = write_lines(tmp_path / "no_span.jsonl", [json.dumps(record) + "\n"])
+        code = run(["explain", "--model", trained["model"], "--record", record_file])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"no span was decoded in {record_file}" in err and "--span-index" not in err
+
+    def test_explain_agrees_with_classify(self, workdir, trained, tmp_path, capsys):
+        """Every span's verdict, p_weak and path block printed by explain
+        are its classify line's."""
+        verdicts = str(tmp_path / "verdicts.jsonl")
+        assert run(["classify", "--input", workdir["corpus"], "--model", trained["model"],
+                    "--out", verdicts]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["explain", "--model", trained["model"],
+                    "--record", workdir["corpus"]]) == EXIT_OK
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert blocks.pop() == ""
+        with open(verdicts, "r", encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        assert len(blocks) == len(lines) > 100
+        for block, obj in zip(blocks, lines):
+            head, title, path = block.split("\n", 2)
+            assert head == (
+                f"chunk {obj['chunk_id']} span [{obj['start']}, {obj['end']}] "
+                f"{obj['text']!r} -> {obj['verdict']} (p_weak={obj['p_weak']!r})"
+            )
+            assert (title, path) == ("Decision Path:", obj["path"])
 
     def test_evaluate_reports_drops(self, workdir, trained, tmp_path, capsys):
         base = str(tmp_path / "base_spans.jsonl")
@@ -867,6 +903,31 @@ class TestBaselineGridContract:
                     "--out", tmp_path / "out.csv"])
         assert code == EXIT_CONFIG
         assert "--var-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["chunk-in-no-pass", "other-classes", "fewer-tokens"])
+    def test_mcdropout_passes_differ_from_corpus(self, tmp_path, capsys, name):
+        """Passes that agree with each other but not with the corpus chunk
+        exit 8 and name the chunk."""
+        corpus = str(tmp_path / "corpus.jsonl")
+        write_records(corpus, iter_generate(SynthConfig(n_strong=20, n_weak=20, seed=3)))
+        with open(corpus, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        target = records[0]  # its one span is anchored at token 1
+        assert [s["start"] for s in target["gold_spans"]] == [1]
+        for record in records:
+            record.pop("gold_spans", None)  # the passes need only their tokens
+        if name == "chunk-in-no-pass":
+            records.remove(target)
+        elif name == "other-classes":
+            target["classes"] = ["O", "B-Drug", "I-Drug"]
+        else:
+            del target["tokens"][1:]  # the span's anchor is past the pass's end
+        passes = tmp_path / "pass.jsonl"
+        write_lines(passes, [json.dumps(record) + "\n" for record in records])
+        code = run(["baseline", "--method", "mcdropout", "--input", corpus, "--grid", "0.5",
+                    "--passes", f"{passes},{passes}", "--out", tmp_path / "out.csv"])
+        assert code == EXIT_DOMAIN
+        assert repr(target["id"]) in capsys.readouterr().err
 
 
 # A span that `decode` writes for the `workdir` corpus, and changes to it

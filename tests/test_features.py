@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nrfilter import (
     Chunk,
     ClassSchema,
-    DecayConfig,
     FeatureConfig,
     SpanScope,
     build_feature_schema,
@@ -334,7 +333,7 @@ class TestAliasAndExport:
 
 # A small real schema (27 features), so that Hypothesis can vary every cell.
 SMALL_SCHEMA = build_feature_schema(
-    ClassSchema(("",)), FeatureConfig(decay=DecayConfig(bins=2), scopes=(SCOPE_TOKEN,))
+    ClassSchema(("",)), FeatureConfig(bins=2, scopes=(SCOPE_TOKEN,))
 )
 # Chunk ids that need quoting, and cells at the edges of float repr:
 # signed zero, the smallest subnormal, the largest double, 1 + 1 ulp.

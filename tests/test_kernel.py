@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from nrfilter import (
     Chunk,
     ClassSchema,
-    DecayConfig,
     EntitySpan,
     FeatureConfig,
     build_feature_schema,
@@ -73,8 +72,8 @@ def chunks_with_spans(draw):
         spans.append(span(start, draw(st.integers(start, T - 1))))
     spans = draw(st.permutations(spans))
     config = FeatureConfig(
-        decay=DecayConfig(draw(st.sampled_from((0.5, 1.0, 2.5))),
-                          draw(st.sampled_from((4, 10)))),
+        decay_rate=draw(st.sampled_from((0.5, 1.0, 2.5))),
+        bins=draw(st.sampled_from((4, 10))),
         neighbor_window=draw(st.sampled_from((0, 1, 3))),
         scopes=tuple(draw(st.lists(st.sampled_from(SCOPE_ORDER), unique=True, max_size=5))),
     )
@@ -85,8 +84,8 @@ def assert_matches_reference(chunk, spans, config, got):
     names = build_feature_schema(chunk.schema, config).names
     want = np.array([
         reference_features(
-            chunk.probs, s.start, s.end, s.anchor, chunk.word_ids, config.decay.decay_rate,
-            config.decay.bins, config.neighbor_window, config.scopes,
+            chunk.probs, s.start, s.end, s.anchor, chunk.word_ids, config.decay_rate,
+            config.bins, config.neighbor_window, config.scopes,
         )
         for s in spans
     ])
@@ -161,10 +160,10 @@ class TestKernelShape:
         # One PDM implementation: the kernel's block is bit-for-bit the
         # one-anchor map with the span excluded.
         chunk, spans, config = case
-        bins, K = config.decay.bins, chunk.schema.K
+        bins, K = config.bins, chunk.schema.K
         matrix = featurize_chunk(chunk, spans, config)
         for span, row in zip(spans, matrix):
-            pdm = compute_pdm(chunk, span.anchor, config.decay, exclude=span.positions)
+            pdm = compute_pdm(chunk, span.anchor, config, exclude=span.positions)
             np.testing.assert_array_equal(row[: bins * K], pdm.values.T.ravel())
 
     def test_many_spans_of_a_long_record(self):
@@ -254,7 +253,8 @@ def blocks(draw):
         chunks.append(chunk)
         spans.append(chunk_spans)
     config = FeatureConfig(
-        decay=DecayConfig(draw(st.sampled_from((0.5, 1.0, 2.5))), draw(st.sampled_from((4, 10)))),
+        decay_rate=draw(st.sampled_from((0.5, 1.0, 2.5))),
+        bins=draw(st.sampled_from((4, 10))),
         neighbor_window=draw(st.sampled_from((0, 1, 3, 50))),
         scopes=tuple(draw(st.lists(st.sampled_from(SCOPE_ORDER), unique=True, max_size=5))),
     )

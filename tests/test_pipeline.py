@@ -15,7 +15,6 @@ from nrfilter import (
     build_feature_schema,
     classify,
     decode_spans,
-    explain,
     featurize_chunk,
     STRONG,
     SynthConfig,
@@ -34,7 +33,7 @@ from nrfilter import pipeline
 from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
 from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel
 
-from oracles import reference_verdict_line
+from oracles import reference_decision_path, reference_verdict_line
 
 
 @pytest.fixture(scope="module")
@@ -241,11 +240,10 @@ class TestReportMatchesPredictions:
 def one_record_at_a_time(records, config):
     """The oracle: (spans, schema, rows) of each record, one kernel call
     per record."""
-    fconfig = config.feature_config
     for record in records:
         spans = decode_spans(record.chunk, config.orphan_policy)
-        schema = build_feature_schema(record.chunk.schema, fconfig)
-        yield spans, schema, featurize_chunk(record.chunk, spans, fconfig, schema)
+        schema = build_feature_schema(record.chunk.schema, config)
+        yield spans, schema, featurize_chunk(record.chunk, spans, config, schema)
 
 
 def one_record_at_a_time_lines(records, model, config):
@@ -254,7 +252,7 @@ def one_record_at_a_time_lines(records, model, config):
     for spans, _, rows in one_record_at_a_time(records, config):
         for span, row in zip(spans, rows):
             verdict, p_weak = classify(model, row)
-            path = explain(model, row).serialize()
+            path = reference_decision_path(model, row)
             yield reference_verdict_line(span, verdict, p_weak, path=path) + "\n"
 
 
@@ -397,7 +395,7 @@ class TestVerdictLines:
         want = []
         for span, row, split in zip(spans, rows, splits):
             verdict, p_weak = classify(model, row)
-            path = explain(model, row).serialize() if include_path else None
+            path = reference_decision_path(model, row) if include_path else None
             want.append((verdict, reference_verdict_line(span, verdict, p_weak, split, path)))
         lines = pipeline._verdict_lines(model, include_path)
         given_splits = splits if with_split else None

@@ -35,10 +35,8 @@ from nrfilter.errors import (
     SingleClassTrainingSet,
 )
 from nrfilter.tree import (
-    DecisionPath,
     Internal,
     Leaf,
-    PathStep,
     THRESHOLD_KEEP_ALL,
     TrainConfig,
     TreeModel,
@@ -49,7 +47,9 @@ from conftest import fixture_path
 from oracles import (
     _reference_gini as gini,
     parse_decision_path,
+    reference_decision_path,
     reference_leaf_for,
+    reference_path_steps,
     reference_train_matrix,
 )
 
@@ -125,7 +125,7 @@ class TestTrain:
         labels = [WEAK if rng.random() < 0.5 else STRONG for _ in range(200)]
         model = train_matrix(X, labels, NAMES, TrainConfig(max_depth=3, min_samples_leaf=1))
         for row in X:
-            assert len(explain(model, row).steps) <= 3
+            assert len(parse_decision_path(explain(model, row))) <= 3
 
     def test_split_features_exist_in_schema(self):
         X, labels = make_separable(n=120, seed=3)
@@ -438,9 +438,8 @@ class TestExplain:
     def test_depth_one_single_predicate(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        path = explain(model, X[0])
-        assert len(path.steps) == 1
-        assert path.steps[0].feature == "f1"
+        ((feature, _, _),) = parse_decision_path(explain(model, X[0]))
+        assert feature == "f1"
 
     def test_predicates_hold_for_instance(self):
         rng = np.random.default_rng(8)
@@ -448,11 +447,11 @@ class TestExplain:
         labels = [WEAK if rng.random() < x[2] else STRONG for x in X]
         model = train_matrix(X, labels, NAMES)
         for row in X[:50]:
-            path = explain(model, row)
-            for step in path.steps:
-                value = row[NAMES.index(step.feature)]
-                assert value <= step.threshold if step.op == "<=" else value > step.threshold
-                assert value == step.observed
+            steps = parse_decision_path(explain(model, row))
+            assert steps == reference_path_steps(model, row)
+            for feature, op, threshold in steps:
+                value = row[NAMES.index(feature)]
+                assert value <= threshold if op == "<=" else value > threshold
 
     def test_serialize_parse_roundtrip(self):
         rng = np.random.default_rng(9)
@@ -460,15 +459,14 @@ class TestExplain:
         labels = [WEAK if rng.random() < x[1] * 0.9 else STRONG for x in X]
         model = train_matrix(X, labels, NAMES)
         for row in X[:30]:
-            path = explain(model, row)
-            text = path.serialize()
-            parsed = parse_decision_path(text)
-            assert parsed == [(s.feature, s.op, s.threshold) for s in path.steps]
+            text = explain(model, row)
+            assert text == reference_decision_path(model, row)
+            assert parse_decision_path(text) == reference_path_steps(model, row)
 
     def test_serialized_format(self):
         X, labels = make_separable(n=60, seed=10)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=2))
-        text = explain(model, X[0]).serialize()
+        text = explain(model, X[0])
         first, *rest = text.split("\n")
         assert first.startswith("(") and first.endswith(")")
         assert all(line.startswith("& (") for line in rest)
@@ -477,9 +475,13 @@ class TestExplain:
         X, labels = make_separable(n=40, seed=11)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         for row in X:
-            path = explain(model, row)
-            verdict, p_weak = classify(model, row)
-            assert (path.verdict, path.p_weak) == (verdict, p_weak)
+            # The one leaf whose stored path explain returns is the leaf
+            # whose verdict and p_weak classify reports.
+            text = explain(model, row)
+            (leaf,) = [i for i, node in enumerate(model.nodes)
+                       if isinstance(node, Leaf) and model.paths[i] == text]
+            p_weak = model.nodes[leaf].p_weak
+            assert classify(model, row) == (model.verdict(p_weak), p_weak)
 
 
 # Thresholds and values on one grid, so instances often sit exactly on a
@@ -511,28 +513,14 @@ def random_trees(draw):
     return TreeModel(names, tuple(nodes), draw(st.sampled_from((0.0, 0.5, 1.0))), TrainConfig())
 
 
-def oracle_path(model, values):
-    """(leaf id, p_weak, rendered path, steps) of one instance, from the
-    node-object walk."""
-    leaf, trail = reference_leaf_for(model, values)
-    steps = tuple(
-        PathStep(model.feature_names[model.nodes[i].feature], "<=" if went_left else ">",
-                 model.nodes[i].threshold, float(values[model.nodes[i].feature]))
-        for i, went_left in trail
-    )
-    p_weak = model.nodes[leaf].p_weak
-    return leaf, p_weak, DecisionPath(steps, "", p_weak).serialize(), steps
-
-
 def assert_walk_matches_oracle(model, X):
     for row in X:
-        leaf, p_weak, path, steps = oracle_path(model, row)
+        leaf, _ = reference_leaf_for(model, row)
+        path = reference_decision_path(model, row)
         assert model.leaf(row) == leaf
-        assert model.nodes[leaf].p_weak == p_weak == classify(model, row)[1]
-        assert model.paths[leaf] == path
-        got = explain(model, row)
-        assert got.steps == steps and got.serialize() == path
-        assert (got.verdict, got.p_weak) == classify(model, row)
+        p_weak = model.nodes[leaf].p_weak
+        assert classify(model, row) == (model.verdict(p_weak), p_weak)
+        assert model.paths[leaf] == explain(model, row) == path
 
 
 class TestCompiledWalk:
