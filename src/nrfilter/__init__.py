@@ -42,10 +42,7 @@ from .features import (
 )
 from .baselines import (
     baseline_grid,
-    entropy_filter,
     mc_dropout_aggregate,
-    mc_dropout_filter,
-    softmax_threshold_filter,
     span_confidence,
     temperature_scale,
 )
@@ -99,10 +96,7 @@ __all__ = [
     "featurize_chunks",
     "statistical_features",
     "baseline_grid",
-    "entropy_filter",
     "mc_dropout_aggregate",
-    "mc_dropout_filter",
-    "softmax_threshold_filter",
     "span_confidence",
     "temperature_scale",
     "TrainConfig",

@@ -3,7 +3,9 @@
 All four methods operate purely on probability output: max-probability
 thresholding, temperature scaling of recovered log-probabilities,
 mean-entropy cutoffs, and aggregation of multiple stochastic forward
-passes supplied as separate chunk streams.
+passes supplied as separate chunk streams. Each method is a per-span
+score and a cut on it; ``baseline_grid`` counts every cut of a grid
+through ``metrics.filter_counts``.
 """
 
 from __future__ import annotations
@@ -25,18 +27,28 @@ LOGIT_FLOOR = 1e-12
 # iff its scaled weakest-token confidence reaches this fixed cut.
 TEMP_GRID_THRESHOLD = 0.9
 
+# The values a grid may hold, as (test, error, message); NaN passes no test.
+_THRESHOLD = (lambda v: 0.0 <= v <= 1.0, InvalidConfig, "threshold must be in [0, 1], got {}")
+_TEMPERATURE = (lambda v: v > 0, NonPositiveTemperature, "temperature must be > 0, got {}")
+_ENTROPY_CUTOFF = (lambda v: v >= 0, InvalidConfig, "entropy cutoff must be >= 0, got {}")
+_MEAN_CUTOFF = (lambda v: 0.0 <= v <= 1.0, InvalidConfig, "mean cutoff must be in [0, 1], got {}")
+_VAR_CUTOFF = (lambda v: v >= 0, InvalidConfig, "variance cutoff must be >= 0, got {}")
 
-def span_confidence(chunk: Chunk, span: EntitySpan) -> float:
-    """Weakest link: min over span tokens of the max class probability."""
+
+def _check(values: Iterable[float], domain) -> None:
+    test, error, message = domain
+    for value in values:
+        if not test(value):
+            raise error(message.format(value))
+
+
+def span_confidence(chunk: Chunk, span: EntitySpan, temperature: float | None = None) -> float:
+    """Weakest link: min over span tokens of the max class probability,
+    scaled by ``temperature_scale`` when a temperature is given."""
     sub = chunk.probs[span.start : span.end + 1]
+    if temperature is not None:
+        sub = temperature_scale(sub, temperature)
     return float(sub.max(axis=1).min())
-
-
-def softmax_threshold_filter(span: EntitySpan, chunk: Chunk, threshold: float) -> bool:
-    """True = keep. Drops the span iff its weakest token confidence < threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidConfig(f"threshold must be in [0, 1], got {threshold}")
-    return span_confidence(chunk, span) >= threshold
 
 
 def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -46,8 +58,7 @@ def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
     this is exact for any vector the model could have produced.
     T = 1 is the identity; T -> inf flattens toward uniform.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
+    _check([temperature], _TEMPERATURE)
     p = np.maximum(np.asarray(probs, dtype=np.float64), LOGIT_FLOOR)
     logits = np.log(p) / temperature
     logits -= logits.max(axis=-1, keepdims=True)
@@ -65,13 +76,6 @@ def temperature_scale(probs: np.ndarray, temperature: float) -> np.ndarray:
 
 def mean_span_entropy(chunk: Chunk, span: EntitySpan) -> float:
     return float(token_entropies(chunk.probs[span.start : span.end + 1]).mean())
-
-
-def entropy_filter(span: EntitySpan, chunk: Chunk, cutoff: float) -> bool:
-    """True = keep. Drops the span iff mean token entropy exceeds the cutoff."""
-    if cutoff < 0:
-        raise InvalidConfig(f"entropy cutoff must be >= 0, got {cutoff}")
-    return mean_span_entropy(chunk, span) <= cutoff
 
 
 def check_passes(chunk: Chunk, passes: Sequence[Chunk]) -> None:
@@ -100,35 +104,9 @@ def mc_dropout_aggregate(
     return float(values.mean()), float(values.var())
 
 
-def mc_dropout_filter(
-    passes: Sequence[Chunk], span: EntitySpan, mean_cutoff: float, var_cutoff: float
-) -> bool:
-    """True = keep. Drops when the mean is low or the spread is high."""
-    mean, var = mc_dropout_aggregate(passes, span)
-    return mean >= mean_cutoff and var <= var_cutoff
-
-
 # ---------------------------------------------------------------------------
 # Grid evaluation
 # ---------------------------------------------------------------------------
-
-
-def evaluate_filter(
-    spans: Iterable[tuple[Chunk, EntitySpan, bool]], keep_fn
-) -> dict[str, float]:
-    """Apply one keep/drop rule to labeled spans and summarize the drops.
-
-    ``spans`` yields (chunk, span, is_tp); ``keep_fn(chunk, span)`` is the
-    rule under test.
-    """
-    spans = list(spans)
-    base, filtered = filter_counts([t for *_, t in spans], [keep_fn(c, s) for c, s, _ in spans])
-    return {
-        **drop_pcts(base, filtered),
-        "precision": filtered.precision,
-        "recall": filtered.recall,
-        "f1": filtered.f1,
-    }
 
 
 def baseline_grid(
@@ -140,53 +118,62 @@ def baseline_grid(
 ) -> list[dict[str, float]]:
     """Per-configuration drop metrics for one baseline method.
 
-    Methods: softmax (grid = thresholds), temp (grid = temperatures; each
-    keeps a span iff its scaled weakest-token confidence is at least
-    TEMP_GRID_THRESHOLD), entropy (grid = cutoffs), mcdropout (grid = mean
-    cutoffs crossed with var_grid; each span's chunk must pass
+    Each span is scored once (once per temperature for temp) and each
+    grid value is checked before any scoring; a grid point is then a keep
+    mask over the scores. Methods: softmax (grid = thresholds in [0, 1];
+    keeps a span iff its weakest-token confidence is at least the
+    threshold), temp (grid = temperatures > 0; keeps a span iff its
+    scaled weakest-token confidence is at least TEMP_GRID_THRESHOLD),
+    entropy (grid = cutoffs >= 0; keeps a span iff its mean token
+    entropy is at most the cutoff), mcdropout (grid = mean cutoffs in
+    [0, 1] crossed with var_grid, variance cutoffs >= 0, default 0.01;
+    keeps a span iff its anchor's mean is at least the one and its
+    variance at most the other; each span's chunk must pass
     ``check_passes`` against its ``passes_by_chunk`` entry).
     """
-    rows: list[dict[str, float]] = []
-    if method == "softmax":
-        for tau in grid:
-            row = evaluate_filter(
-                labeled_spans, lambda c, s, t=tau: softmax_threshold_filter(s, c, t)
-            )
-            rows.append({"method": method, "threshold": float(tau), **row})
-    elif method == "temp":
-        for temperature in grid:
-            def keep(c: Chunk, s: EntitySpan, T=temperature) -> bool:
-                scaled = temperature_scale(c.probs[s.start : s.end + 1], T)
-                return bool(scaled.max(axis=1).min() >= TEMP_GRID_THRESHOLD)
+    is_tp = [t for *_, t in labeled_spans]
 
-            row = evaluate_filter(labeled_spans, keep)
-            rows.append({"method": method, "temperature": float(temperature), **row})
-    elif method == "entropy":
-        for cutoff in grid:
-            row = evaluate_filter(
-                labeled_spans, lambda c, s, h=cutoff: entropy_filter(s, c, h)
-            )
-            rows.append({"method": method, "entropy_cutoff": float(cutoff), **row})
-    elif method == "mcdropout":
+    def scores(score, *args) -> np.ndarray:
+        return np.array([score(c, s, *args) for c, s, _ in labeled_spans], dtype=np.float64)
+
+    def row(kept: np.ndarray, **setting: float) -> dict[str, float]:
+        base, filtered = filter_counts(is_tp, kept)
+        return {
+            "method": method,
+            **setting,
+            **drop_pcts(base, filtered),
+            "precision": filtered.precision,
+            "recall": filtered.recall,
+            "f1": filtered.f1,
+        }
+
+    if method == "softmax":
+        _check(grid, _THRESHOLD)
+        confidence = scores(span_confidence)
+        return [row(confidence >= tau, threshold=float(tau)) for tau in grid]
+    if method == "temp":
+        _check(grid, _TEMPERATURE)
+        return [
+            row(scores(span_confidence, t) >= TEMP_GRID_THRESHOLD, temperature=float(t))
+            for t in grid
+        ]
+    if method == "entropy":
+        _check(grid, _ENTROPY_CUTOFF)
+        entropy = scores(mean_span_entropy)
+        return [row(entropy <= cutoff, entropy_cutoff=float(cutoff)) for cutoff in grid]
+    if method == "mcdropout":
         if passes_by_chunk is None:
             raise InvalidConfig("mcdropout grid needs passes_by_chunk")
+        var_grid = var_grid if var_grid is not None else (0.01,)
+        _check(grid, _MEAN_CUTOFF)
+        _check(var_grid, _VAR_CUTOFF)
         for chunk in {c.id: c for c, _, _ in labeled_spans}.values():
             check_passes(chunk, passes_by_chunk.get(chunk.id, ()))
-        var_grid = var_grid if var_grid is not None else (0.01,)
-        for mean_cutoff in grid:
-            for var_cutoff in var_grid:
-                def keep(c: Chunk, s: EntitySpan, m=mean_cutoff, v=var_cutoff) -> bool:
-                    return mc_dropout_filter(passes_by_chunk[c.id], s, m, v)
-
-                row = evaluate_filter(labeled_spans, keep)
-                rows.append(
-                    {
-                        "method": method,
-                        "mc_mean_cutoff": float(mean_cutoff),
-                        "mc_var_cutoff": float(var_cutoff),
-                        **row,
-                    }
-                )
-    else:
-        raise InvalidConfig(f"unknown baseline method {method!r}")
-    return rows
+        aggregates = scores(lambda c, s: mc_dropout_aggregate(passes_by_chunk[c.id], s))
+        mean, var = aggregates.reshape(-1, 2).T
+        return [
+            row((mean >= m) & (var <= v), mc_mean_cutoff=float(m), mc_var_cutoff=float(v))
+            for m in grid
+            for v in var_grid
+        ]
+    raise InvalidConfig(f"unknown baseline method {method!r}")

@@ -225,8 +225,10 @@ def cmd_tune(args) -> int:
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")
     is_tp = [label == STRONG for label in labels]
-    result = tune_threshold(model, table.matrix, is_tp, args.max_tp_drop)
-    save_model(model.with_threshold(result.threshold), args.model)
+    # The model records the budget it is tuned under.
+    config = replace(model.config, **_given(args, TrainConfig))
+    result = tune_threshold(model, table.matrix, is_tp, config.max_tp_drop)
+    save_model(replace(model, decision_threshold=result.threshold, config=config), args.model)
     print(
         f"threshold {result.threshold!r}: tp_drop {100 * result.tp_drop:.2f}% "
         f"fp_drop {100 * result.fp_drop:.2f}% "
@@ -259,10 +261,9 @@ def cmd_explain(args) -> int:
         iter_records(args.record), config, model.feature_names
     ):
         n_records += 1
-        for i, (span, values) in enumerate(zip(spans, matrix)):
+        for i, (span, leaf) in enumerate(zip(spans, model.walk(matrix))):
             if args.span_index is not None and i != args.span_index:
                 continue
-            leaf = model.leaf(values)
             p_weak = model.nodes[leaf].p_weak
             print(f"chunk {record.chunk.id} span [{span.start}, {span.end}] "
                   f"{span.text!r} -> {model.verdict(p_weak)} (p_weak={p_weak!r})")

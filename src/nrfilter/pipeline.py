@@ -40,9 +40,9 @@ from .tree import (
     TrainConfig,
     TreeModel,
     TuneResult,
+    cut_threshold,
     save_model,
     train_matrix,
-    tune_threshold,
 )
 
 _SPLIT_SALT = 104729
@@ -266,16 +266,15 @@ def run_pipeline(
             "empty training split: no predicted span is in a training record"
         )
 
-    def split_rows(is_val: bool) -> np.ndarray:
-        """The rows of one split, copied out of the blocks."""
-        chosen = [rows for rows, v in zip(blocks, in_val) if v == is_val]
-        return np.vstack(chosen or [np.empty((0, len(schema)))])
-
-    # Each split's rows live only for the call that reads them.
-    train_labels = list(itertools.compress(labels, ~val))
-    model = train_matrix(split_rows(False), train_labels, schema.names, config.tree)
-    tune = tune_threshold(model, split_rows(True), tp[val], config.tree.max_tp_drop)
+    # The training rows are copied out of the blocks for this call alone.
+    model = train_matrix(np.vstack([rows for rows, v in zip(blocks, in_val) if not v]),
+                         list(itertools.compress(labels, ~val)), schema.names, config.tree)
+    # Each span is walked once: θ, the verdicts and the report read its leaf.
+    leaves = model.walk(itertools.chain.from_iterable(blocks))
+    p_weak = model.p_weak(leaves)
+    tune = cut_threshold(p_weak[val], tp[val], config.tree.max_tp_drop)
     model = replace(model, decision_threshold=tune.threshold, featurization=config.featurization)
+    kept = p_weak < tune.threshold
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -294,13 +293,9 @@ def run_pipeline(
     save_model(model, paths["model"])
 
     split_of = ["validation" if v else "train" for v in val.tolist()]
-    lines = _verdict_lines(model, True)(spans, itertools.chain.from_iterable(blocks), split_of)
-    kept = []
     with open(paths["predictions"], "w", encoding="utf-8") as handle:
-        for verdict, line in lines:
+        for _, line in _verdict_lines(model, True)(spans, leaves, split_of):
             handle.write(line + "\n")
-            kept.append(verdict == STRONG)
-    kept = np.array(kept)
 
     report: dict = {
         "n_records": len(blocks),
@@ -355,7 +350,7 @@ def stream_classify(
     blocks = _featurized_blocks(iter_records(corpus), config, model.feature_names, batch=False)
     for block in blocks:
         for _, spans, _, matrix in block:
-            for verdict, line in lines(spans, matrix):
+            for verdict, line in lines(spans, model.walk(matrix)):
                 out.write(line + "\n")
                 counts[verdict] += 1
         # The next block is read while these names would still hold this
@@ -368,9 +363,9 @@ def stream_classify(
 
 
 def _verdict_lines(model: TreeModel, include_path: bool):
-    """A function (spans, rows, splits=None) -> iterator of (verdict, JSON
-    line) per span; ``splits``, when given, names each span's split in
-    its line.
+    """A function (spans, leaves, splits=None) -> iterator of (verdict,
+    JSON line) per span, given the leaf id each span reaches; ``splits``,
+    when given, names each span's split in its line.
 
     A line is the bytes of ``json.dumps`` of the span's object with its
     verdict, p_weak, split and path added. Everything from "verdict" on
@@ -389,10 +384,10 @@ def _verdict_lines(model: TreeModel, include_path: bool):
             obj["path"] = model.paths[leaf]
         return obj["verdict"], ", " + json.dumps(obj)[1:]  # without its "{"
 
-    def lines(spans: Sequence[EntitySpan], rows: Iterable[np.ndarray],
+    def lines(spans: Sequence[EntitySpan], leaves: Sequence[int],
               splits: Sequence[str] | None = None) -> Iterator[tuple[str, str]]:
-        for i, (span, values) in enumerate(zip(spans, rows)):
-            key = (model.leaf(values), None if splits is None else splits[i])
+        for i, (span, leaf) in enumerate(zip(spans, leaves)):
+            key = (leaf, None if splits is None else splits[i])
             if key not in tails:
                 tails[key] = tail(*key)
             verdict, rest = tails[key]

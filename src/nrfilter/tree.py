@@ -25,6 +25,7 @@ from .errors import (
     SchemaMismatch,
     SingleClassTrainingSet,
 )
+from .metrics import filter_counts
 
 DEFAULT_DECISION_THRESHOLD = 0.5
 
@@ -129,6 +130,16 @@ class TreeModel:
             i = node.left if values[node.feature] <= node.threshold else node.right
             node = nodes[i]
         return i
+
+    def walk(self, rows) -> list[int]:
+        """The leaf id of each row, by ``leaf``. The rows of a matrix go
+        as they are: one row's few reads cost less than a copy to floats."""
+        return [self.leaf(values) for values in rows]
+
+    def p_weak(self, leaves: Sequence[int]) -> np.ndarray:
+        """The weak-probability of each of the leaf ids ``leaves``."""
+        nodes = self.nodes
+        return np.array([nodes[i].p_weak for i in leaves], dtype=np.float64)
 
     @property
     def schema_hash(self) -> str:
@@ -353,67 +364,58 @@ class TuneResult:
     n_fp: int
 
 
-# Rows of X that tune_threshold holds as Python floats at a time (the
-# scalar walk is fastest on them): a bounded slice, not the whole matrix.
-_WALK_ROWS = 256
-
-
 def tune_threshold(
     model: TreeModel,
     X: np.ndarray,
     is_tp: Sequence[bool] | np.ndarray,
     max_tp_drop: float | None = None,
 ) -> TuneResult:
-    """Pick the weak-probability cutoff maximizing FP removal while the
-    TP-drop fraction of the validation rows ``X`` (columns
-    ``model.feature_names``; ``is_tp`` flags the TPs) stays within budget.
-
-    Candidates are the distinct leaf probabilities plus a keep-all
-    sentinel; ties prefer the higher (more conservative) threshold. When
-    nothing can be removed within budget, the keep-all threshold is
-    returned and a NoFeasibleThreshold warning is emitted.
-    """
+    """``cut_threshold`` on the leaf weak-probabilities of the validation
+    rows ``X`` (columns ``model.feature_names``; ``is_tp`` flags the TPs),
+    under ``max_tp_drop`` or else the model's own budget."""
     budget = model.config.max_tp_drop if max_tp_drop is None else max_tp_drop
-    if not 0.0 <= budget <= 1.0:
-        raise InvalidConfig(f"max_tp_drop must be in [0, 1], got {budget}")
     X = np.asarray(X, dtype=np.float64)
     is_tp = np.asarray(is_tp, dtype=bool)
     if is_tp.ndim != 1 or X.shape != (is_tp.size, len(model.feature_names)):
         raise SchemaMismatch(f"matrix {X.shape} is not ({is_tp.size}, {len(model.feature_names)})")
-    nodes = model.nodes
-    p = np.array([
-        nodes[model.leaf(row)].p_weak
-        for lo in range(0, len(X), _WALK_ROWS)
-        for row in X[lo : lo + _WALK_ROWS].tolist()
-    ], dtype=np.float64)
-    n_tp = int(is_tp.sum())
-    n_fp = int(is_tp.size - n_tp)
-    if n_tp == 0 or n_fp == 0:
-        raise SingleClassTrainingSet(
-            f"tuning needs TPs and FPs, got {n_tp} TP / {n_fp} FP"
-        )
+    return cut_threshold(model.p_weak(model.walk(X)), is_tp, budget)
 
-    candidates = sorted({leaf.p_weak for leaf in model.leaves}) + [THRESHOLD_KEEP_ALL]
+
+def cut_threshold(
+    scores: np.ndarray, is_tp: Sequence[bool] | np.ndarray, max_tp_drop: float
+) -> TuneResult:
+    """Pick the cut θ on a per-span score, dropping a span iff its score is
+    at least θ, that removes the most FPs while the dropped fraction of
+    the TPs (flagged by ``is_tp``) stays within ``max_tp_drop``.
+
+    Candidates are the distinct scores plus a keep-all sentinel above
+    every score in [0, 1]; ties prefer the higher (more conservative) θ.
+    When nothing can be removed within budget, the keep-all θ is returned
+    and a NoFeasibleThreshold warning is emitted.
+    """
+    if not 0.0 <= max_tp_drop <= 1.0:
+        raise InvalidConfig(f"max_tp_drop must be in [0, 1], got {max_tp_drop}")
+    scores = np.asarray(scores, dtype=np.float64)
+    is_tp = np.asarray(is_tp, dtype=bool)
+    if is_tp.shape != scores.shape or scores.ndim != 1:
+        raise SchemaMismatch(f"{is_tp.shape} TP flags for {scores.shape} scores")
     best: TuneResult | None = None
-    for theta in candidates:
-        dropped = p >= theta
-        tp_drop = float(dropped[is_tp].sum()) / n_tp
-        fp_drop = float(dropped[~is_tp].sum()) / n_fp
-        if tp_drop > budget:
-            continue
-        if (
-            best is None
-            or fp_drop > best.fp_drop
-            or (fp_drop == best.fp_drop and theta > best.threshold)
-        ):
-            best = TuneResult(float(theta), tp_drop, fp_drop, n_tp, n_fp)
-    assert best is not None  # keep-all is always feasible
+    # From keep-all downward, so the first θ of the most FP drop is the highest.
+    for theta in [THRESHOLD_KEEP_ALL, *np.unique(scores)[::-1].tolist()]:
+        base, filtered = filter_counts(is_tp, scores < theta)
+        if not (base.tp and base.fp):
+            raise SingleClassTrainingSet(
+                f"tuning needs TPs and FPs, got {base.tp} TP / {base.fp} FP"
+            )
+        tp_drop = filtered.fn / base.tp
+        fp_drop = (base.fp - filtered.fp) / base.fp
+        if tp_drop <= max_tp_drop and (best is None or fp_drop > best.fp_drop):
+            best = TuneResult(theta, tp_drop, fp_drop, base.tp, base.fp)
     if best.fp_drop == 0.0:
         warnings.warn(
             "no threshold removes any FP within the TP-drop budget; keeping everything",
             NoFeasibleThreshold,
         )
-    assert best.tp_drop <= budget
     return best
 
 

@@ -15,7 +15,15 @@ float() per cell, that the numpy feature CSV reader replaced.
 reference_write_feature_csv is the writer that formatted every cell on
 its own, and reference_verdict_line the json.dumps of one span's whole
 output object, that the writers rendering each distinct value, and each
-leaf's line tail, once replaced.
+leaf's line tail, once replaced. reference_baseline_grid is the per-span
+loop that baseline_grid's keep masks replaced: the per-span keep rules,
+applied one span and one grid point at a time and counted by hand. It
+takes the weakest-token confidence plainly, but the other scores
+(temperature scaling, mean entropy, the pass aggregate) come from the
+package's score functions, which have tests of their own: what it checks
+is every cut and its count. reference_cut_threshold is the θ rule as
+tune_threshold counted it before the cut and its count were split from
+the tree walk: every candidate from the lowest up, ties to the higher.
 """
 
 from __future__ import annotations
@@ -28,10 +36,22 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from nrfilter.baselines import (
+    TEMP_GRID_THRESHOLD,
+    mc_dropout_aggregate,
+    mean_span_entropy,
+    temperature_scale,
+)
 from nrfilter.core import EntitySpan
 from nrfilter.errors import ParseError, SchemaMismatch
 from nrfilter.features import FeatureTable, canonical_feature_name
-from nrfilter.tree import DEFAULT_DECISION_THRESHOLD, Internal, Leaf, TreeModel
+from nrfilter.tree import (
+    DEFAULT_DECISION_THRESHOLD,
+    THRESHOLD_KEEP_ALL,
+    Internal,
+    Leaf,
+    TreeModel,
+)
 
 
 def brute_force_pdm(probs, t_predicted, decay_rate, bins, exclude=None):
@@ -360,3 +380,90 @@ def reference_verdict_line(span, verdict, p_weak, split=None, path=None):
     if path is not None:
         obj["path"] = path
     return json.dumps(obj)
+
+
+def weakest_confidence(rows) -> float:
+    """Min over a span's token rows of the max class probability."""
+    return min(max(row) for row in rows)
+
+
+def softmax_threshold_filter(span, chunk, threshold) -> bool:
+    """True = keep: the weakest token's confidence reaches the threshold."""
+    return weakest_confidence(chunk.probs[span.start : span.end + 1].tolist()) >= threshold
+
+
+def temperature_filter(span, chunk, temperature) -> bool:
+    """True = keep: the scaled weakest-token confidence reaches the fixed cut."""
+    scaled = temperature_scale(chunk.probs[span.start : span.end + 1], temperature)
+    return weakest_confidence(scaled.tolist()) >= TEMP_GRID_THRESHOLD
+
+
+def entropy_filter(span, chunk, cutoff) -> bool:
+    """True = keep: the mean token entropy is at most the cutoff."""
+    return mean_span_entropy(chunk, span) <= cutoff
+
+
+def mc_dropout_filter(passes, span, mean_cutoff, var_cutoff) -> bool:
+    """True = keep: the anchor's mean across passes is high and its spread low."""
+    mean, var = mc_dropout_aggregate(passes, span)
+    return mean >= mean_cutoff and var <= var_cutoff
+
+
+def reference_baseline_grid(method, labeled_spans, grid, passes_by_chunk=None, var_grid=None):
+    """One row per grid point, each counted span by span."""
+    if method == "mcdropout":
+        points = [{"mc_mean_cutoff": float(m), "mc_var_cutoff": float(v)}
+                  for m in grid for v in (var_grid if var_grid is not None else [0.01])]
+    else:
+        name = {"softmax": "threshold", "temp": "temperature", "entropy": "entropy_cutoff"}[method]
+        points = [{name: float(value)} for value in grid]
+    rows = []
+    for point in points:
+        base_tp = base_fp = tp = fp = fn = 0
+        for chunk, span, is_tp in labeled_spans:
+            if method == "softmax":
+                keep = softmax_threshold_filter(span, chunk, point["threshold"])
+            elif method == "temp":
+                keep = temperature_filter(span, chunk, point["temperature"])
+            elif method == "entropy":
+                keep = entropy_filter(span, chunk, point["entropy_cutoff"])
+            else:
+                keep = mc_dropout_filter(passes_by_chunk[chunk.id], span,
+                                         point["mc_mean_cutoff"], point["mc_var_cutoff"])
+            if is_tp:
+                base_tp += 1
+                if keep:
+                    tp += 1
+                else:
+                    fn += 1
+            else:
+                base_fp += 1
+                if keep:
+                    fp += 1
+        rows.append({
+            "method": method,
+            **point,
+            "tp_drop_pct": 100.0 * (base_tp - tp) / base_tp if base_tp else 0.0,
+            "fp_drop_pct": 100.0 * (base_fp - fp) / base_fp if base_fp else 0.0,
+            "precision": tp / (tp + fp) if tp + fp else 0.0,
+            "recall": tp / (tp + fn) if tp + fn else 0.0,
+            "f1": 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0,
+        })
+    return rows
+
+
+def reference_cut_threshold(scores, is_tp, max_tp_drop):
+    """(θ, TP drop, FP drop) of the cut "drop iff score >= θ" that drops
+    the most FPs within the TP budget, the highest θ on a tie."""
+    n_tp = sum(1 for t in is_tp if t)
+    n_fp = len(is_tp) - n_tp
+    best = None
+    for theta in sorted(set(scores)) + [THRESHOLD_KEEP_ALL]:
+        dropped_tp = sum(1 for s, t in zip(scores, is_tp) if t and s >= theta)
+        dropped_fp = sum(1 for s, t in zip(scores, is_tp) if not t and s >= theta)
+        tp_drop, fp_drop = dropped_tp / n_tp, dropped_fp / n_fp
+        if tp_drop > max_tp_drop:
+            continue
+        if best is None or fp_drop > best[2] or (fp_drop == best[2] and theta > best[0]):
+            best = (theta, tp_drop, fp_drop)
+    return best

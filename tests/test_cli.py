@@ -11,7 +11,10 @@ import pytest
 from nrfilter import (
     STRONG,
     SynthConfig,
+    baselines,
+    decode_spans,
     iter_generate,
+    iter_records,
     load_model,
     stream_classify,
     tune_threshold,
@@ -131,6 +134,22 @@ class TestTrainTuneClassifyExplain:
         want = tune_threshold(untuned, table.matrix, is_tp, 0.06).threshold
         assert want != untuned.decision_threshold
         assert load_model(model) == untuned.with_threshold(want)
+
+    def test_tune_records_its_budget(self, trained, tmp_path):
+        """``tune --max-tp-drop B`` saves B as the model's budget, so a later
+        ``tune`` without the flag cuts under B too."""
+        model = str(tmp_path / "model.json")
+        shutil.copyfile(trained["model"], model)
+        assert run(["tune", "--model", model, "--features", trained["features"],
+                    "--max-tp-drop", 0.3]) == EXIT_OK
+        tuned = load_model(model)
+        assert tuned.config.max_tp_drop == 0.3
+        table = read_feature_csv(trained["features"])
+        is_tp = [label == STRONG for label in table.labels]
+        want = tune_threshold(load_model(trained["model"]), table.matrix, is_tp, 0.3)
+        assert tuned.decision_threshold == want.threshold
+        assert run(["tune", "--model", model, "--features", trained["features"]]) == EXIT_OK
+        assert load_model(model) == tuned
 
     def test_classify_stream(self, workdir, trained):
         out = str(workdir["root"] / "verdicts.jsonl")
@@ -903,6 +922,39 @@ class TestBaselineGridContract:
                     "--out", tmp_path / "out.csv"])
         assert code == EXIT_CONFIG
         assert "--var-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, flags", [
+        ("entropy", ["--grid", "nan"]),
+        ("mcdropout", ["--grid", "nan"]),
+        ("mcdropout", ["--grid", "7"]),
+        ("mcdropout", ["--grid", "0.5", "--var-grid", "nan"]),
+        ("mcdropout", ["--grid", "0.5", "--var-grid", "-1"]),
+    ], ids=["entropy-nan", "mean-nan", "mean-above-1", "var-nan", "var-negative"])
+    def test_grid_value_outside_its_domain(self, workdir, tmp_path, capsys, method, flags):
+        """A NaN or out-of-domain cutoff exits 7 and writes no grid."""
+        out = tmp_path / "out.csv"
+        passes = ["--passes", f"{workdir['corpus']},{workdir['corpus']}"]
+        code = run(["baseline", "--method", method, "--input", workdir["corpus"], *flags,
+                    *(passes if method == "mcdropout" else []), "--out", out])
+        assert code == EXIT_CONFIG
+        assert "cutoff must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mcdropout_aggregates_each_span_once(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        aggregate = baselines.mc_dropout_aggregate
+        monkeypatch.setattr(baselines, "mc_dropout_aggregate",
+                            lambda passes, span: calls.append(span) or aggregate(passes, span))
+        counts = []
+        for grid, var_grid in (("0.5", "0.1"), ("0,0.3,0.6,0.9", "0,0.01,0.1")):
+            calls.clear()
+            assert run(["baseline", "--method", "mcdropout", "--input", workdir["corpus"],
+                        "--grid", grid, "--var-grid", var_grid,
+                        "--passes", f"{workdir['corpus']},{workdir['corpus']}",
+                        "--out", tmp_path / "out.csv"]) == EXIT_OK
+            counts.append(len(calls))
+        n_spans = sum(len(decode_spans(r.chunk)) for r in iter_records(workdir["corpus"]))
+        assert counts == [n_spans, n_spans]
 
     @pytest.mark.parametrize("name", ["chunk-in-no-pass", "other-classes", "fewer-tokens"])
     def test_mcdropout_passes_differ_from_corpus(self, tmp_path, capsys, name):

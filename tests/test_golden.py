@@ -9,7 +9,8 @@ A change that means to alter an output rewrites them, on purpose, with
 and says so. The corpus is generated here, not by ``nrfilter.synth``:
 200 training and 60 held-out records of 2 entity types (K=5), each with
 0-4 spans, including spans at the first and last token, records without
-spans, and integer, string and absent word ids.
+spans, and integer, string and absent word ids. The ``baseline`` grids
+run on the held-out records, ``mcdropout`` over two noisy passes of them.
 """
 
 from __future__ import annotations
@@ -76,6 +77,29 @@ def write_corpus(path: str, n: int, seed: int) -> None:
             handle.write(json.dumps(_record(rng, index)) + "\n")
 
 
+def write_pass(src: str, dst: str, seed: int) -> None:
+    """A stochastic forward pass over ``src``'s records: the same tokens,
+    each probability row scaled by log-normal noise and renormalized."""
+    rng = np.random.default_rng(seed)
+    with open(src, "r", encoding="utf-8") as source, open(dst, "w", encoding="utf-8") as out:
+        for line in source:
+            record = json.loads(line)
+            for token in record["tokens"]:
+                p = np.asarray(token["probs"]) * rng.lognormal(0.0, 0.2, len(token["probs"]))
+                token["probs"] = (p / p.sum()).tolist()
+            out.write(json.dumps(record) + "\n")
+
+
+# Each baseline method's grid arguments; values on either side of the
+# corpus's scores and at the ends of each domain.
+BASELINES = {
+    "softmax": ["--grid", "0,0.5,0.7,0.9,0.95,1"],
+    "temp": ["--grid", "0.5,1,2,4"],
+    "entropy": ["--grid", "0,0.2,0.5,1"],
+    "mcdropout": ["--grid", "0,0.3,0.6,1", "--var-grid", "0,0.001,0.01"],
+}
+
+
 def _cli(*argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -104,9 +128,15 @@ def artifacts(root: str) -> dict[str, str]:
          "--dump-pdm", path("heldout_pdm.jsonl"))
     with open(path("explain.txt"), "w", encoding="utf-8") as handle:
         handle.write(_cli("explain", "--model", model, "--record", path("heldout.jsonl")))
+    write_pass(path("heldout.jsonl"), path("pass1.jsonl"), 13)
+    write_pass(path("heldout.jsonl"), path("pass2.jsonl"), 14)
+    for method, grid in BASELINES.items():
+        passes = ["--passes", f"{path('pass1.jsonl')},{path('pass2.jsonl')}"]
+        _cli("baseline", "--method", method, "--input", path("heldout.jsonl"), *grid,
+             *(passes if method == "mcdropout" else []), "--out", path(f"baseline_{method}.csv"))
     names = ("run/features.csv", "run/model.json", "run/predictions.jsonl", "run/report.json",
              "retrain.json", "classify.jsonl", "classify_no_path.jsonl", "heldout.csv",
-             "heldout_pdm.jsonl", "explain.txt")
+             "heldout_pdm.jsonl", "explain.txt", *(f"baseline_{m}.csv" for m in BASELINES))
     hashes = {}
     for name in names:
         with open(path(name), "rb") as handle:

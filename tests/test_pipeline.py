@@ -31,7 +31,7 @@ from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
 from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
-from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel
+from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, tune_threshold
 
 from oracles import reference_decision_path, reference_verdict_line
 
@@ -94,6 +94,18 @@ class TestRunPipeline:
         filtered = block["filtered"]["totals"]
         assert filtered["precision"] > base["precision"]
         assert filtered["f1"] >= base["f1"]
+
+    def test_walks_each_span_once(self, corpus_path, tmp_path):
+        """θ, the verdicts and the report all read one walk per span, and θ
+        is the one ``tune_threshold`` picks on the validation rows."""
+        with mock.patch.object(TreeModel, "leaf", autospec=True, side_effect=TreeModel.leaf) as leaf:
+            result = run_pipeline(corpus_path, str(tmp_path), PipelineConfig())
+        assert leaf.call_count == result.report["n_spans"]
+        table = read_feature_csv(result.paths["features"])
+        with open(result.paths["predictions"], "r", encoding="utf-8") as handle:
+            val = np.array([json.loads(line)["split"] == "validation" for line in handle])
+        is_tp = np.array([label == STRONG for label in table.labels])
+        assert tune_threshold(result.model, table.matrix[val], is_tp[val]) == result.tune
 
     def test_unlabeled_corpus_rejected(self, tmp_path):
         record = parse_record({
@@ -399,11 +411,12 @@ class TestVerdictLines:
             want.append((verdict, reference_verdict_line(span, verdict, p_weak, split, path)))
         lines = pipeline._verdict_lines(model, include_path)
         given_splits = splits if with_split else None
-        assert list(lines(spans, rows, given_splits)) == want
+        leaves = model.walk(rows)
+        assert list(lines(spans, leaves, given_splits)) == want
         # One span per call, as a stream of one-span records: the tails
         # rendered by the first calls are reused.
         one_by_one = [line for i in range(len(spans)) for line in lines(
-            spans[i : i + 1], rows[i : i + 1], given_splits and given_splits[i : i + 1])]
+            spans[i : i + 1], leaves[i : i + 1], given_splits and given_splits[i : i + 1])]
         assert one_by_one == want
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,7 @@ from conftest import fixture_path
 from oracles import (
     _reference_gini as gini,
     parse_decision_path,
+    reference_cut_threshold,
     reference_decision_path,
     reference_leaf_for,
     reference_path_steps,
@@ -423,6 +425,25 @@ class TestTuneThreshold:
         is_tp = [label == STRONG for label in labels]
         with pytest.raises(InvalidConfig):
             tune_threshold(model, X, is_tp, 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]), st.booleans()),
+                       min_size=2, max_size=30),
+        budget=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+    )
+    def test_cut_equals_reference(self, cells, budget):
+        scores, is_tp = (list(column) for column in zip(*cells))
+        if all(is_tp) or not any(is_tp):
+            with pytest.raises(SingleClassTrainingSet):
+                tree.cut_threshold(scores, is_tp, budget)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoFeasibleThreshold)
+            result = tree.cut_threshold(scores, is_tp, budget)
+        assert (result.threshold, result.tp_drop, result.fp_drop) \
+            == reference_cut_threshold(scores, is_tp, budget)
+        assert (result.n_tp, result.n_fp) == (sum(is_tp), len(is_tp) - sum(is_tp))
 
     @pytest.mark.parametrize("shape", [(39, 3), (40, 2), (40,), (40, 3, 1)])
     def test_matrix_shape_checked(self, shape):
