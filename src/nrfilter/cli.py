@@ -46,7 +46,6 @@ from .pdm import ProbabilityDensityMap, grid_to_obj
 from .pipeline import (
     PipelineConfig,
     featurize_records,
-    _tp_flags,
     run_pipeline,
     stream_classify,
 )
@@ -155,7 +154,7 @@ def cmd_featurize(args) -> int:
                     pdm = ProbabilityDensityMap(grid, config, span.anchor)
                     obj = {"chunk_id": record.chunk.id, **grid_to_obj(pdm)}
                     dump.write(json.dumps(obj) + "\n")
-            yield schema.names, spans, [record.label] * len(spans), matrix
+            yield schema.names, spans, record.span_labels(spans), matrix
 
     with _output(args.dump_pdm) if args.dump_pdm else contextlib.nullcontext() as dump:
         if args.format == "csv":
@@ -185,34 +184,26 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _read_training_table(features_path: str, labels_path: str | None):
-    """The feature table and one "strong"/"weak" label per row, from the
-    CSV's label column or from ``labels_path``; any other label is
-    InvalidConfig."""
+def _training_table(features_path: str):
+    """The feature table of ``features_path``, whose label column is the
+    only label source; a row without a label, or with another label than
+    "strong" or "weak", is InvalidConfig."""
     table = read_feature_csv(features_path)
-    if labels_path:
-        with open(labels_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            labels = [line.strip() for line in handle if line.strip()]
-        if len(labels) != table.matrix.shape[0]:
-            raise SchemaMismatch(
-                f"{len(labels)} labels for {table.matrix.shape[0]} feature rows"
-            )
-    else:
-        labels = [label or "" for label in table.labels]
-        if any(not label for label in labels):
-            raise InvalidConfig(
-                "feature CSV has rows without labels; pass --labels"
-            )
-    bad = next((label for label in labels if label not in (STRONG, WEAK)), None)
+    if None in table.labels:
+        raise InvalidConfig(
+            "feature CSV has rows without labels: a span is labelled only by "
+            "its record's label or gold_spans"
+        )
+    bad = next((label for label in table.labels if label not in (STRONG, WEAK)), None)
     if bad is not None:
         raise InvalidConfig(f"label must be 'strong' or 'weak', got {bad!r}")
-    return table, labels
+    return table
 
 
 def cmd_train(args) -> int:
     config = _pipeline_config(args)
-    table, labels = _read_training_table(args.features, args.labels)
-    model = train_matrix(table.matrix, labels, table.names, config.tree)
+    table = _training_table(args.features)
+    model = train_matrix(table.matrix, table.labels, table.names, config.tree)
     save_model(replace(model, featurization=config.featurization), args.model)
     leaves = len(model.leaves)
     print(f"trained tree: {len(model.nodes)} nodes, {leaves} leaves -> {args.model}")
@@ -221,10 +212,10 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     model = load_model(args.model)
-    table, labels = _read_training_table(args.features, args.labels)
+    table = _training_table(args.features)
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")
-    is_tp = [label == STRONG for label in labels]
+    is_tp = [label == STRONG for label in table.labels]
     # The model records the budget it is tuned under.
     config = replace(model.config, **_given(args, TrainConfig))
     result = tune_threshold(model, table.matrix, is_tp, config.max_tp_drop)
@@ -239,13 +230,10 @@ def cmd_tune(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model)
-    config = PipelineConfig.from_model(model)
     if args.threshold is not None:
         model = model.with_threshold(args.threshold)
     with _output(args.out) as out:
-        counts = stream_classify(
-            args.input, model, out, config, include_path=not args.no_path
-        )
+        counts = stream_classify(args.input, model, out, include_path=not args.no_path)
     print(
         f"classified {counts[STRONG] + counts[WEAK]} spans "
         f"({counts[STRONG]} strong / {counts[WEAK]} weak) -> {args.out}"
@@ -339,15 +327,21 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_baseline(args) -> int:
+    if args.method != "mcdropout":
+        for flag, value in (("--passes", args.passes), ("--var-grid", args.var_grid)):
+            if value is not None:
+                raise InvalidConfig(f"{flag} applies to --method mcdropout only")
+    elif args.passes is None:
+        raise InvalidConfig("--method mcdropout needs --passes")
+    grid = _float_list(args.grid, "--grid") if args.grid is not None else [0.5, 0.9, 0.95]
+    var_grid = _float_list(args.var_grid, "--var-grid") if args.var_grid is not None else None
     labeled = []
     for record in iter_records(args.input):
         spans = decode_spans(record.chunk)
-        for span, is_tp in zip(spans, _tp_flags(record, spans)):
-            labeled.append((record.chunk, span, is_tp))
-    grid = _float_list(args.grid, "--grid") if args.grid else [0.5, 0.9, 0.95]
-    var_grid = _float_list(args.var_grid, "--var-grid") if args.var_grid else None
+        for span, label in zip(spans, record.span_labels(spans, required=True)):
+            labeled.append((record.chunk, span, label == STRONG))
     passes_by_chunk = None
-    if args.passes:
+    if args.passes is not None:
         passes_by_chunk = {}
         for path in args.passes.split(","):
             for record in iter_records(path):
@@ -419,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="train the strong/weak tree from a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--labels", help="optional label file, one strong/weak per row")
     p.add_argument("--model", required=True)
     p.add_argument("--max-depth", dest="max_depth", type=int, default=None,
                    help=f"default {TrainConfig.max_depth}")
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tune", help="pick the decision threshold on validation data")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--labels", help="optional label file")
     p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None)
     p.set_defaults(fn=cmd_tune)
 

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,6 +179,18 @@ class CorpusRecord:
     chunk: Chunk
     label: str | None = None
     gold_spans: tuple[EntitySpan, ...] = ()
+
+    def span_labels(self, spans: Sequence[EntitySpan], required: bool = False) -> list[str | None]:
+        """The supervision of each of this record's decoded spans: "strong"
+        iff it matches a gold span exactly when the record has gold spans,
+        otherwise the record's label, otherwise None. With ``required`` a
+        record with neither label nor gold spans is InvalidConfig."""
+        if self.gold_spans:
+            keys = {g.match_key() for g in self.gold_spans}
+            return [STRONG if span.match_key() in keys else WEAK for span in spans]
+        if self.label is None and required:
+            raise InvalidConfig(f"record {self.chunk.id!r} has neither label nor gold_spans")
+        return [self.label] * len(spans)
 
 
 def validate_chunk(chunk: Chunk) -> Chunk:
@@ -370,8 +382,11 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     )
 
     label = obj.get("label")
-    if label is not None and label not in (STRONG, WEAK):
-        fail(f"label must be 'strong' or 'weak', got {label!r}")
+    if label is not None:
+        if label not in (STRONG, WEAK):
+            fail(f"label must be 'strong' or 'weak', got {label!r}")
+        # The shared constant: a span's label outlives its record.
+        label = STRONG if label == STRONG else WEAK
 
     raw_gold = obj.get("gold_spans")
     if raw_gold is not None and not isinstance(raw_gold, list):

@@ -594,12 +594,11 @@ def write_feature_csv(
 
 @dataclass
 class FeatureTable:
-    """A materialized feature matrix with row metadata."""
+    """A feature CSV's names, matrix and row labels (None where empty)."""
 
     names: tuple[str, ...]
     matrix: np.ndarray
     labels: list[str | None]
-    spans: list[EntitySpan]
 
 
 def _parse_rows(handle: IO[str], dtype: np.dtype) -> np.ndarray:
@@ -649,8 +648,9 @@ def _first_bad_row(source: IO[str], lines_before: int, header: list[str],
 
 
 def read_feature_csv(source: str | IO[str]) -> FeatureTable:
-    """Read ``write_feature_csv`` output. The header goes through csv; the
-    rows through one numpy ``loadtxt`` call. A position is a decimal
+    """Read ``write_feature_csv`` output: its names, matrix and labels.
+    The other meta cells are checked, not kept. The header goes through
+    csv; the rows through one numpy ``loadtxt`` call. A position is a decimal
     integer and a feature a decimal or exponent float without ``_``
     separators. A row that holds bytes that are not UTF-8, is ragged,
     holds a cell that does not parse, a non-finite feature or an anchor
@@ -681,14 +681,8 @@ def read_feature_csv(source: str | IO[str]) -> FeatureTable:
                                    + rows["label"].tolist()))):
         source.seek(data_start)
         raise _first_bad_row(source, header_reader.line_num, header, names, dtype, path)
-    spans = [
-        EntitySpan(chunk_id, entity_type, start, end, anchor, text="")
-        for chunk_id, entity_type, start, end, anchor in zip(
-            *(rows[col].tolist() for col in _META_COLS[:5])
-        )
-    ]
     labels = [label or None for label in rows["label"].tolist()]
-    return FeatureTable(names, np.ascontiguousarray(rows["values"]), labels, spans)
+    return FeatureTable(names, np.ascontiguousarray(rows["values"]), labels)
 
 
 def feature_row_obj(span: EntitySpan, label: str | None, names: Sequence[str], values) -> dict:

@@ -108,19 +108,6 @@ class PipelineConfig(FeatureConfig):
             raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
-def _tp_flags(record: CorpusRecord, spans: Sequence[EntitySpan]) -> list[bool]:
-    """Supervision for each span of one record: exact gold match when
-    gold spans exist, otherwise the record-level label."""
-    if record.gold_spans:
-        keys = {g.match_key() for g in record.gold_spans}
-        return [span.match_key() in keys for span in spans]
-    if record.label is not None:
-        return [record.label == STRONG] * len(spans)
-    raise InvalidConfig(
-        f"record {record.chunk.id!r} has neither label nor gold_spans"
-    )
-
-
 def assign_validation(seed: int, index: int, fraction: float) -> bool:
     """Deterministic per-record split assignment, independent of order."""
     return bool(np.random.default_rng([seed, _SPLIT_SALT, index]).random() < fraction)
@@ -228,7 +215,7 @@ def run_pipeline(
     artifacts. The returned report carries validation drop rates.
     """
     spans: list[EntitySpan] = []
-    tp: list[bool] = []
+    labels: list[str] = []
     blocks: list[np.ndarray] = []  # each record's rows, a view into the kernel's block
     in_val: list[bool] = []  # each record's split
     val_gold: list[EntitySpan] = []
@@ -251,15 +238,12 @@ def run_pipeline(
         if is_val:
             val_gold.extend(record.gold_spans)
         spans.extend(rec_spans)
-        tp.extend(_tp_flags(record, rec_spans))
+        labels.extend(record.span_labels(rec_spans, required=True))
         blocks.append(matrix)
         in_val.append(is_val)
     if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
-    # Per-span flags. The label and split lists hold the shared constants,
-    # not one new string per span.
-    labels = [STRONG if t else WEAK for t in tp]
-    tp = np.array(tp)
+    tp = np.array([label == STRONG for label in labels])
     val = np.repeat(in_val, [len(rows) for rows in blocks])
     if val.all():
         raise SingleClassTrainingSet(
@@ -321,15 +305,13 @@ def stream_classify(
     corpus: str | IO[str],
     model: TreeModel,
     out: IO[str],
-    config: PipelineConfig | None = None,
     include_path: bool = True,
 ) -> dict[str, int]:
     """Classify every decoded span of a corpus in input order, one block
     of records at a time (see ``featurize_records``).
 
     The spans are decoded and featurized as the model records
-    (``PipelineConfig.from_model``); a ``config`` whose featurization
-    differs from the model's is a SchemaMismatch.
+    (``PipelineConfig.from_model``).
 
     Dropped spans are kept in the output flagged "weak" so rejections
     stay reviewable. ``out`` is flushed after each block. A record that
@@ -337,17 +319,10 @@ def stream_classify(
     earlier records of its block are written, so ``out`` then holds
     only the blocks before it. Returns verdict counts.
     """
-    recorded = PipelineConfig.from_model(model)
-    if config is None:
-        config = recorded
-    elif config.featurization != recorded.featurization:
-        raise SchemaMismatch(
-            f"the config's featurization {config.featurization} differs from the "
-            f"model's {recorded.featurization}"
-        )
     counts = {STRONG: 0, WEAK: 0}
     lines = _verdict_lines(model, include_path)
-    blocks = _featurized_blocks(iter_records(corpus), config, model.feature_names, batch=False)
+    blocks = _featurized_blocks(iter_records(corpus), PipelineConfig.from_model(model),
+                                model.feature_names, batch=False)
     for block in blocks:
         for _, spans, _, matrix in block:
             for verdict, line in lines(spans, model.walk(matrix)):

@@ -42,7 +42,6 @@ from nrfilter.baselines import (
     mean_span_entropy,
     temperature_scale,
 )
-from nrfilter.core import EntitySpan
 from nrfilter.errors import ParseError, SchemaMismatch
 from nrfilter.features import FeatureTable, canonical_feature_name
 from nrfilter.tree import (
@@ -320,20 +319,20 @@ def reference_read_feature_csv(source):
     if header is None or header[: len(_META_COLS)] != list(_META_COLS):
         raise SchemaMismatch("feature CSV header missing metadata columns")
     names = tuple(canonical_feature_name(n) for n in header[len(_META_COLS) :])
-    rows, labels, spans, line_nos = [], [], [], []
+    rows, labels, line_nos = [], [], []
     for row in reader:
         if not row:
             continue
         if len(row) != len(header):
             raise ParseError(reader.line_num, f"{len(row)} fields, header has {len(header)}", path)
-        chunk_id, entity_type, start, end, anchor, label = row[: len(_META_COLS)]
+        _, _, start, end, anchor, label = row[: len(_META_COLS)]
         try:
-            spans.append(
-                EntitySpan(chunk_id, entity_type, int(start), int(end), int(anchor), text="")
-            )
+            start, end, anchor = int(start), int(end), int(anchor)
             rows.append([float(v) for v in row[len(_META_COLS) :]])
         except ValueError as exc:
             raise ParseError(reader.line_num, str(exc), path) from exc
+        if not start <= anchor <= end:
+            raise ParseError(reader.line_num, f"anchor {anchor} outside [{start}, {end}]", path)
         labels.append(label or None)
         line_nos.append(reader.line_num)
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
@@ -341,7 +340,7 @@ def reference_read_feature_csv(source):
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ParseError(line_nos[i], f"feature {names[j]!r} is {float(matrix[i, j])!r}", path)
-    return FeatureTable(names, matrix, labels, spans)
+    return FeatureTable(names, matrix, labels)
 
 
 def reference_write_feature_csv(target, blocks):

@@ -288,7 +288,6 @@ class TestCriterion9StreamingMemoryBound:
                 open(warmup, "w", encoding="utf-8") as dst:
             dst.writelines(itertools.islice(src, 8000))
 
-        pc = PipelineConfig()
         out_path = str(root / "verdicts.jsonl")
         samples: list[int] = []
         state = {"base": None, "settled": False}
@@ -316,9 +315,9 @@ class TestCriterion9StreamingMemoryBound:
         tracemalloc.start()
         try:
             with open(str(root / "warm_out.jsonl"), "w", encoding="utf-8") as out:
-                stream_classify(warmup, model, out, pc)
+                stream_classify(warmup, model, out)
             with open(out_path, "w", encoding="utf-8") as out:
-                counts = stream_classify(sampled_lines(), model, out, pc)
+                counts = stream_classify(sampled_lines(), model, out)
             gc.collect()
             final = tracemalloc.get_traced_memory()[0] - state["base"]
         finally:

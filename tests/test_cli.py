@@ -35,6 +35,7 @@ from nrfilter.features import read_feature_csv
 from nrfilter.pipeline import _STREAM_WIDTHS
 
 from conftest import fixture_path
+from test_golden import write_corpus as write_golden_corpus
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +256,12 @@ class TestBaselineCommand:
         assert rows[0]["method"] == "softmax"
         assert float(rows[0]["fp_drop_pct"]) == 0.0
 
-    def test_mcdropout_needs_passes(self, workdir):
+    def test_mcdropout_needs_passes(self, workdir, capsys):
         out = str(workdir["root"] / "mc.csv")
         code = run(["baseline", "--method", "mcdropout", "--input", workdir["corpus"],
                     "--grid", "0.9", "--out", out])
         assert code == EXIT_CONFIG
+        assert "--passes" in capsys.readouterr().err
 
     def test_mcdropout_with_passes(self, workdir):
         out = str(workdir["root"] / "mc2.csv")
@@ -823,23 +825,18 @@ class TestFeatureCsvContract:
             assert model.read_bytes() == handle.read()
 
 
-def labeled_table(trained, tmp_path, source, change=lambda labels: labels):
-    """Arguments giving the trained fixture's feature rows with their
-    labels passed through ``change``: in the CSV's label column, or in a
-    --labels file next to a CSV whose label column is empty."""
+def labeled_table(trained, tmp_path, change):
+    """``--features`` for the trained fixture's feature rows with their
+    label column passed through ``change``."""
     with open(trained["features"], newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
     labels = change([row[5] for row in rows])
-    features, argv = tmp_path / "features.csv", []
-    if source == "file":
-        write_lines(tmp_path / "labels.txt", [label + "\n" for label in labels])
-        argv = ["--labels", tmp_path / "labels.txt"]
-        labels = [""] * len(rows)
+    features = tmp_path / "features.csv"
     with open(features, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(
             [header] + [row[:5] + [label] + row[6:] for row, label in zip(rows, labels)]
         )
-    return ["--features", features] + argv
+    return ["--features", features]
 
 
 def train_or_tune(command, trained, tmp_path, table_args):
@@ -850,44 +847,70 @@ def train_or_tune(command, trained, tmp_path, table_args):
 
 
 class TestTrainingLabels:
-    """train and tune take labels from the CSV's label column or from
-    --labels, and both accept only "strong" and "weak"."""
+    """train and tune read labels only from the CSV's label column, and
+    both accept only "strong" and "weak"."""
 
     @pytest.mark.parametrize("command", ["train", "tune"])
-    def test_labels_file_matches_column(self, trained, tmp_path, command):
-        models = []
-        for source in ("column", "file"):
-            part = tmp_path / source
-            part.mkdir()
-            code, model = train_or_tune(command, trained, part,
-                                        labeled_table(trained, part, source))
-            assert code == EXIT_OK
-            models.append(model.read_bytes())
-        assert models[0] == models[1]
-
-    @pytest.mark.parametrize("source", ["column", "file"])
-    @pytest.mark.parametrize("command", ["train", "tune"])
-    def test_unknown_label_exits_config(self, trained, tmp_path, capsys, command, source):
-        args = labeled_table(trained, tmp_path, source,
+    def test_unknown_label_exits_config(self, trained, tmp_path, capsys, command):
+        args = labeled_table(trained, tmp_path,
                              lambda labels: ["maybe" if label == "weak" else label
                                              for label in labels])
         assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_CONFIG
         assert "'maybe'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "tune"])
-    def test_labels_file_not_utf8_exits_config(self, trained, tmp_path, capsys, command):
-        args = labeled_table(trained, tmp_path, "file")
-        labels = (tmp_path / "labels.txt").read_bytes().split(b"\n")
-        labels[2] = b"\xff\xfe"
-        (tmp_path / "labels.txt").write_bytes(b"\n".join(labels))
-        assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_CONFIG
-        assert "label must be 'strong' or 'weak'" in capsys.readouterr().err
+    def test_no_labels_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert "--labels" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["train", "tune"])
-    def test_labels_file_row_count_mismatch(self, trained, tmp_path, capsys, command):
-        args = labeled_table(trained, tmp_path, "file", lambda labels: labels[:-1])
-        assert train_or_tune(command, trained, tmp_path, args)[0] == EXIT_SCHEMA
-        assert "labels for" in capsys.readouterr().err
+
+class TestOneSupervisionRule:
+    """featurize labels each span as pipeline does: the gold match when
+    its record has gold spans, else the record's label."""
+
+    @pytest.mark.parametrize("supervision", ["gold", "label"])
+    def test_featurize_writes_pipelines_features(self, workdir, tmp_path, supervision):
+        corpus = tmp_path / "corpus.jsonl"
+        if supervision == "gold":
+            write_golden_corpus(str(corpus), 200, 11)
+        else:
+            records = [json.loads(line) for line in corpus_lines(workdir, 240)]
+            for record in records:
+                record.pop("gold_spans", None)
+            write_lines(corpus, [json.dumps(record) + "\n" for record in records])
+        config = tmp_path / "config.json"
+        config.write_text('{"bins": 8, "neighbor_window": 2}', encoding="utf-8")
+        features = tmp_path / "features.csv"
+        assert run(["pipeline", "--corpus", corpus, "--out-dir", tmp_path / "run",
+                    "--config", config]) == EXIT_OK
+        assert run(["featurize", "--input", corpus, "--out", features,
+                    "--config", config]) == EXIT_OK
+        assert features.read_bytes() == (tmp_path / "run" / "features.csv").read_bytes()
+        assert set(read_feature_csv(str(features)).labels) == {STRONG, "weak"}
+        model = tmp_path / "model.json"
+        assert run(["train", "--features", features, "--model", model,
+                    "--config", config]) == EXIT_OK
+        assert run(["tune", "--features", features, "--model", model]) == EXIT_OK
+
+    def test_unsupervised_record(self, workdir, tmp_path, capsys):
+        records = [json.loads(line) for line in corpus_lines(workdir, 20)]
+        records[-1].pop("label")  # the last record has neither label nor gold spans
+        records[-1].pop("gold_spans", None)
+        chunk_id = records[-1]["id"]
+        corpus = write_lines(tmp_path / "corpus.jsonl",
+                             [json.dumps(record) + "\n" for record in records])
+        features = tmp_path / "features.csv"
+        assert run(["featurize", "--input", corpus, "--out", features]) == EXIT_OK
+        with open(features, newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert [row[0] for row in rows if not row[5]] == [chunk_id]
+        for command in (["pipeline", "--corpus", corpus, "--out-dir", tmp_path / "run"],
+                        ["baseline", "--method", "softmax", "--input", corpus,
+                         "--out", tmp_path / "softmax.csv"]):
+            assert run(command) == EXIT_CONFIG
+            assert f"record {chunk_id!r} has neither label nor gold_spans" \
+                in capsys.readouterr().err
 
 
 class TestSynthConfigContract:
@@ -909,6 +932,25 @@ class TestSynthConfigContract:
 
 
 class TestBaselineGridContract:
+    @pytest.mark.parametrize("flag", ["--passes", "--var-grid"])
+    def test_mcdropout_flag_with_other_method(self, workdir, tmp_path, capsys, flag):
+        """Exits 7 before reading a pass file (an absent one would exit 3)."""
+        out = tmp_path / "out.csv"
+        value = tmp_path / "absent.jsonl" if flag == "--passes" else "0.1"
+        code = run(["baseline", "--method", "softmax", "--input", workdir["corpus"],
+                    flag, value, "--out", out])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--grid", "--var-grid"])
+    def test_empty_grid(self, workdir, tmp_path, capsys, flag):
+        passes = f"{workdir['corpus']},{workdir['corpus']}"
+        code = run(["baseline", "--method", "mcdropout", "--input", workdir["corpus"],
+                    "--passes", passes, flag, "", "--out", tmp_path / "out.csv"])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
     def test_grid_not_numbers(self, workdir, tmp_path, capsys):
         code = run(["baseline", "--method", "softmax", "--input", workdir["corpus"],
                     "--grid", "a,b", "--out", tmp_path / "out.csv"])

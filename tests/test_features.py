@@ -277,7 +277,6 @@ class TestAliasAndExport:
         assert table.labels == ["strong", "weak"]
         np.testing.assert_array_equal(table.matrix[0], blocks[0][3][0])
         np.testing.assert_array_equal(table.matrix[1], blocks[1][3][0])
-        assert table.spans[0].chunk_id == "sentence-1"
 
     def test_csv_blocks_share_one_schema(self, sentence1):
         # The header comes from the first block with a span; a block
@@ -327,7 +326,7 @@ class TestAliasAndExport:
         assert got.getvalue() == want.getvalue()
         got.seek(0)
         table = read_feature_csv(got)
-        assert [s.chunk_id for s in table.spans] == [chunk_id, chunk_id]
+        assert table.labels == labels
         assert table.matrix.tobytes() == np.vstack([values, values]).tobytes()
 
 
@@ -361,7 +360,6 @@ def feature_rows(draw, edge_cells=EDGE_CELLS):
 def assert_same_table(got, want):
     assert got.names == want.names
     assert got.labels == want.labels
-    assert got.spans == want.spans
     assert got.matrix.shape == want.matrix.shape
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
@@ -418,7 +416,7 @@ class TestFeatureCsvReader:
 
     def test_non_ascii_utf8_text_reads(self, tmp_path):
         path = self.write_table(tmp_path, lambda line: "é".encode() + line)
-        assert read_feature_csv(path).spans[28].chunk_id == "éc28"
+        assert read_feature_csv(path).matrix.shape == (40, len(SMALL_SCHEMA))
 
     @pytest.mark.parametrize("anchor", [b"1", b"5"])
     def test_anchor_outside_span_cites_its_line(self, tmp_path, anchor):

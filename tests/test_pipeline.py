@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -30,7 +31,7 @@ from nrfilter.core import EntitySpan, iter_records, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
-from nrfilter.pipeline import _tp_flags, assign_validation, featurize_records
+from nrfilter.pipeline import assign_validation, featurize_records
 from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, tune_threshold
 
 from oracles import reference_decision_path, reference_verdict_line
@@ -122,33 +123,28 @@ class TestStreamClassify:
     def test_counts_and_order(self, corpus_path, pipeline_run):
         result, _ = pipeline_run
         out = io.StringIO()
-        counts = stream_classify(corpus_path, result.model, out, PipelineConfig())
+        counts = stream_classify(corpus_path, result.model, out)
         lines = out.getvalue().strip().split("\n")
         assert counts[STRONG] + counts[WEAK] == len(lines)
         ids = [json.loads(line)["chunk_id"] for line in lines]
         assert ids == sorted(ids, key=lambda s: int(s.split("-")[1]))
 
-    def test_schema_guard(self, corpus_path, pipeline_run):
+    def test_schema_guard(self, tmp_path, pipeline_run):
+        """A corpus of another class list gives other feature names."""
         result, _ = pipeline_run
+        record = parse_record({
+            "id": "k5", "classes": ["O", "B-A", "I-A", "B-B", "I-B"],
+            "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0, 0.0, 0.0]}],
+        })
+        corpus = str(tmp_path / "k5.jsonl")
+        write_records(corpus, [record])
         with pytest.raises(SchemaMismatch):
-            stream_classify(
-                corpus_path, result.model, io.StringIO(),
-                PipelineConfig(bins=5),
-            )
-
-    def test_config_featurization_must_match_model(self, corpus_path, pipeline_run):
-        """A decay rate keeps the feature names but changes their values."""
-        result, _ = pipeline_run
-        assert PipelineConfig.from_model(result.model) == PipelineConfig()
-        with pytest.raises(SchemaMismatch, match="featurization"):
-            stream_classify(corpus_path, result.model, io.StringIO(),
-                            PipelineConfig(decay_rate=5.0))
+            stream_classify(corpus, result.model, io.StringIO())
 
     def test_no_path_flag(self, corpus_path, pipeline_run):
         result, _ = pipeline_run
         out = io.StringIO()
-        stream_classify(corpus_path, result.model, out, PipelineConfig(),
-                        include_path=False)
+        stream_classify(corpus_path, result.model, out, include_path=False)
         first = json.loads(out.getvalue().split("\n", 1)[0])
         assert "path" not in first and "verdict" in first
 
@@ -209,13 +205,14 @@ def recount_report(paths):
     """Each split's counts and drop rates, recounted from the split and
     verdict of every line of predictions.jsonl and the label of the same
     row of features.csv."""
-    table = read_feature_csv(paths["features"])
+    with open(paths["features"], "r", encoding="utf-8", newline="") as handle:
+        _, *rows = csv.reader(handle)
     with open(paths["predictions"], "r", encoding="utf-8") as handle:
         predictions = [json.loads(line) for line in handle]
-    assert len(predictions) == len(table.labels)
+    assert len(predictions) == len(rows)
     cells = {"train": Counter(), "validation": Counter()}
-    for pred, label, span in zip(predictions, table.labels, table.spans):
-        assert (pred["chunk_id"], pred["start"], pred["end"]) == (span.chunk_id, span.start, span.end)
+    for pred, (chunk_id, _, start, end, _, label, *_) in zip(predictions, rows):
+        assert (pred["chunk_id"], pred["start"], pred["end"]) == (chunk_id, int(start), int(end))
         cells[pred["split"]][label, pred["verdict"]] += 1
     splits = {}
     for split, cell in cells.items():
@@ -343,7 +340,7 @@ class TestFeaturizeBlocks:
         want = list(one_record_at_a_time_lines(records, model, config))
         assert len(want) < len(records)  # some records have no spans
         out = io.StringIO()
-        stream_classify(corpus, model, out, config)
+        stream_classify(corpus, model, out)
         assert out.getvalue() == "".join(want)
 
     def test_stream_blocks_hold_several_long_records(self, tmp_path, pipeline_run):
@@ -367,7 +364,7 @@ class TestFeaturizeBlocks:
             sizes.append(len(held))
         assert sum(sizes) == len(records) and max(sizes) > 1
         out = io.StringIO()
-        stream_classify(corpus, model, out, config)
+        stream_classify(corpus, model, out)
         assert out.getvalue() == "".join(one_record_at_a_time_lines(records, model, config))
 
 
@@ -438,15 +435,17 @@ class TestHelpers:
         span = EntitySpan("g", "", 0, 0, 0, "a")
         other = EntitySpan("g", "", 1, 1, 1, "b")
         # The gold match wins over the weak label.
-        assert _tp_flags(record, [span, other]) == [True, False]
+        assert record.span_labels([span, other]) == [STRONG, WEAK]
 
     def test_span_is_tp_requires_supervision(self):
         record = parse_record({
             "id": "u", "classes": ["O", "B", "I"],
             "tokens": [{"text": "a", "probs": [0.0, 1.0, 0.0]}],
         })
-        with pytest.raises(InvalidConfig):
-            _tp_flags(record, [EntitySpan("u", "", 0, 0, 0, "a")])
+        span = EntitySpan("u", "", 0, 0, 0, "a")
+        assert record.span_labels([span]) == [None]
+        with pytest.raises(InvalidConfig, match="neither label nor gold_spans"):
+            record.span_labels([], required=True)
 
 
 class TestPipelineConfigFile:
