@@ -22,18 +22,18 @@ from nrfilter import (
     tune_threshold,
 )
 from nrfilter.metrics import format_drop_table
-from nrfilter.pipeline import assign_validation
+from nrfilter.pipeline import validation_draws
 
 SEED = 23
 records = generate(SynthConfig(n_strong=700, n_weak=700, seed=SEED))
 fschema = build_feature_schema(records[0].chunk.schema)
 
+in_val = validation_draws(SEED, np.arange(len(records))) < 0.25
 labeled_spans = []
 rows = []
-for index, record in enumerate(records):
+for record, is_val in zip(records, in_val.tolist()):
     (span,) = decode_spans(record.chunk)
     is_tp = record.label == STRONG
-    is_val = assign_validation(SEED, index, 0.25)
     if is_val:
         labeled_spans.append((record.chunk, span, is_tp))
     rows.append((featurize_chunk(record.chunk, [span], schema=fschema)[0], is_tp, is_val))

@@ -212,6 +212,7 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     model = load_model(args.model)
+    PipelineConfig.from_model(model)  # a model classify would reject is not saved
     table = _training_table(args.features)
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")

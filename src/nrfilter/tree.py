@@ -252,6 +252,28 @@ def _best_split(
     return best
 
 
+def _column_digests(X: np.ndarray) -> list[int]:
+    """A 64-bit digest of each column's bits: their weighted sum mod 2**64."""
+    weights = np.arange(1, 2 * X.shape[0], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return (weights @ X.view(np.uint64)).tolist()
+
+
+def _first_copies(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``cols`` without every column whose bits equal those of an earlier
+    one of them (so 0.0 and -0.0 differ). Only columns of equal digests
+    are compared bit for bit."""
+    bits = X.view(np.uint64)
+    digests = _column_digests(X)
+    firsts: dict[int, list[int]] = {}
+    keep = []
+    for j in cols.tolist():
+        same_digest = firsts.setdefault(digests[j], [])
+        if not any(np.array_equal(bits[:, j], bits[:, k]) for k in same_digest):
+            same_digest.append(j)
+            keep.append(j)
+    return np.array(keep, dtype=cols.dtype)
+
+
 def train_matrix(
     X: np.ndarray,
     labels: Sequence[str],
@@ -288,8 +310,10 @@ def train_matrix(
     # Presorted growth (SLIQ): every non-constant column is sorted once;
     # a split partitions each column's order stably, so no node sorts.
     # Depth-first with the right child pushed first numbers nodes in
-    # preorder, and the pending orders cover disjoint rows.
-    cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+    # preorder, and the pending orders cover disjoint rows. A column
+    # bit-identical to an earlier one ties it at every node and loses the
+    # tie, so only the first of them is searched.
+    cols = _first_copies(X, np.flatnonzero(X.min(axis=0) < X.max(axis=0)))
     order = np.empty((cols.size, X.shape[0]), dtype=np.int32)
     for k, j in enumerate(cols):
         order[k] = np.argsort(X[:, j], kind="stable")

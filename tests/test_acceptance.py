@@ -42,7 +42,7 @@ from nrfilter import (
     write_records,
 )
 from nrfilter.core import EntitySpan
-from nrfilter.pipeline import assign_validation, stream_classify
+from nrfilter.pipeline import stream_classify, validation_draws
 
 from conftest import random_chunk
 from oracles import brute_force_pdm, parse_decision_path, reference_path_steps
@@ -126,6 +126,7 @@ def noise_filter_run():
     )
     records = generate(config)
     fschema = build_feature_schema(records[0].chunk.schema)
+    is_val = validation_draws(CORPUS_SEED, np.arange(len(records))) < 0.2
     rows = []
     for index, record in enumerate(records):
         (span,) = decode_spans(record.chunk)
@@ -133,7 +134,7 @@ def noise_filter_run():
         rows.append({
             "fv": fv,
             "is_tp": record.label == STRONG,
-            "is_val": assign_validation(CORPUS_SEED, index, 0.2),
+            "is_val": bool(is_val[index]),
             "confidence": span_confidence(record.chunk, span),
         })
     train_rows = [r for r in rows if not r["is_val"]]

@@ -807,6 +807,17 @@ class TestFeatureCsvContract:
         assert run(["train", "--features", path, "--model", tmp_path / "model.json"]) \
             == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("name", BAD_MODELS)
+    def test_tune_exits_schema_and_keeps_model(self, trained, tmp_path, name):
+        model = tmp_path / "model.json"
+        write_bad_model(trained, model, name)
+        before = model.read_bytes()
+        assert run(["tune", "--model", model, "--features", trained["features"]]) == EXIT_SCHEMA
+        assert model.read_bytes() == before
+        # The model is checked before the feature CSV is read.
+        missing = tmp_path / "absent.csv"
+        assert run(["tune", "--model", model, "--features", missing]) == EXIT_SCHEMA
+
     def test_tune_checks_feature_names(self, trained, tmp_path, capsys):
         # Two feature columns swapped, names and values together: the
         # table is self-consistent, but not in the model's order.

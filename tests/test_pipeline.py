@@ -31,10 +31,10 @@ from nrfilter.core import EntitySpan, iter_records, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
-from nrfilter.pipeline import assign_validation, featurize_records
+from nrfilter.pipeline import featurize_records, validation_draws
 from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, tune_threshold
 
-from oracles import reference_decision_path, reference_verdict_line
+from oracles import reference_decision_path, reference_validation_draw, reference_verdict_line
 
 
 @pytest.fixture(scope="module")
@@ -417,13 +417,37 @@ class TestVerdictLines:
         assert one_by_one == want
 
 
-class TestHelpers:
-    def test_assign_validation_deterministic(self):
-        a = [assign_validation(3, i, 0.2) for i in range(1000)]
-        b = [assign_validation(3, i, 0.2) for i in range(1000)]
-        assert a == b
-        assert 100 < sum(a) < 300
+class TestValidationDraws:
+    # An index of 2**32 or more is a second entropy word of its seed.
+    EDGE_INDICES = (0, 2**32 - 1, 2**32, 2**40)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**80 - 1),  # one to three entropy words
+        indices=st.lists(st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**40)),
+                         max_size=20),
+        chunk=st.sampled_from((1, 3, pipeline._DRAW_CHUNK)),
+    )
+    def test_draws_equal_reference(self, seed, indices, chunk):
+        indices = [*self.EDGE_INDICES, *indices]
+        with mock.patch.object(pipeline, "_DRAW_CHUNK", chunk):
+            got = validation_draws(seed, np.array(indices, dtype=np.int64))
+        want = np.array([reference_validation_draw(seed, i) for i in indices])
+        assert got.tobytes() == want.tobytes()
+
+    def test_full_mask_equals_reference(self):
+        got = validation_draws(3, np.arange(10_000)) < 0.2
+        want = np.array([reference_validation_draw(3, i) < 0.2 for i in range(10_000)])
+        assert np.array_equal(got, want)
+        assert 1_800 < got.sum() < 2_200
+
+    def test_no_index_and_negative_index(self):
+        assert validation_draws(3, np.arange(0)).shape == (0,)
+        with pytest.raises(ValueError, match=">= 0"):
+            validation_draws(3, np.array([4, -1]))
+
+
+class TestHelpers:
     def test_span_is_tp_prefers_gold(self):
         record = parse_record({
             "id": "g", "classes": ["O", "B", "I"],

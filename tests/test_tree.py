@@ -2,6 +2,7 @@ import io
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -249,6 +250,58 @@ class TestPresortedSearch:
         assert all(n.feature < 24 for n in model.nodes if isinstance(n, Internal))
         reference = reference_train_matrix(X, labels, names_for(X), config)
         assert serialize_model(model) == serialize_model(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_later_copies_change_nothing(self, data):
+        # Bit-identical copies of columns, each inserted somewhere after
+        # its source: the tree is the one grown without them, its
+        # features mapped to the first copy, and the reference's.
+        X, labels, config = data.draw(training_sets())
+        sources = list(range(X.shape[1]))  # the source column at each position
+        for _ in range(data.draw(st.integers(1, 4))):
+            j = data.draw(st.integers(0, X.shape[1] - 1))
+            sources.insert(data.draw(st.integers(sources.index(j) + 1, len(sources))), j)
+        wide = X[:, sources]
+        first = {j: sources.index(j) for j in range(X.shape[1])}
+        model = train_matrix(wide, labels, names_for(wide), config)
+        narrow = train_matrix(X, labels, names_for(X), config)
+        assert model.nodes == tuple(
+            replace(n, feature=first[n.feature]) if isinstance(n, Internal) else n
+            for n in narrow.nodes
+        )
+        assert all(n.feature in first.values() for n in model.nodes if isinstance(n, Internal))
+        reference = reference_train_matrix(wide, labels, names_for(wide), config)
+        assert serialize_model(model) == serialize_model(reference)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_first_copies_compare_bits(self, collide):
+        X = np.array([[0.0, -0.0, 0.0, 1.0, 0.0],
+                      [-1.0, -1.0, -1.0, 2.0, -1.0],
+                      [2.0, 2.0, 2.0, -0.0, 2.0]])
+        # With every digest equal, the bitwise comparison decides alone.
+        digests = (lambda X: [0] * X.shape[1]) if collide else tree._column_digests
+        with mock.patch.object(tree, "_column_digests", digests):
+            # Column 1 differs from 0 only in the sign of a zero: searched.
+            assert tree._first_copies(X, np.arange(5)).tolist() == [0, 1, 3]
+            assert tree._first_copies(X, np.array([1, 2, 4])).tolist() == [1, 2]
+
+    def test_signed_zero_column_keeps_its_thresholds(self):
+        # Column 1 is column 0 with every 0.0 negated, so it is not a
+        # copy. The root splits between -1.0 and the zeros. Every
+        # threshold and path must be the reference's, signs included.
+        rng = np.random.default_rng(8)
+        base = rng.choice([-2.0, -1.0, 0.0, 1.0], size=200)
+        noise = rng.uniform(size=200)
+        X = np.column_stack([base, np.where(base == 0.0, -0.0, base), noise])
+        labels = [WEAK if (b < 0.0) != (r < 0.1) else STRONG for b, r in zip(base, noise)]
+        assert tree._first_copies(X, np.arange(3)).tolist() == [0, 1, 2]
+        model = train_matrix(X, labels, names_for(X), TrainConfig(max_depth=4))
+        reference = reference_train_matrix(X, labels, names_for(X), TrainConfig(max_depth=4))
+        assert serialize_model(model) == serialize_model(reference)
+        assert model.paths == reference.paths
+        assert model.nodes[0] == Internal(0, -0.5, 1, model.nodes[0].right)
+        assert "(f0 <= -0.5)" in model.paths[1]
 
     def test_nan_gain_does_not_hide_block(self):
         # A zero weight makes the first candidate of column 0 divide 0 by
