@@ -31,7 +31,7 @@ fschema = build_feature_schema(records[0].chunk.schema)
 # One row per span; the matrix's columns are fschema.names.
 X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk), schema=fschema) for r in records])
 labels = np.array([record.label for record in records])  # one span per record
-is_val = validation_draws(11, np.arange(len(records))) < 0.2
+is_val = validation_draws(11, len(records)) < 0.2
 is_tp = labels == STRONG
 
 model = train_matrix(X[~is_val], labels[~is_val].tolist(), fschema.names, TrainConfig())

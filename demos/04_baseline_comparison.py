@@ -28,7 +28,7 @@ SEED = 23
 records = generate(SynthConfig(n_strong=700, n_weak=700, seed=SEED))
 fschema = build_feature_schema(records[0].chunk.schema)
 
-in_val = validation_draws(SEED, np.arange(len(records))) < 0.25
+in_val = validation_draws(SEED, len(records)) < 0.25
 labeled_spans = []
 rows = []
 for record, is_val in zip(records, in_val.tolist()):

@@ -108,114 +108,12 @@ class PipelineConfig(FeatureConfig):
             raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
-# numpy's SeedSequence (hashmix, mix and generate_state, 32-bit words)
-# and PCG64 (128-bit LCG multiplier) constants.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# Indices drawn per chunk: bounds the draw's temporaries at a few MB.
-_DRAW_CHUNK = 1 << 16
-
-
-def validation_draws(seed: int, indices) -> np.ndarray:
-    """``np.random.default_rng([seed, _SPLIT_SALT, i]).random()`` for each
-    record index i of the 1-D ``indices``, bit for bit, all at once: a
-    record is in the validation split iff its draw is below the fraction,
-    whatever the order or number of the other records.
-
-    The SeedSequence and PCG64 steps of each draw run in uint64 numpy
-    arithmetic, one array per 32-bit word (or 64-bit half of the 128-bit
-    state). An index of 2**32 or more is one more entropy word, so such
-    indices are drawn apart from the others."""
-    idx = np.asarray(indices)
-    if idx.size and idx.min() < 0:
-        raise ValueError("record indices must be >= 0")
-    idx = idx.astype(np.uint64)
-    head = [seed & _M32]
-    while seed >> 32:
-        seed >>= 32
-        head.append(seed & _M32)
-    head.append(_SPLIT_SALT)
-    out = np.empty(idx.size, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for start in range(0, idx.size, _DRAW_CHUNK):
-            chunk = idx[start : start + _DRAW_CHUNK]
-            wide = chunk > _M32
-            for sel in (np.flatnonzero(~wide), np.flatnonzero(wide)):
-                if sel.size:
-                    part = chunk[sel]
-                    words = [np.full(part.size, w, np.uint64) for w in head] + [part & _M32]
-                    if part[0] > _M32:
-                        words.append(part >> 32)
-                    out[start + sel] = _pcg64_first_double(_seed_sequence_state(words))
-    return out
-
-
-def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)``, word by word
-    (each array holds one 32-bit entropy word of every draw)."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint64(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * np.uint64(hash_const) & _M32
-        return value ^ (value >> 16)
-
-    def mix(x, y):  # (_MIX_L * x - _MIX_R * y) mod 2**32
-        value = (x * np.uint64(_MIX_L) + y * np.uint64(2**32 - _MIX_R)) & _M32
-        return value ^ (value >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint64(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * np.uint64(hash_const) & _M32
-        state.append(value ^ (value >> 16))
-    return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
-
-
-def _pcg64_first_double(seed: list[np.ndarray]) -> np.ndarray:
-    """The first ``random()`` of a PCG64 seeded with the four uint64 words
-    ``seed``: the state is (seed[0], seed[1]) and the stream
-    (seed[2], seed[3]), each as (high, low) 64-bit halves."""
-
-    def add(a, b):
-        lo = a[1] + b[1]
-        return a[0] + b[0] + (lo < a[1]), lo
-
-    c_hi, c_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-    c0, c1 = c_lo & _M32, c_lo >> 32
-
-    def times_mult(a):  # a * _PCG_MULT mod 2**128
-        hi, lo = a
-        lo0, lo1 = lo & _M32, lo >> 32
-        p00, p01, p10 = lo0 * c0, lo0 * c1, lo1 * c0
-        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-        carry = lo1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high half of lo * c_lo
-        return carry + lo * c_hi + hi * c_lo, lo * c_lo
-
-    inc = ((seed[2] << 1) | (seed[3] >> 63), (seed[3] << 1) | 1)
-    state = add(inc, (seed[0], seed[1]))  # a step from state 0, plus the seed
-    for _ in range(2):  # the seeding's second step, then the draw's
-        state = add(times_mult(state), inc)
-    hi, lo = state
-    x, rot = hi ^ lo, hi >> 58  # XSL-RR output
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11).astype(np.float64) * 2.0**-53
+def validation_draws(seed: int, n: int) -> np.ndarray:
+    """The split draws of records 0..n-1, one ``default_rng([seed,
+    _SPLIT_SALT])`` stream: a record is in the validation split iff its
+    draw is below the fraction. Record i's draw depends only on the seed
+    and i, however many records follow it."""
+    return np.random.default_rng([seed, _SPLIT_SALT]).random(n)
 
 
 Featurized = tuple[CorpusRecord, list[EntitySpan], FeatureSchema, np.ndarray]
@@ -340,13 +238,16 @@ def run_pipeline(
         golds.append(record.gold_spans)
     if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
-    in_val = (validation_draws(config.seed, np.arange(len(blocks)))
-              < config.validation_fraction).tolist()
+    in_val = (validation_draws(config.seed, len(blocks)) < config.validation_fraction).tolist()
     tp = np.array([label == STRONG for label in labels])
     val = np.repeat(in_val, [len(rows) for rows in blocks])
     if val.all():
         raise SingleClassTrainingSet(
             "empty training split: no predicted span is in a training record"
+        )
+    if not val.any():
+        raise SingleClassTrainingSet(
+            "empty validation split: no predicted span is in a validation record"
         )
 
     # The training rows are copied out of the blocks for this call alone.

@@ -108,7 +108,14 @@ class TreeModel:
         for i, node in enumerate(self.nodes):
             if paths[i] is None:
                 raise SchemaMismatch(f"node {i} has no parent")
-            if isinstance(node, Internal):
+            if isinstance(node, Leaf):
+                # Counts are non-negative ints and p_weak is in [0, 1] (not NaN).
+                if not (all(type(c) is int and c >= 0 for c in (node.n_strong, node.n_weak))
+                        and 0.0 <= node.p_weak <= 1.0):
+                    raise SchemaMismatch(f"node {i}: malformed {node!r}")
+            else:
+                if not math.isfinite(node.threshold):
+                    raise SchemaMismatch(f"node {i}: threshold {node.threshold!r} is not finite")
                 if not (i < node.left < n and i < node.right < n):
                     raise SchemaMismatch(f"node {i}: children {node.left}, {node.right} out of order")
                 if not 0 <= node.feature < len(self.feature_names):
@@ -486,7 +493,7 @@ def deserialize_model(text: str) -> TreeModel:
             if "f" in raw:
                 nodes.append(Internal(int(raw["f"]), float(raw["t"]), int(raw["l"]), int(raw["r"])))
             else:
-                nodes.append(Leaf(int(raw["ns"]), int(raw["nw"]), float(raw["pw"])))
+                nodes.append(Leaf(raw["ns"], raw["nw"], float(raw["pw"])))
         # Models written while TrainConfig had an (inert) seed carry "seed": 0.
         stored = {k: v for k, v in payload["config"].items() if k != "seed"}
         model = TreeModel(

@@ -24,8 +24,6 @@ package's score functions, which have tests of their own: what it checks
 is every cut and its count. reference_cut_threshold is the θ rule as
 tune_threshold counted it before the cut and its count were split from
 the tree walk: every candidate from the lowest up, ties to the higher.
-reference_validation_draw is the per-record numpy Generator that
-pipeline.validation_draws replaced with one vectorized call.
 """
 
 from __future__ import annotations
@@ -469,8 +467,3 @@ def reference_cut_threshold(scores, is_tp, max_tp_drop):
             best = (theta, tp_drop, fp_drop)
     return best
 
-
-def reference_validation_draw(seed, index):
-    """The split draw of record ``index``: a record is in the validation
-    split iff it is below the validation fraction."""
-    return np.random.default_rng([seed, 104729, index]).random()

@@ -126,7 +126,7 @@ def noise_filter_run():
     )
     records = generate(config)
     fschema = build_feature_schema(records[0].chunk.schema)
-    is_val = validation_draws(CORPUS_SEED, np.arange(len(records))) < 0.2
+    is_val = validation_draws(CORPUS_SEED, len(records)) < 0.2
     rows = []
     for index, record in enumerate(records):
         (span,) = decode_spans(record.chunk)

@@ -474,11 +474,20 @@ class TestCorpusContract:
     """Corpus-level defects: each exits with its documented code, not 1."""
 
     def test_pipeline_empty_training_split(self, workdir, tmp_path, capsys):
-        # At --seed 0, records 0 and 1 both go to validation.
+        # Every draw of two records is below the fraction.
         path = write_lines(tmp_path / "two.jsonl", corpus_lines(workdir, 2))
-        code = run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out", "--seed", 0])
+        code = run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out",
+                    "--validation-fraction", 1 - 1e-9])
         assert code == EXIT_DOMAIN
         assert "empty training split" in capsys.readouterr().err
+
+    def test_pipeline_empty_validation_split(self, workdir, tmp_path, capsys):
+        # No draw of three records is below the fraction.
+        path = write_lines(tmp_path / "three.jsonl", corpus_lines(workdir, 3))
+        code = run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out",
+                    "--validation-fraction", 1e-9])
+        assert code == EXIT_DOMAIN
+        assert "empty validation split" in capsys.readouterr().err
 
     def test_pipeline_class_lists_change(self, workdir, tmp_path, capsys):
         classes = ["O", "B-A", "I-A", "B-B", "I-B"]
@@ -685,8 +694,17 @@ BAD_FEATURIZATIONS = {
     "featurization-decay-zero": {"decay_rate": 0.0},
     "featurization-unknown-scope": {"scopes": ["Token", "Sentence"]},
 }
+# A malformed field of a model file's first node that holds it, by case
+# name: a leaf's "ns"/"pw" or a split's "t".
+BAD_NODE_FIELDS = {
+    "leaf-p-weak-nan": ("pw", float("nan")),  # would print "p_weak": NaN, which is not JSON
+    "leaf-p-weak-above-one": ("pw", 7.5),
+    "leaf-count-negative": ("ns", -3),
+    "split-threshold-nan": ("t", float("nan")),  # would render "(... > nan)"
+}
 BAD_MODELS = ["not-json", "not-utf8", "no-nodes", "unknown-config-key", "self-loop",
-              "shared-child", "feature-out-of-range", "threshold-nan", *BAD_FEATURIZATIONS]
+              "shared-child", "feature-out-of-range", "threshold-nan", *BAD_FEATURIZATIONS,
+              *BAD_NODE_FIELDS]
 
 
 def write_bad_model(trained, model, name):
@@ -710,6 +728,10 @@ def write_bad_model(trained, model, name):
     elif name == "threshold-nan":  # would keep every span
         mangle_model(trained["model"], model,
                      lambda p: p.update(decision_threshold=float("nan")))
+    elif name in BAD_NODE_FIELDS:
+        key, value = BAD_NODE_FIELDS[name]
+        mangle_model(trained["model"], model, lambda p: next(
+            node for node in p["nodes"] if key in node).update({key: value}))
     elif name in BAD_FEATURIZATIONS:
         mangle_model(trained["model"], model,
                      lambda p: p.update(featurization=BAD_FEATURIZATIONS[name]))

@@ -153,9 +153,14 @@ def test_artifacts_match_golden_hashes(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    with open(HASHES, "r", encoding="utf-8") as handle:
+        old = json.load(handle)
     with tempfile.TemporaryDirectory() as root:
         hashes = artifacts(root)
     with open(HASHES, "w", encoding="utf-8") as handle:
         json.dump(hashes, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(hashes)} hashes -> {HASHES}")
+    changed = [name for name in sorted(hashes) if old.get(name) != hashes[name]]
+    for name in changed:
+        print(f"{name}: {old.get(name)} → {hashes[name]}")
+    print(f"{len(changed)} changed, {len(hashes) - len(changed)} unchanged -> {HASHES}")

@@ -34,7 +34,7 @@ from nrfilter import pipeline
 from nrfilter.pipeline import featurize_records, validation_draws
 from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, tune_threshold
 
-from oracles import reference_decision_path, reference_validation_draw, reference_verdict_line
+from oracles import reference_decision_path, reference_verdict_line
 
 
 @pytest.fixture(scope="module")
@@ -418,33 +418,30 @@ class TestVerdictLines:
 
 
 class TestValidationDraws:
-    # An index of 2**32 or more is a second entropy word of its seed.
-    EDGE_INDICES = (0, 2**32 - 1, 2**32, 2**40)
+    # The first four draws of two seeds (the second takes three entropy
+    # words): a change to numpy's stream would change every split.
+    PINNED = {
+        0: ("0x1.583691e713a38p-4", "0x1.cf532773542d6p-2",
+            "0x1.30e5de2ab5510p-1", "0x1.45cfb8ae85128p-3"),
+        2**70 + 3: ("0x1.b70a36c647310p-2", "0x1.8e7311304106ap-1",
+                    "0x1.14ef4bc23614cp-3", "0x1.5a50086b92bafp-1"),
+    }
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**80 - 1),  # one to three entropy words
-        indices=st.lists(st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**40)),
-                         max_size=20),
-        chunk=st.sampled_from((1, 3, pipeline._DRAW_CHUNK)),
-    )
-    def test_draws_equal_reference(self, seed, indices, chunk):
-        indices = [*self.EDGE_INDICES, *indices]
-        with mock.patch.object(pipeline, "_DRAW_CHUNK", chunk):
-            got = validation_draws(seed, np.array(indices, dtype=np.int64))
-        want = np.array([reference_validation_draw(seed, i) for i in indices])
-        assert got.tobytes() == want.tobytes()
+    @given(seed=st.integers(0, 2**80 - 1), n=st.integers(0, 50), m=st.integers(0, 50))
+    def test_draw_depends_only_on_seed_and_index(self, seed, n, m):
+        got = validation_draws(seed, n)
+        assert got.tobytes() == validation_draws(seed, n + m)[:n].tobytes()
 
-    def test_full_mask_equals_reference(self):
-        got = validation_draws(3, np.arange(10_000)) < 0.2
-        want = np.array([reference_validation_draw(3, i) < 0.2 for i in range(10_000)])
-        assert np.array_equal(got, want)
-        assert 1_800 < got.sum() < 2_200
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_draws(self, seed):
+        assert tuple(float(x).hex() for x in validation_draws(seed, 4)) == self.PINNED[seed]
 
-    def test_no_index_and_negative_index(self):
-        assert validation_draws(3, np.arange(0)).shape == (0,)
-        with pytest.raises(ValueError, match=">= 0"):
-            validation_draws(3, np.array([4, -1]))
+    def test_no_records(self):
+        assert validation_draws(3, 0).shape == (0,)
+
+    def test_fraction_of_records(self):
+        assert 1_800 < (validation_draws(3, 10_000) < 0.2).sum() < 2_200
 
 
 class TestHelpers:

@@ -644,6 +644,10 @@ class TestCompiledWalk:
         (Internal(0, 0.5, 1, 2), Internal(1, 0.5, 3, 4), Internal(1, 0.7, 3, 4),
          Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # two parents: which path is node 3's?
         (Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # a node no walk reaches
+        (Leaf(1, 1, float("nan")),),  # a p_weak that is not a probability
+        (Leaf(1, 1, 7.5),),
+        (Leaf(-3, 1, 0.5),),  # a negative count
+        (Internal(0, float("nan"), 1, 2), Leaf(1, 1, 0.5), Leaf(1, 1, 0.5)),  # no finite split
     ])
     def test_malformed_trees_rejected(self, nodes):
         with pytest.raises(SchemaMismatch):
