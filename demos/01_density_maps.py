@@ -69,14 +69,14 @@ for chunk in (true_case, false_case):
     # nearby tokens dominate.
     pdm = compute_pdm(chunk, span.anchor)
     print("density map       (low band)  B,I,O:",
-          [round(float(v), 4) for v in (pdm.values[0][B], pdm.values[0][I], pdm.values[0][O])])
+          [round(float(v), 4) for v in (pdm[0][B], pdm[0][I], pdm[0][O])])
     print("density map      (high band)  B,I,O:",
-          [round(float(v), 4) for v in (pdm.values[9][B], pdm.values[9][I], pdm.values[9][O])])
+          [round(float(v), 4) for v in (pdm[9][B], pdm[9][I], pdm[9][O])])
     print()
 
 print("The discriminating signal: the true entity's neighborhood holds nonzero")
 print("low-band I mass (the context tokens 'lean toward' the entity class),")
 print("the false entity's neighborhood holds none. That cell becomes a feature.")
-t = compute_pdm(true_case, 4).values[0][I]
-f = compute_pdm(false_case, 7).values[0][I]
+t = compute_pdm(true_case, 4)[0][I]
+f = compute_pdm(false_case, 7)[0][I]
 print(f"low-band I density: true={t:.4f}  false={f:.4f}")

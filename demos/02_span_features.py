@@ -13,11 +13,9 @@ from nrfilter import (
     ClassSchema,
     Chunk,
     build_feature_schema,
-    build_scopes,
     canonical_feature_name,
     decode_spans,
     featurize_chunk,
-    statistical_features,
 )
 from nrfilter.features import SCOPE_ORDER
 
@@ -37,15 +35,16 @@ chunk = Chunk(
     ]),
 )
 (span,) = decode_spans(chunk)
+row = featurize_chunk(chunk, [span])[0]  # one span's row of the (n_spans, n_features) matrix
+names = build_feature_schema(chunk.schema).names  # the matrix's columns
+value = dict(zip(names, row.tolist()))
 
-print("1. Scopes for the span", (span.start, span.end), repr(span.text))
-scopes = build_scopes(chunk, span, neighbor_window=1)
+print("1. Scope sizes for the span", (span.start, span.end), repr(span.text))
 for kind in SCOPE_ORDER:
-    print(f"   {kind:<9} -> positions {scopes[kind].positions}")
+    print(f"   {kind:<9} -> size {value[f'{kind}_size']:.0f}")
 
 print()
-print("2. Statistical block for one scope (the context):")
-context_stats = statistical_features(chunk, scopes["Context"])
+print("2. Statistical block for one scope (the context), read from the row by name:")
 for name in (
     "Context_I-tag_max_prob",
     "Context_I-tag_mean_prob",
@@ -54,12 +53,10 @@ for name in (
     "Context_mean_entropy",
     "Context_size",
 ):
-    print(f"   {name:<36} = {context_stats[name]:.6f}")
+    print(f"   {name:<36} = {value[name]:.6f}")
 
 print()
 print("3. The full row: density cells first, then every scope block.")
-row = featurize_chunk(chunk, [span])[0]  # one span's row of the (n_spans, n_features) matrix
-names = build_feature_schema(chunk.schema).names  # the matrix's columns
 print("   total features:", len(row))
 print("   first three names:", names[:3])
 print("   last three names: ", names[-3:])
@@ -71,7 +68,7 @@ for name in (
     "Token_prob_class_ratio_3_by_2",    # scope statistic
     "Neighbor_B-tag_count",
 ):
-    print(f"   {name:<36} = {row[names.index(name)]:.6f}")
+    print(f"   {name:<36} = {value[name]:.6f}")
 
 print()
 print("5. The legacy SPD_ prefix is accepted as an alias for PDM_ on input:")

@@ -10,15 +10,13 @@ from nrfilter import (
     SynthConfig,
     TrainConfig,
     build_feature_schema,
-    classify,
     decode_spans,
-    explain,
     featurize_chunk,
     generate,
     train_matrix,
-    tune_threshold,
 )
 from nrfilter.pipeline import validation_draws
+from nrfilter.tree import cut_threshold
 
 # A corpus where every prediction is confident but only half are real:
 # strong chunks carry a faint entity-class footprint on their context
@@ -39,24 +37,27 @@ print(f"trained: {len(model.nodes)} nodes, {len(model.leaves)} leaves")
 
 # Sweep the leaf weak-probability threshold on held-out data: keep the
 # most aggressive cutoff whose true-positive loss stays within budget.
+val_leaves = model.walk(X[is_val])  # the leaf each held-out span reaches
+val_p_weak = model.p_weak(val_leaves)
 for budget in (0.0, 0.02, 0.06):
-    result = tune_threshold(model, X[is_val], is_tp[is_val], max_tp_drop=budget)
+    result = cut_threshold(val_p_weak, is_tp[is_val], max_tp_drop=budget)
     print(f"budget {budget:4.0%}: threshold {result.threshold:.3f} "
           f"-> drops {result.fp_drop:6.1%} of FPs at {result.tp_drop:5.1%} TP loss")
 
-tuned = model.with_threshold(tune_threshold(model, X[is_val], is_tp[is_val], 0.06).threshold)
+tuned = model.with_threshold(cut_threshold(val_p_weak, is_tp[is_val], 0.06).threshold)
 
 # Every verdict is explainable as the chain of comparisons that produced it.
 print()
 print("example decision paths:")
 shown = {"strong": False, "weak": False}
-for row, label in zip(X[is_val], labels[is_val].tolist()):
-    verdict, p_weak = classify(tuned, row)
+for leaf, label in zip(val_leaves, labels[is_val].tolist()):
+    p_weak = tuned.nodes[leaf].p_weak
+    verdict = tuned.verdict(p_weak)
     if shown[verdict]:
         continue
     shown[verdict] = True
     print(f"\n  span labeled {label!r}, verdict {verdict!r} (p_weak={p_weak:.3f})")
-    for line in explain(tuned, row).split("\n"):
+    for line in tuned.paths[leaf].split("\n"):
         print("   ", line)
     if all(shown.values()):
         break

@@ -19,10 +19,10 @@ from nrfilter import (
     featurize_chunk,
     generate,
     train_matrix,
-    tune_threshold,
 )
 from nrfilter.metrics import format_drop_table
 from nrfilter.pipeline import validation_draws
+from nrfilter.tree import cut_threshold
 
 SEED = 23
 records = generate(SynthConfig(n_strong=700, n_weak=700, seed=SEED))
@@ -58,7 +58,7 @@ is_tp = np.array([tp for _, tp, _ in rows])
 is_val = np.array([val for _, _, val in rows])
 labels = ["strong" if tp else "weak" for tp in is_tp[~is_val]]
 model = train_matrix(X[~is_val], labels, fschema.names, TrainConfig())
-tune = tune_threshold(model, X[is_val], is_tp[is_val], 0.06)
+tune = cut_threshold(model.p_weak(model.walk(X[is_val])), is_tp[is_val], 0.06)
 results["noise tree"] = (100 * tune.tp_drop, 100 * tune.fp_drop)
 
 print("validation spans:", len(labeled_spans))

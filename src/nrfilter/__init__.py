@@ -25,20 +25,16 @@ from .core import (
 )
 from .pdm import (
     DecayConfig,
-    ProbabilityDensityMap,
     compute_pdm,
     cumulative_bins,
 )
 from .features import (
     FeatureConfig,
     FeatureSchema,
-    SpanScope,
     build_feature_schema,
-    build_scopes,
     canonical_feature_name,
     featurize_chunk,
     featurize_chunks,
-    statistical_features,
 )
 from .baselines import (
     baseline_grid,
@@ -50,16 +46,13 @@ from .tree import (
     TrainConfig,
     TreeModel,
     TuneResult,
-    classify,
     deserialize_model,
-    explain,
     load_model,
     save_model,
     serialize_model,
     train_matrix,
-    tune_threshold,
 )
-from .metrics import EntityCounts, EvalReport, drop_rates, entity_f1
+from .metrics import EntityCounts, EvalReport, entity_f1
 from .synth import SynthConfig, generate, iter_generate
 from .pipeline import (
     PipelineConfig,
@@ -83,18 +76,14 @@ __all__ = [
     "validate_chunk",
     "write_records",
     "DecayConfig",
-    "ProbabilityDensityMap",
     "compute_pdm",
     "cumulative_bins",
     "FeatureConfig",
     "FeatureSchema",
-    "SpanScope",
     "build_feature_schema",
-    "build_scopes",
     "canonical_feature_name",
     "featurize_chunk",
     "featurize_chunks",
-    "statistical_features",
     "baseline_grid",
     "mc_dropout_aggregate",
     "span_confidence",
@@ -102,17 +91,13 @@ __all__ = [
     "TrainConfig",
     "TreeModel",
     "TuneResult",
-    "classify",
     "deserialize_model",
-    "explain",
     "load_model",
     "save_model",
     "serialize_model",
     "train_matrix",
-    "tune_threshold",
     "EntityCounts",
     "EvalReport",
-    "drop_rates",
     "entity_f1",
     "SynthConfig",
     "generate",

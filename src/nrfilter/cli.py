@@ -42,7 +42,6 @@ from .errors import (
 from .baselines import baseline_grid
 from .features import feature_row_obj, read_feature_csv, write_feature_csv
 from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
-from .pdm import ProbabilityDensityMap, grid_to_obj
 from .pipeline import (
     PipelineConfig,
     featurize_records,
@@ -52,10 +51,10 @@ from .pipeline import (
 from .synth import SynthConfig, iter_generate
 from .tree import (
     TrainConfig,
+    cut_threshold,
     load_model,
     save_model,
     train_matrix,
-    tune_threshold,
 )
 
 log = logging.getLogger("nrfilter")
@@ -151,9 +150,10 @@ def cmd_featurize(args) -> int:
                 for span, values in zip(spans, matrix):
                     # The density block is class-major: (K, bins) -> (bins, K).
                     grid = values[: config.bins * K].reshape(K, config.bins).T
-                    pdm = ProbabilityDensityMap(grid, config, span.anchor)
-                    obj = {"chunk_id": record.chunk.id, **grid_to_obj(pdm)}
-                    dump.write(json.dumps(obj) + "\n")
+                    dump.write(json.dumps({
+                        "chunk_id": record.chunk.id, "anchor": span.anchor, "bins": config.bins,
+                        "decay_rate": config.decay_rate, "values": grid.tolist(),
+                    }) + "\n")
             yield schema.names, spans, record.span_labels(spans), matrix
 
     with _output(args.dump_pdm) if args.dump_pdm else contextlib.nullcontext() as dump:
@@ -219,7 +219,7 @@ def cmd_tune(args) -> int:
     is_tp = [label == STRONG for label in table.labels]
     # The model records the budget it is tuned under.
     config = replace(model.config, **_given(args, TrainConfig))
-    result = tune_threshold(model, table.matrix, is_tp, config.max_tp_drop)
+    result = cut_threshold(model.p_weak(model.walk(table.matrix)), is_tp, config.max_tp_drop)
     save_model(replace(model, decision_threshold=result.threshold, config=config), args.model)
     print(
         f"threshold {result.threshold!r}: tp_drop {100 * result.tp_drop:.2f}% "

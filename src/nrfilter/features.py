@@ -48,18 +48,6 @@ _SCOPE_STATS = (
 
 
 @dataclass(frozen=True)
-class SpanScope:
-    """A named subset of chunk token positions."""
-
-    kind: str
-    positions: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
 class FeatureConfig(DecayConfig):
     """The featurization: the density-map knobs of DecayConfig plus the
     neighbor window, the scopes and the orphan policy. Every field
@@ -485,39 +473,6 @@ def featurize_chunk(
     """Feature matrix (n_spans, n_features) for spans of one chunk: a
     block of one chunk."""
     return featurize_chunks((chunk,), (spans,), config, schema)
-
-
-def build_scopes(
-    chunk: Chunk, span: EntitySpan, neighbor_window: int = 1
-) -> dict[str, SpanScope]:
-    """The five operand scopes of one span as explicit positions: a view
-    of the segments featurize_chunk reduces over."""
-    rows = _span_rows((chunk,), ((span,),), neighbor_window)
-    (bounds,) = _segments(rows, SCOPE_ORDER).tolist()
-    scopes = {
-        kind: SpanScope(kind, tuple(range(lo1, hi1)) + tuple(range(lo2, hi2)))
-        for kind, ((lo1, hi1), (lo2, hi2)) in zip(SCOPE_ORDER, bounds)
-    }
-    if chunk.word_ids is not None:
-        pos, _ = _word_positions(chunk.word_ids, rows)
-        scopes[SCOPE_WORD] = SpanScope(SCOPE_WORD, tuple(pos.tolist()))
-    return scopes
-
-
-def statistical_features(chunk: Chunk, scope: SpanScope) -> dict[str, float]:
-    """Statistical feature block for one scope, keyed by canonical name:
-    the kernel's reduction over the scope's rows as a single segment.
-    The names are the last of a schema with that scope alone."""
-    K = chunk.schema.K
-    table = _token_table(chunk.probs)
-    rows = table[list(scope.positions) + [chunk.n_tokens]]  # keep the zero pad row
-    bounds = np.array([0, scope.size])
-    sums, maxs = _segment_reduce(rows, bounds, K)
-    block = np.empty(5 * K + 6, dtype=np.float64)
-    _scope_statistics(sums[0], maxs[0], K, block)
-    _two_pass_cov(block[None], bounds.reshape(1, 1, 2), rows[:, :K], K)
-    schema = build_feature_schema(chunk.schema, FeatureConfig(scopes=(scope.kind,)))
-    return {name: float(value) for name, value in zip(schema.names[-block.size:], block)}
 
 
 # ---------------------------------------------------------------------------

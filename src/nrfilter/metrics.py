@@ -115,22 +115,18 @@ def filter_counts(is_tp, kept) -> tuple[EntityCounts, EntityCounts]:
     return EntityCounts(n_tp, is_tp.size - n_tp), EntityCounts(kept_tp, kept_fp, n_tp - kept_tp)
 
 
-def drop_rates(base: EntityCounts, filtered: EntityCounts) -> tuple[float, float]:
-    """Percentage of base TPs and FPs eliminated by a filter."""
+def drop_pcts(base: EntityCounts, filtered: EntityCounts) -> dict[str, float]:
+    """Percentage of base TPs and FPs eliminated by a filter, as the report
+    fields tp_drop_pct and fp_drop_pct."""
     if filtered.tp > base.tp or filtered.fp > base.fp:
         raise CountInflation(
             f"filtered counts (tp={filtered.tp}, fp={filtered.fp}) exceed "
             f"base (tp={base.tp}, fp={base.fp})"
         )
-    tp_drop = 100.0 * (base.tp - filtered.tp) / base.tp if base.tp else 0.0
-    fp_drop = 100.0 * (base.fp - filtered.fp) / base.fp if base.fp else 0.0
-    return tp_drop, fp_drop
-
-
-def drop_pcts(base: EntityCounts, filtered: EntityCounts) -> dict[str, float]:
-    """``drop_rates`` as the report fields tp_drop_pct and fp_drop_pct."""
-    tp_drop, fp_drop = drop_rates(base, filtered)
-    return {"tp_drop_pct": tp_drop, "fp_drop_pct": fp_drop}
+    return {
+        "tp_drop_pct": 100.0 * (base.tp - filtered.tp) / base.tp if base.tp else 0.0,
+        "fp_drop_pct": 100.0 * (base.fp - filtered.fp) / base.fp if base.fp else 0.0,
+    }
 
 
 def format_drop_table(rows: dict[str, dict[str, tuple[float, float]]]) -> str:

@@ -36,20 +36,6 @@ class DecayConfig:
             raise InvalidConfig(f"bin count must be >= 1, got {self.bins}")
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityDensityMap:
-    """A (bins, K) grid of decay-weighted probability mass."""
-
-    values: np.ndarray
-    config: DecayConfig
-    anchor: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 def _check_anchor(chunk: Chunk, t_predicted: int):
     if not 0 <= t_predicted < chunk.n_tokens:
         raise AnchorOutOfRange(
@@ -106,8 +92,8 @@ def compute_pdm(
     t_predicted: int,
     config: DecayConfig = DecayConfig(),
     exclude: Iterable[int] | None = None,
-) -> ProbabilityDensityMap:
-    """Decay-weighted density map around ``t_predicted``.
+) -> np.ndarray:
+    """Decay-weighted (bins, K) density map around ``t_predicted``.
 
     Each contributing token t adds W_t * prob / numTokens to the bin of
     its class probability, where numTokens counts every token in the
@@ -121,9 +107,8 @@ def compute_pdm(
     weights[t_predicted] = 0.0
     if exclude is not None:
         weights[[t for t in exclude if 0 <= t < T]] = 0.0
-    grid = binned_mass(chunk.probs[None], np.zeros(1, dtype=np.intp), weights[None],
+    return binned_mass(chunk.probs[None], np.zeros(1, dtype=np.intp), weights[None],
                        config.bins, np.array([float(T)]))[0]
-    return ProbabilityDensityMap(grid, config, t_predicted)
 
 
 def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -143,12 +128,3 @@ def bin_edges(bins: int) -> list[tuple[float, float]]:
     """(lo, hi) edges of each probability bin."""
     return [(i / bins, (i + 1) / bins) for i in range(bins)]
 
-
-def grid_to_obj(pdm: ProbabilityDensityMap) -> dict:
-    """JSON-friendly dump of the full grid, for the debug CLI flag."""
-    return {
-        "anchor": pdm.anchor,
-        "bins": pdm.config.bins,
-        "decay_rate": pdm.config.decay_rate,
-        "values": [[float(v) for v in row] for row in pdm.values],
-    }

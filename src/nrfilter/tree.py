@@ -363,29 +363,6 @@ def train_matrix(
     )
 
 
-def _values_for(model: TreeModel, row: np.ndarray) -> np.ndarray:
-    values = np.asarray(row, dtype=np.float64)
-    if values.shape != (len(model.feature_names),):
-        raise SchemaMismatch(
-            f"expected {len(model.feature_names)} values, got shape {values.shape}"
-        )
-    return values
-
-
-def classify(model: TreeModel, row: np.ndarray) -> tuple[str, float]:
-    """Verdict and leaf weak-probability of one row whose columns are
-    ``model.feature_names``; weak iff p_weak >= the model's threshold."""
-    p_weak = model.nodes[model.leaf(_values_for(model, row))].p_weak
-    return model.verdict(p_weak), p_weak
-
-
-def explain(model: TreeModel, row: np.ndarray) -> str:
-    """The rendered root-to-leaf predicate chain of one row whose columns
-    are ``model.feature_names``: the stored path of the leaf it reaches.
-    Every predicate holds for the row."""
-    return model.paths[model.leaf(_values_for(model, row))]
-
-
 @dataclass(frozen=True)
 class TuneResult:
     threshold: float
@@ -393,23 +370,6 @@ class TuneResult:
     fp_drop: float
     n_tp: int
     n_fp: int
-
-
-def tune_threshold(
-    model: TreeModel,
-    X: np.ndarray,
-    is_tp: Sequence[bool] | np.ndarray,
-    max_tp_drop: float | None = None,
-) -> TuneResult:
-    """``cut_threshold`` on the leaf weak-probabilities of the validation
-    rows ``X`` (columns ``model.feature_names``; ``is_tp`` flags the TPs),
-    under ``max_tp_drop`` or else the model's own budget."""
-    budget = model.config.max_tp_drop if max_tp_drop is None else max_tp_drop
-    X = np.asarray(X, dtype=np.float64)
-    is_tp = np.asarray(is_tp, dtype=bool)
-    if is_tp.ndim != 1 or X.shape != (is_tp.size, len(model.feature_names)):
-        raise SchemaMismatch(f"matrix {X.shape} is not ({is_tp.size}, {len(model.feature_names)})")
-    return cut_threshold(model.p_weak(model.walk(X)), is_tp, budget)
 
 
 def cut_threshold(
@@ -479,9 +439,23 @@ def serialize_model(model: TreeModel) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def deserialize_model(text: str) -> TreeModel:
     """Rebuild a model from ``serialize_model`` output; anything else,
-    down to a malformed node or config block, is a SchemaMismatch."""
+    down to a malformed node or config block, is a SchemaMismatch. A
+    node index or feature is a JSON integer and a threshold or p_weak a
+    JSON number: no string, bool or (for an index) fraction is coerced."""
     try:
         payload = json.loads(text)
         if payload.get("format_version") != FORMAT_VERSION:
@@ -491,20 +465,21 @@ def deserialize_model(text: str) -> TreeModel:
         nodes: list[Internal | Leaf] = []
         for raw in payload["nodes"]:
             if "f" in raw:
-                nodes.append(Internal(int(raw["f"]), float(raw["t"]), int(raw["l"]), int(raw["r"])))
+                nodes.append(Internal(_json_int(raw["f"]), _json_float(raw["t"]),
+                                      _json_int(raw["l"]), _json_int(raw["r"])))
             else:
-                nodes.append(Leaf(raw["ns"], raw["nw"], float(raw["pw"])))
+                nodes.append(Leaf(raw["ns"], raw["nw"], _json_float(raw["pw"])))
         # Models written while TrainConfig had an (inert) seed carry "seed": 0.
         stored = {k: v for k, v in payload["config"].items() if k != "seed"}
         model = TreeModel(
             feature_names=tuple(payload["feature_names"]),
             nodes=tuple(nodes),
-            decision_threshold=float(payload["decision_threshold"]),
+            decision_threshold=_json_float(payload["decision_threshold"]),
             config=TrainConfig(**config_kwargs(TrainConfig, stored, "model config")),
             featurization=payload.get("featurization", {}),
         )
         stored_hash = payload["schema_hash"]
-    except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, InvalidConfig) as exc:
         raise SchemaMismatch(f"malformed model file: {exc!r}") from exc
     if model.schema_hash != stored_hash:
         raise SchemaMismatch("feature-name hash does not match the stored schema_hash")

@@ -9,8 +9,8 @@ grower the presorted split search replaced: it sorts every column again
 at every node. reference_leaf_for is a plain walk of a model's nodes
 that TreeModel.leaf is checked against; reference_path_steps and
 reference_decision_path list and render that walk's predicates one by
-one, the text that TreeModel.paths stores once per leaf and explain
-returns. reference_read_feature_csv is the csv-module reader, one
+one, the text that TreeModel.paths stores once per leaf and the explain
+command prints. reference_read_feature_csv is the csv-module reader, one
 float() per cell, that the numpy feature CSV reader replaced.
 reference_write_feature_csv is the writer that formatted every cell on
 its own, and reference_verdict_line the json.dumps of one span's whole
@@ -21,9 +21,9 @@ applied one span and one grid point at a time and counted by hand. It
 takes the weakest-token confidence plainly, but the other scores
 (temperature scaling, mean entropy, the pass aggregate) come from the
 package's score functions, which have tests of their own: what it checks
-is every cut and its count. reference_cut_threshold is the θ rule as
-tune_threshold counted it before the cut and its count were split from
-the tree walk: every candidate from the lowest up, ties to the higher.
+is every cut and its count. reference_cut_threshold is the θ rule that
+tree.cut_threshold applies, counted by hand: every candidate from the
+lowest up, ties to the higher.
 """
 
 from __future__ import annotations

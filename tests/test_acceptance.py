@@ -23,13 +23,10 @@ from nrfilter import (
     TrainConfig,
     WEAK,
     build_feature_schema,
-    classify,
     compute_pdm,
     cumulative_bins,
     decode_spans,
-    drop_rates,
     entity_f1,
-    explain,
     featurize_chunk,
     generate,
     iter_generate,
@@ -38,14 +35,20 @@ from nrfilter import (
     span_confidence,
     temperature_scale,
     train_matrix,
-    tune_threshold,
     write_records,
 )
 from nrfilter.core import EntitySpan
+from nrfilter.metrics import drop_pcts
 from nrfilter.pipeline import stream_classify, validation_draws
+from nrfilter.tree import cut_threshold
 
 from conftest import random_chunk
-from oracles import brute_force_pdm, parse_decision_path, reference_path_steps
+from oracles import (
+    brute_force_pdm,
+    parse_decision_path,
+    reference_leaf_for,
+    reference_path_steps,
+)
 
 O, B, I = 0, 1, 2  # class columns: O first, then B, I
 
@@ -68,11 +71,11 @@ class TestCriterion1WorkedExampleGrids:
         assert cum2[9][O] == pytest.approx(6.999, abs=0.001 * (1 + 1e-9))
 
         pdm1 = compute_pdm(sentence1.chunk, 4)
-        assert pdm1.values[0][I] == pytest.approx(0.004, abs=0.0005)
-        assert pdm1.values[9][O] == pytest.approx(0.185, abs=0.0005)
+        assert pdm1[0][I] == pytest.approx(0.004, abs=0.0005)
+        assert pdm1[9][O] == pytest.approx(0.185, abs=0.0005)
 
         pdm2 = compute_pdm(sentence2.chunk, 7)
-        assert pdm2.values[9][O] == pytest.approx(0.094, abs=0.0005)
+        assert pdm2[9][O] == pytest.approx(0.094, abs=0.0005)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
@@ -86,7 +89,7 @@ class TestCriterion2PdmOracleEquivalence:
         for _ in range(1000):
             chunk = random_chunk(rng, max_tokens=32, k_choices=(3, 5, 7))
             anchor = int(rng.integers(chunk.n_tokens))
-            got = compute_pdm(chunk, anchor).values
+            got = compute_pdm(chunk, anchor)
             want = brute_force_pdm(chunk.probs.tolist(), anchor, 1.0, 10)
             np.testing.assert_allclose(got, np.array(want), atol=1e-12, rtol=0)
         elapsed = time.perf_counter() - start
@@ -142,8 +145,8 @@ def noise_filter_run():
     X = np.vstack([r["fv"] for r in train_rows])
     labels = [STRONG if r["is_tp"] else WEAK for r in train_rows]
     model = train_matrix(X, labels, fschema.names, TrainConfig())
-    tune = tune_threshold(model, np.vstack([r["fv"] for r in val_rows]),
-                          [r["is_tp"] for r in val_rows], MAX_TP_DROP)
+    val_leaves = model.walk(np.vstack([r["fv"] for r in val_rows]))
+    tune = cut_threshold(model.p_weak(val_leaves), [r["is_tp"] for r in val_rows], MAX_TP_DROP)
     elapsed = time.perf_counter() - start
     return {
         "model": model.with_threshold(tune.threshold),
@@ -188,13 +191,15 @@ class TestCriterion5TuneConstraintIsHard:
         run = noise_filter_run
         tune = run["tune"]
         assert tune.tp_drop <= MAX_TP_DROP
-        # Recompute from scratch at the tuned threshold: same verdicts.
+        # Recompute from scratch at the tuned threshold, by the reference
+        # walk: same verdicts.
         model = run["model"]
         dropped_tp = total_tp = 0
         for r in run["val_rows"]:
             if r["is_tp"]:
                 total_tp += 1
-                dropped_tp += classify(model, r["fv"])[0] == WEAK
+                leaf, _ = reference_leaf_for(model, r["fv"])
+                dropped_tp += model.verdict(model.nodes[leaf].p_weak) == WEAK
         assert dropped_tp / total_tp <= MAX_TP_DROP
         report(5, f"validation TP drop {100 * dropped_tp / total_tp:.2f}% <= {100 * MAX_TP_DROP:.0f}%")
 
@@ -213,7 +218,7 @@ class TestCriterion6DecisionPathFidelity:
         picks = rng.choice(len(run["val_rows"]), size=100, replace=False)
         for pick in picks:
             fv = run["val_rows"][int(pick)]["fv"]
-            text = explain(model, fv)
+            text = model.paths[model.leaf(fv)]
             assert PATH_PATTERN.match(text), text
             steps = parse_decision_path(text)
             assert len(steps) >= 1
@@ -243,7 +248,8 @@ class TestCriterion7TreeDeterminism:
 
 class TestCriterion8EvalArithmetic:
     def test_table_shapes(self):
-        assert drop_rates(EntityCounts(100, 100), EntityCounts(94, 12)) == (6.0, 88.0)
+        assert drop_pcts(EntityCounts(100, 100), EntityCounts(94, 12)) \
+            == {"tp_drop_pct": 6.0, "fp_drop_pct": 88.0}
 
         def span(i, matched=True):
             return EntitySpan("c", "T", i, i, i, "")

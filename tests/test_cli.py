@@ -17,7 +17,6 @@ from nrfilter import (
     iter_records,
     load_model,
     stream_classify,
-    tune_threshold,
     write_records,
 )
 from nrfilter.cli import (
@@ -33,6 +32,7 @@ from nrfilter.cli import (
 from nrfilter.errors import NrFilterError
 from nrfilter.features import read_feature_csv
 from nrfilter.pipeline import _STREAM_WIDTHS
+from nrfilter.tree import cut_threshold
 
 from conftest import fixture_path
 from test_golden import write_corpus as write_golden_corpus
@@ -104,12 +104,16 @@ class TestSynthDecodeFeaturize:
                     "--dump-pdm", dump])
         assert code == EXIT_OK
         with open(out, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle))
+            reader = csv.reader(handle)
+            header, first = next(reader), next(reader)
         assert "PDM_B-tag_WCount_bkt_0.9-1.0" in header
         assert "Token_prob_class_ratio_3_by_2" in header
         with open(dump, "r", encoding="utf-8") as handle:
             grid = json.loads(handle.readline())
         assert grid["bins"] == 10 and len(grid["values"]) == 10
+        # The first span's (bins, K) map, K = 3 classes (O, B, I).
+        assert grid["anchor"] == int(first[header.index("anchor")])
+        assert len(grid["values"][0]) == 3
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +136,7 @@ class TestTrainTuneClassifyExplain:
         table = read_feature_csv(trained["features"])
         is_tp = [label == STRONG for label in table.labels]
         untuned = load_model(trained["model"])
-        want = tune_threshold(untuned, table.matrix, is_tp, 0.06).threshold
+        want = cut_threshold(untuned.p_weak(untuned.walk(table.matrix)), is_tp, 0.06).threshold
         assert want != untuned.decision_threshold
         assert load_model(model) == untuned.with_threshold(want)
 
@@ -147,7 +151,8 @@ class TestTrainTuneClassifyExplain:
         assert tuned.config.max_tp_drop == 0.3
         table = read_feature_csv(trained["features"])
         is_tp = [label == STRONG for label in table.labels]
-        want = tune_threshold(load_model(trained["model"]), table.matrix, is_tp, 0.3)
+        untuned = load_model(trained["model"])
+        want = cut_threshold(untuned.p_weak(untuned.walk(table.matrix)), is_tp, 0.3)
         assert tuned.decision_threshold == want.threshold
         assert run(["tune", "--model", model, "--features", trained["features"]]) == EXIT_OK
         assert load_model(model) == tuned
@@ -695,15 +700,30 @@ BAD_FEATURIZATIONS = {
     "featurization-unknown-scope": {"scopes": ["Token", "Sentence"]},
 }
 # A malformed field of a model file's first node that holds it, by case
-# name: a leaf's "ns"/"pw" or a split's "t".
+# name: a leaf's "ns"/"pw" or a split's "f"/"t"/"l". An index is a JSON
+# integer and a threshold or p_weak a JSON number; a value that would
+# convert to one (a string, a bool, an integral float) is malformed too.
 BAD_NODE_FIELDS = {
     "leaf-p-weak-nan": ("pw", float("nan")),  # would print "p_weak": NaN, which is not JSON
     "leaf-p-weak-above-one": ("pw", 7.5),
+    "leaf-p-weak-string": ("pw", "0.5"),
+    "leaf-p-weak-bool": ("pw", True),
     "leaf-count-negative": ("ns", -3),
     "split-threshold-nan": ("t", float("nan")),  # would render "(... > nan)"
+    "split-threshold-string": ("t", "0.5"),
+    "split-threshold-huge-int": ("t", 10**400),  # overflows a float
+    "split-feature-fraction": ("f", 1.9),
+    "split-feature-string": ("f", "0"),
+    "split-feature-bool": ("f", True),
+    "split-left-float": ("l", 1.0),  # the root's left child is node 1
+}
+# A malformed decision_threshold of a model file, by case name.
+BAD_THRESHOLDS = {
+    "threshold-nan": float("nan"),  # would keep every span
+    "threshold-string": "0.5",
 }
 BAD_MODELS = ["not-json", "not-utf8", "no-nodes", "unknown-config-key", "self-loop",
-              "shared-child", "feature-out-of-range", "threshold-nan", *BAD_FEATURIZATIONS,
+              "shared-child", "feature-out-of-range", *BAD_THRESHOLDS, *BAD_FEATURIZATIONS,
               *BAD_NODE_FIELDS]
 
 
@@ -725,9 +745,9 @@ def write_bad_model(trained, model, name):
             {"f": 1, "t": 0.7, "l": 3, "r": 4}, {"ns": 1, "nw": 1, "pw": 0.5},
             {"ns": 1, "nw": 1, "pw": 0.5},
         ]))
-    elif name == "threshold-nan":  # would keep every span
+    elif name in BAD_THRESHOLDS:
         mangle_model(trained["model"], model,
-                     lambda p: p.update(decision_threshold=float("nan")))
+                     lambda p: p.update(decision_threshold=BAD_THRESHOLDS[name]))
     elif name in BAD_NODE_FIELDS:
         key, value = BAD_NODE_FIELDS[name]
         mangle_model(trained["model"], model, lambda p: next(

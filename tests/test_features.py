@@ -11,13 +11,10 @@ from nrfilter import (
     Chunk,
     ClassSchema,
     FeatureConfig,
-    SpanScope,
     build_feature_schema,
-    build_scopes,
     canonical_feature_name,
     decode_spans,
     featurize_chunk,
-    statistical_features,
 )
 from nrfilter.core import EntitySpan
 from nrfilter.errors import InvalidConfig, ParseError, SchemaMismatch
@@ -35,15 +32,44 @@ from nrfilter.features import (
 )
 
 from conftest import random_chunk
-from oracles import reference_read_feature_csv, reference_write_feature_csv, scalar_entropy
+from oracles import (
+    reference_read_feature_csv,
+    reference_scopes,
+    reference_write_feature_csv,
+    scalar_entropy,
+)
+from test_kernel import assert_matches_reference
 
 def single_token_chunk(probs_row):
     schema = ClassSchema(("",))
     return Chunk("one", schema, ("x",), np.array([probs_row], dtype=float))
 
 
-def max_prob(chunk, scope, tag):
-    return statistical_features(chunk, scope)[f"{scope.kind}_{tag}_max_prob"]
+def named_row(chunk, span, config=FeatureConfig()):
+    """One span's feature row, keyed by its schema's names."""
+    names = build_feature_schema(chunk.schema, config).names
+    return dict(zip(names, featurize_chunk(chunk, [span], config)[0].tolist()))
+
+
+def single_token_row(probs_row):
+    """The feature row of a one-token span over a one-token chunk, whose
+    Token scope is that token and whose Neighbor scope is empty."""
+    chunk = single_token_chunk(probs_row)
+    return named_row(chunk, EntitySpan(chunk.id, "", 0, 0, 0, "x"))
+
+
+def scopes_of(chunk, span, neighbor_window=1):
+    """The span's scope positions by the oracle, once the kernel's row is
+    checked against the oracle's row over them and each ``*_size`` column
+    against their count."""
+    config = FeatureConfig(neighbor_window=neighbor_window)
+    assert_matches_reference(chunk, [span], config, featurize_chunk(chunk, [span], config))
+    scopes = reference_scopes(chunk.n_tokens, span.start, span.end, span.anchor,
+                              chunk.word_ids, neighbor_window)
+    row = named_row(chunk, span, config)
+    assert {kind: row[f"{kind}_size"] for kind in scopes} \
+        == {kind: len(positions) for kind, positions in scopes.items()}
+    return scopes
 
 
 class TestEntropy:
@@ -62,28 +88,24 @@ class TestEntropy:
 
 class TestMaxProbability:
     def test_one_hot(self):
-        chunk = single_token_chunk([0.0, 1.0, 0.0])
-        assert max_prob(chunk, SpanScope(SCOPE_TOKEN, (0,)), "B-tag") == 1.0
+        assert single_token_row([0.0, 1.0, 0.0])["Token_B-tag_max_prob"] == 1.0
 
     def test_sentence1_context_i(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
-        context = build_scopes(sentence1.chunk, span)[SCOPE_CONTEXT]
-        assert max_prob(sentence1.chunk, context, "I-tag") == pytest.approx(0.048)
+        context_i = named_row(sentence1.chunk, span)["Context_I-tag_max_prob"]
+        assert context_i == pytest.approx(0.048)
 
     def test_sentence2_context_i_is_zero(self, sentence2):
         (span,) = decode_spans(sentence2.chunk)
-        context = build_scopes(sentence2.chunk, span)[SCOPE_CONTEXT]
-        assert max_prob(sentence2.chunk, context, "I-tag") == 0.0
+        assert named_row(sentence2.chunk, span)["Context_I-tag_max_prob"] == 0.0
 
     def test_empty_scope_is_zero(self):
-        chunk = single_token_chunk([1.0, 0.0, 0.0])
-        assert max_prob(chunk, SpanScope(SCOPE_NEIGHBOR, ()), "O-tag") == 0.0
+        assert single_token_row([1.0, 0.0, 0.0])["Neighbor_O-tag_max_prob"] == 0.0
 
 
 class TestStatisticalFeatures:
     def test_single_one_hot_token(self):
-        chunk = single_token_chunk([0.0, 1.0, 0.0])
-        out = statistical_features(chunk, SpanScope(SCOPE_TOKEN, (0,)))
+        out = single_token_row([0.0, 1.0, 0.0])
         assert out["Token_B-tag_count"] == 1.0
         assert out["Token_B-tag_ratio"] == 1.0
         assert out["Token_B-tag_max_prob"] == 1.0
@@ -94,15 +116,14 @@ class TestStatisticalFeatures:
         assert out["Token_size"] == 1.0
 
     def test_six_three_one(self):
-        chunk = single_token_chunk([0.6, 0.3, 0.1])
-        out = statistical_features(chunk, SpanScope(SCOPE_TOKEN, (0,)))
+        out = single_token_row([0.6, 0.3, 0.1])
         assert out["Token_prob_diff_mean"] == pytest.approx(0.3, abs=1e-12)
         assert out["Token_prob_class_ratio_2_by_1"] == pytest.approx(0.5, abs=1e-12)
         assert out["Token_prob_class_ratio_3_by_2"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_empty_scope_all_zero_with_size(self):
-        chunk = single_token_chunk([1.0, 0.0, 0.0])
-        out = statistical_features(chunk, SpanScope(SCOPE_NEIGHBOR, ()))
+        row = single_token_row([1.0, 0.0, 0.0])
+        out = {name: v for name, v in row.items() if name.startswith(f"{SCOPE_NEIGHBOR}_")}
         assert set(v for v in out.values()) == {0.0}
         assert out["Neighbor_size"] == 0.0
 
@@ -117,13 +138,13 @@ class TestStatisticalFeatures:
 class TestScopes:
     def test_nesting_and_context(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
-        scopes = build_scopes(sentence1.chunk, span)
-        token = set(scopes[SCOPE_TOKEN].positions)
-        word = set(scopes[SCOPE_WORD].positions)
-        phrase = set(scopes[SCOPE_PHRASE].positions)
+        scopes = scopes_of(sentence1.chunk, span)
+        token = set(scopes[SCOPE_TOKEN])
+        word = set(scopes[SCOPE_WORD])
+        phrase = set(scopes[SCOPE_PHRASE])
         assert token <= word <= phrase
-        assert scopes[SCOPE_NEIGHBOR].positions == (3, 5)
-        assert set(scopes[SCOPE_CONTEXT].positions) == {0, 1, 2, 3, 5, 6, 7}
+        assert scopes[SCOPE_NEIGHBOR] == (3, 5)
+        assert set(scopes[SCOPE_CONTEXT]) == {0, 1, 2, 3, 5, 6, 7}
 
     def test_wordpieces_share_word_scope(self):
         schema = ClassSchema(("",))
@@ -131,25 +152,19 @@ class TestScopes:
         chunk = Chunk("wp", schema, ("a", "bio", "##marker", "b"), probs,
                       word_ids=(0, 1, 1, 2))
         (span,) = decode_spans(chunk)
-        scopes = build_scopes(chunk, span)
-        assert scopes[SCOPE_WORD].positions == (1, 2)
-        assert scopes[SCOPE_PHRASE].positions == (1, 2)
+        scopes = scopes_of(chunk, span)
+        assert scopes[SCOPE_WORD] == (1, 2)
+        assert scopes[SCOPE_PHRASE] == (1, 2)
 
     def test_neighbor_window_width(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
-        scopes = build_scopes(sentence1.chunk, span, neighbor_window=2)
-        assert scopes[SCOPE_NEIGHBOR].positions == (2, 3, 5, 6)
+        scopes = scopes_of(sentence1.chunk, span, neighbor_window=2)
+        assert scopes[SCOPE_NEIGHBOR] == (2, 3, 5, 6)
 
     def test_span_at_edges_has_onesided_neighbors(self, sentence2):
         (span,) = decode_spans(sentence2.chunk)  # last token
-        scopes = build_scopes(sentence2.chunk, span)
-        assert scopes[SCOPE_NEIGHBOR].positions == (6,)
-
-
-def named_row(chunk, span, config=FeatureConfig()):
-    """One span's feature row, keyed by its schema's names."""
-    names = build_feature_schema(chunk.schema, config).names
-    return dict(zip(names, featurize_chunk(chunk, [span], config)[0].tolist()))
+        scopes = scopes_of(sentence2.chunk, span)
+        assert scopes[SCOPE_NEIGHBOR] == (6,)
 
 
 class TestAssembledVector:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nrfilter import EntityCounts, drop_rates, entity_f1
+from nrfilter import EntityCounts, entity_f1
 from nrfilter.core import EntitySpan
 from nrfilter.errors import ChunkIdMismatch, CountInflation
-from nrfilter.metrics import filter_counts, format_drop_table
+from nrfilter.metrics import drop_pcts, filter_counts, format_drop_table
 
 
 def span(chunk_id, start, end, entity_type="Biomarker"):
@@ -68,27 +68,31 @@ class TestEntityF1:
         assert "Biomarker" in obj["per_type"]
 
 
+def pcts(tp_drop, fp_drop):
+    return {"tp_drop_pct": tp_drop, "fp_drop_pct": fp_drop}
+
+
 class TestDropRates:
     def test_identical_reports(self):
         counts = EntityCounts(tp=10, fp=5)
-        assert drop_rates(counts, counts) == (0.0, 0.0)
+        assert drop_pcts(counts, counts) == pcts(0.0, 0.0)
 
     def test_table_row_shape(self):
         base = EntityCounts(tp=100, fp=100)
         filtered = EntityCounts(tp=94, fp=12)
-        assert drop_rates(base, filtered) == (6.0, 88.0)
+        assert drop_pcts(base, filtered) == pcts(6.0, 88.0)
 
     def test_fp_only_drop(self):
-        assert drop_rates(EntityCounts(50, 20), EntityCounts(50, 10)) == (0.0, 50.0)
+        assert drop_pcts(EntityCounts(50, 20), EntityCounts(50, 10)) == pcts(0.0, 50.0)
 
     def test_zero_base_is_zero_drop(self):
-        assert drop_rates(EntityCounts(0, 0), EntityCounts(0, 0)) == (0.0, 0.0)
+        assert drop_pcts(EntityCounts(0, 0), EntityCounts(0, 0)) == pcts(0.0, 0.0)
 
     def test_inflation_rejected(self):
         with pytest.raises(CountInflation):
-            drop_rates(EntityCounts(10, 10), EntityCounts(11, 2))
+            drop_pcts(EntityCounts(10, 10), EntityCounts(11, 2))
         with pytest.raises(CountInflation):
-            drop_rates(EntityCounts(10, 10), EntityCounts(4, 12))
+            drop_pcts(EntityCounts(10, 10), EntityCounts(4, 12))
 
 
 class TestLabelCounts:
@@ -107,7 +111,7 @@ class TestLabelCounts:
         kept = [True] * 94 + [False] * 6 + [True] * 12 + [False] * 88
         base, filt = filter_counts(is_tp, kept)
         assert (base.tp, base.fp) == (100, 100)
-        assert drop_rates(base, filt) == (6.0, 88.0)
+        assert drop_pcts(base, filt) == pcts(6.0, 88.0)
 
     def test_counts_are_python_ints(self):
         base, filt = filter_counts(np.array([True, False]), np.array([True, True]))

@@ -12,7 +12,7 @@ from nrfilter import (
     decode_spans,
 )
 from nrfilter.errors import AnchorOutOfRange, NonPositiveDecayRate
-from nrfilter.pdm import bin_edges, decay_table, grid_to_obj
+from nrfilter.pdm import bin_edges, decay_table
 
 from conftest import random_chunk
 from oracles import brute_force_cumulative, brute_force_pdm
@@ -59,20 +59,20 @@ class TestWorkedExamples:
 
     def test_sentence1_pdm(self, sentence1):
         pdm = compute_pdm(sentence1.chunk, 4)
-        assert pdm.values[0][I] == pytest.approx(0.004, abs=0.0005)
-        assert pdm.values[9][O] == pytest.approx(0.185, abs=0.0005)
+        assert pdm[0][I] == pytest.approx(0.004, abs=0.0005)
+        assert pdm[9][O] == pytest.approx(0.185, abs=0.0005)
 
     def test_sentence2_pdm(self, sentence2):
         pdm = compute_pdm(sentence2.chunk, 7)
-        assert pdm.values[9][O] == pytest.approx(0.094, abs=0.0005)
-        off = pdm.values.copy()
+        assert pdm[9][O] == pytest.approx(0.094, abs=0.0005)
+        off = pdm.copy()
         off[9][O] = 0.0
         assert off.max() < 0.0005
 
     def test_single_token_chunk_all_zero(self):
         schema = ClassSchema(("",))
         chunk = Chunk("solo", schema, ("x",), np.array([[0.0, 1.0, 0.0]]))
-        assert compute_pdm(chunk, 0).values.sum() == 0.0
+        assert compute_pdm(chunk, 0).sum() == 0.0
         assert cumulative_bins(chunk, 0).sum() == 0.0
 
 
@@ -84,7 +84,7 @@ class TestAgainstBruteForce:
             anchor = int(rng.integers(chunk.n_tokens))
             r = float(rng.uniform(0.3, 4.0))
             bins = int(rng.choice([4, 10, 16]))
-            got = compute_pdm(chunk, anchor, DecayConfig(r, bins)).values
+            got = compute_pdm(chunk, anchor, DecayConfig(r, bins))
             want = brute_force_pdm(chunk.probs.tolist(), anchor, r, bins)
             np.testing.assert_allclose(got, np.array(want), atol=1e-12, rtol=0)
 
@@ -104,7 +104,7 @@ class TestInvariants:
         for _ in range(100):
             chunk = random_chunk(rng)
             anchor = int(rng.integers(chunk.n_tokens))
-            values = compute_pdm(chunk, anchor).values
+            values = compute_pdm(chunk, anchor)
             assert (values >= 0).all()
             T = chunk.n_tokens
             assert values.max() <= (T - 1) / T + 1e-12
@@ -116,7 +116,7 @@ class TestInvariants:
             if chunk.n_tokens < 2:
                 continue
             anchor = int(rng.integers(chunk.n_tokens))
-            total = compute_pdm(chunk, anchor).values.sum()
+            total = compute_pdm(chunk, anchor).sum()
             assert total < (chunk.n_tokens - 1) / chunk.n_tokens
 
     def test_cumulative_total_is_token_count_minus_one(self):
@@ -137,7 +137,7 @@ class TestInvariants:
             probs = np.full((9, 3), [1.0, 0.0, 0.0])
             probs[distance] = [0.2, 0.25, 0.55]
             chunk = Chunk("m", schema, tuple("abcdefghi"), probs)
-            cell = compute_pdm(chunk, 0).values[2][B]  # B=0.25 lands in bin 2
+            cell = compute_pdm(chunk, 0)[2][B]  # B=0.25 lands in bin 2
             assert cell < previous
             previous = cell
 
@@ -179,10 +179,6 @@ class TestSpanExclusion:
         pdm = compute_pdm(chunk, span.anchor, exclude=span.positions)
         # Only tokens 0 and 3 may contribute; the span's own I token must not.
         want = brute_force_pdm(probs.tolist(), 1, 1.0, 10, exclude={1, 2})
-        np.testing.assert_allclose(pdm.values, np.array(want), atol=1e-12, rtol=0)
-        assert pdm.values[9][B] == 0.0  # anchor's 0.95 B mass is excluded
+        np.testing.assert_allclose(pdm, np.array(want), atol=1e-12, rtol=0)
+        assert pdm[9][B] == 0.0  # anchor's 0.95 B mass is excluded
 
-    def test_grid_to_obj_is_json_ready(self, sentence1):
-        obj = grid_to_obj(compute_pdm(sentence1.chunk, 4))
-        assert obj["bins"] == 10 and obj["anchor"] == 4
-        assert len(obj["values"]) == 10 and len(obj["values"][0]) == 3

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nrfilter import (
     PipelineConfig,
     build_feature_schema,
-    classify,
     decode_spans,
     featurize_chunk,
     STRONG,
@@ -32,9 +31,9 @@ from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
 from nrfilter.pipeline import featurize_records, validation_draws
-from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, tune_threshold
+from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, cut_threshold
 
-from oracles import reference_decision_path, reference_verdict_line
+from oracles import reference_decision_path, reference_leaf_for, reference_verdict_line
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +97,7 @@ class TestRunPipeline:
 
     def test_walks_each_span_once(self, corpus_path, tmp_path):
         """θ, the verdicts and the report all read one walk per span, and θ
-        is the one ``tune_threshold`` picks on the validation rows."""
+        is the one ``cut_threshold`` picks from the validation rows' leaves."""
         with mock.patch.object(TreeModel, "leaf", autospec=True, side_effect=TreeModel.leaf) as leaf:
             result = run_pipeline(corpus_path, str(tmp_path), PipelineConfig())
         assert leaf.call_count == result.report["n_spans"]
@@ -106,7 +105,9 @@ class TestRunPipeline:
         with open(result.paths["predictions"], "r", encoding="utf-8") as handle:
             val = np.array([json.loads(line)["split"] == "validation" for line in handle])
         is_tp = np.array([label == STRONG for label in table.labels])
-        assert tune_threshold(result.model, table.matrix[val], is_tp[val]) == result.tune
+        model = result.model
+        scores = model.p_weak(model.walk(table.matrix[val]))
+        assert cut_threshold(scores, is_tp[val], model.config.max_tp_drop) == result.tune
 
     def test_unlabeled_corpus_rejected(self, tmp_path):
         record = parse_record({
@@ -260,7 +261,9 @@ def one_record_at_a_time_lines(records, model, config):
     json.dumps, from one kernel call per record."""
     for spans, _, rows in one_record_at_a_time(records, config):
         for span, row in zip(spans, rows):
-            verdict, p_weak = classify(model, row)
+            leaf, _ = reference_leaf_for(model, row)
+            p_weak = model.nodes[leaf].p_weak
+            verdict = model.verdict(p_weak)
             path = reference_decision_path(model, row)
             yield reference_verdict_line(span, verdict, p_weak, path=path) + "\n"
 
@@ -403,7 +406,9 @@ class TestVerdictLines:
             splits = [None] * len(spans)
         want = []
         for span, row, split in zip(spans, rows, splits):
-            verdict, p_weak = classify(model, row)
+            leaf, _ = reference_leaf_for(model, row)
+            p_weak = model.nodes[leaf].p_weak
+            verdict = model.verdict(p_weak)
             path = reference_decision_path(model, row) if include_path else None
             want.append((verdict, reference_verdict_line(span, verdict, p_weak, split, path)))
         lines = pipeline._verdict_lines(model, include_path)

@@ -14,17 +14,19 @@ from nrfilter import (
     train_matrix,
     validate_chunk,
 )
-from nrfilter import build_feature_schema, classify, featurize_chunk
+from nrfilter import build_feature_schema, featurize_chunk
 from nrfilter.errors import InvalidConfig
-from nrfilter.features import SCOPE_CONTEXT, build_scopes
+from nrfilter.features import SCOPE_CONTEXT
 from nrfilter.tree import Internal, TrainConfig
+
+from oracles import reference_scopes
 
 
 def context_i_values(record):
     chunk = record.chunk
     (span,) = decode_spans(chunk)
-    scope = build_scopes(chunk, span)[SCOPE_CONTEXT]
-    return chunk.probs[list(scope.positions), 2]
+    context = reference_scopes(chunk.n_tokens, span.start, span.end, span.anchor)[SCOPE_CONTEXT]
+    return chunk.probs[list(context), 2]
 
 
 class TestDeterminism:
@@ -112,7 +114,8 @@ class TestSeparability:
             labels.append(record.label)
         model = train_matrix(np.array(X), labels, ("bottom_bin_i_density",),
                              TrainConfig(max_depth=1, min_samples_leaf=1))
-        hits = sum(classify(model, row)[0] == label for row, label in zip(np.array(X), labels))
+        verdicts = [model.verdict(p) for p in model.p_weak(model.walk(np.array(X)))]
+        hits = sum(verdict == label for verdict, label in zip(verdicts, labels))
         assert hits == len(labels)
 
     def test_full_depth_one_tree_splits_on_bottom_bin(self):
@@ -125,7 +128,8 @@ class TestSeparability:
         root = model.nodes[0]
         assert isinstance(root, Internal)
         assert model.feature_names[root.feature].endswith("_WCount_bkt_0.0-0.1")
-        hits = sum(classify(model, row)[0] == label for row, label in zip(X, labels))
+        verdicts = [model.verdict(p) for p in model.p_weak(model.walk(X))]
+        hits = sum(verdict == label for verdict, label in zip(verdicts, labels))
         assert hits == len(labels)
 
 

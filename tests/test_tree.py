@@ -17,16 +17,13 @@ from nrfilter import (
     PipelineConfig,
     SynthConfig,
     build_feature_schema,
-    classify,
     decode_spans,
     deserialize_model,
-    explain,
     featurize_chunk,
     featurize_records,
     iter_generate,
     serialize_model,
     train_matrix,
-    tune_threshold,
 )
 from nrfilter import tree
 from nrfilter.features import read_feature_csv, write_feature_csv
@@ -91,8 +88,7 @@ class TestTrain:
         assert isinstance(left, Leaf) and isinstance(right, Leaf)
         assert left.p_weak == 0.0 and right.p_weak == 1.0
         for row, label in zip(X, labels):
-            verdict, _ = classify(model, row)
-            assert verdict == label
+            assert model.verdict(model.nodes[model.leaf(row)].p_weak) == label
 
     def test_constant_features_single_leaf(self):
         X = np.ones((20, 3))
@@ -102,8 +98,8 @@ class TestTrain:
         leaf = model.nodes[0]
         assert isinstance(leaf, Leaf)
         assert (leaf.n_strong, leaf.n_weak) == (14, 6)
-        verdict, p_weak = classify(model, np.ones(3))
-        assert verdict == STRONG and p_weak == pytest.approx(0.3)
+        p_weak = model.nodes[model.leaf(np.ones(3))].p_weak
+        assert model.verdict(p_weak) == STRONG and p_weak == pytest.approx(0.3)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).uniform(size=(10, 3))
@@ -128,7 +124,7 @@ class TestTrain:
         labels = [WEAK if rng.random() < 0.5 else STRONG for _ in range(200)]
         model = train_matrix(X, labels, NAMES, TrainConfig(max_depth=3, min_samples_leaf=1))
         for row in X:
-            assert len(parse_decision_path(explain(model, row))) <= 3
+            assert len(parse_decision_path(model.paths[model.leaf(row)])) <= 3
 
     def test_split_features_exist_in_schema(self):
         X, labels = make_separable(n=120, seed=3)
@@ -204,15 +200,7 @@ class TestTrain:
         names = build_feature_schema(sentence1.chunk.schema).names
         model = train_matrix(X, labels, names, TrainConfig(min_samples_leaf=1))
         for row, label in zip(X, labels):
-            assert classify(model, row)[0] == label
-
-    def test_schema_mismatch_between_rows(self, sentence1):
-        (row,) = featurize_chunk(sentence1.chunk, decode_spans(sentence1.chunk))
-        X = np.vstack([row, row])
-        model = train_matrix(X, [STRONG, WEAK], build_feature_schema(sentence1.chunk.schema).names,
-                             TrainConfig(min_samples_leaf=1))
-        with pytest.raises(SchemaMismatch):
-            classify(model, np.ones(3))
+            assert model.verdict(model.nodes[model.leaf(row)].p_weak) == label
 
 
 class TestPresortedSearch:
@@ -392,30 +380,32 @@ class TestClassify:
     def test_theta_zero_everything_weak(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        assert all(classify(model.with_threshold(0.0), row)[0] == WEAK for row in X)
+        p_weak = model.p_weak(model.walk(X))
+        assert all(model.with_threshold(0.0).verdict(p) == WEAK for p in p_weak)
 
     def test_theta_above_one_everything_strong(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         keep_all = model.with_threshold(THRESHOLD_KEEP_ALL)
-        assert all(classify(keep_all, row)[0] == STRONG for row in X)
+        assert all(keep_all.verdict(p) == STRONG for p in keep_all.p_weak(keep_all.walk(X)))
 
     def test_pure_weak_leaf_at_default_threshold(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         weak_row = X[[label == WEAK for label in labels]][0]
-        verdict, p_weak = classify(model.with_threshold(0.5), weak_row)
-        assert verdict == WEAK and p_weak == 1.0
+        p_weak = model.nodes[model.leaf(weak_row)].p_weak
+        assert model.with_threshold(0.5).verdict(p_weak) == WEAK and p_weak == 1.0
 
     def test_monotone_in_theta(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(150, 3))
         labels = [WEAK if rng.random() < x[1] else STRONG for x in X]
         model = train_matrix(X, labels, NAMES)
+        p_weak = model.p_weak(model.walk(X))
         previous = None
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0, THRESHOLD_KEEP_ALL):
             tuned = model.with_threshold(theta)
-            weak_set = {i for i, row in enumerate(X) if classify(tuned, row)[0] == WEAK}
+            weak_set = {i for i, p in enumerate(p_weak) if tuned.verdict(p) == WEAK}
             if previous is not None:
                 assert weak_set <= previous
             previous = weak_set
@@ -428,7 +418,7 @@ class TestTuneThreshold:
         model = train_matrix(X, labels, NAMES)
         is_tp = [label == STRONG for label in labels]
         with pytest.warns(NoFeasibleThreshold):
-            result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
+            result = tree.cut_threshold(model.p_weak(model.walk(X)), is_tp, max_tp_drop=0.0)
         assert result.fp_drop == 0.0 and result.tp_drop == 0.0
         assert result.threshold == THRESHOLD_KEEP_ALL
 
@@ -436,7 +426,7 @@ class TestTuneThreshold:
         X, labels = make_separable(n=80, seed=6)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         is_tp = [label == STRONG for label in labels]
-        result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
+        result = tree.cut_threshold(model.p_weak(model.walk(X)), is_tp, max_tp_drop=0.0)
         assert result.tp_drop == 0.0 and result.fp_drop == 1.0
         assert result.threshold == 1.0  # smallest leaf p_weak above all TP leaves
 
@@ -450,7 +440,7 @@ class TestTuneThreshold:
             model = train_matrix(X, labels, NAMES)
             is_tp = [label == STRONG for label in labels]
             budget = float(rng.choice([0.0, 0.02, 0.06, 0.2]))
-            result = tune_threshold(model, X, is_tp, budget)
+            result = tree.cut_threshold(model.p_weak(model.walk(X)), is_tp, budget)
             assert result.tp_drop <= budget
 
     def test_tie_prefers_higher_threshold(self):
@@ -462,7 +452,7 @@ class TestTuneThreshold:
         labels = [STRONG, STRONG, WEAK, WEAK, STRONG, STRONG, STRONG, STRONG, WEAK]
         model = train_matrix(X, labels, ("f0",), TrainConfig(min_samples_leaf=1))
         is_tp = [label == STRONG for label in labels]
-        result = tune_threshold(model, X, is_tp, max_tp_drop=0.0)
+        result = tree.cut_threshold(model.p_weak(model.walk(X)), is_tp, max_tp_drop=0.0)
         leaf_ps = sorted({leaf.p_weak for leaf in model.leaves})
         assert result.threshold == max(p for p in leaf_ps if p >= result.threshold)
 
@@ -470,14 +460,14 @@ class TestTuneThreshold:
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES)
         with pytest.raises(SingleClassTrainingSet):
-            tune_threshold(model, X[:2], [True, True], 0.06)
+            tree.cut_threshold(model.p_weak(model.walk(X[:2])), [True, True], 0.06)
 
     def test_bad_budget(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES)
         is_tp = [label == STRONG for label in labels]
         with pytest.raises(InvalidConfig):
-            tune_threshold(model, X, is_tp, 1.5)
+            tree.cut_threshold(model.p_weak(model.walk(X)), is_tp, 1.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -498,21 +488,18 @@ class TestTuneThreshold:
             == reference_cut_threshold(scores, is_tp, budget)
         assert (result.n_tp, result.n_fp) == (sum(is_tp), len(is_tp) - sum(is_tp))
 
-    @pytest.mark.parametrize("shape", [(39, 3), (40, 2), (40,), (40, 3, 1)])
-    def test_matrix_shape_checked(self, shape):
-        X, labels = make_separable()
-        model = train_matrix(X, labels, NAMES)
-        is_tp = [label == STRONG for label in labels]
-        assert X.shape == (40, 3)
-        with pytest.raises(SchemaMismatch, match=r"is not \(40, 3\)"):
-            tune_threshold(model, np.zeros(shape), is_tp)
+    @pytest.mark.parametrize("shape", [(39,), (41,), (40, 1), ()])
+    def test_score_shape_checked(self, shape):
+        is_tp = [True, False] * 20
+        with pytest.raises(SchemaMismatch, match=r"\(40,\) TP flags for"):
+            tree.cut_threshold(np.zeros(shape), is_tp, 0.06)
 
 
 class TestExplain:
     def test_depth_one_single_predicate(self):
         X, labels = make_separable()
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
-        ((feature, _, _),) = parse_decision_path(explain(model, X[0]))
+        ((feature, _, _),) = parse_decision_path(model.paths[model.leaf(X[0])])
         assert feature == "f1"
 
     def test_predicates_hold_for_instance(self):
@@ -521,7 +508,7 @@ class TestExplain:
         labels = [WEAK if rng.random() < x[2] else STRONG for x in X]
         model = train_matrix(X, labels, NAMES)
         for row in X[:50]:
-            steps = parse_decision_path(explain(model, row))
+            steps = parse_decision_path(model.paths[model.leaf(row)])
             assert steps == reference_path_steps(model, row)
             for feature, op, threshold in steps:
                 value = row[NAMES.index(feature)]
@@ -533,14 +520,14 @@ class TestExplain:
         labels = [WEAK if rng.random() < x[1] * 0.9 else STRONG for x in X]
         model = train_matrix(X, labels, NAMES)
         for row in X[:30]:
-            text = explain(model, row)
+            text = model.paths[model.leaf(row)]
             assert text == reference_decision_path(model, row)
             assert parse_decision_path(text) == reference_path_steps(model, row)
 
     def test_serialized_format(self):
         X, labels = make_separable(n=60, seed=10)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=2))
-        text = explain(model, X[0])
+        text = model.paths[model.leaf(X[0])]
         first, *rest = text.split("\n")
         assert first.startswith("(") and first.endswith(")")
         assert all(line.startswith("& (") for line in rest)
@@ -549,13 +536,12 @@ class TestExplain:
         X, labels = make_separable(n=40, seed=11)
         model = train_matrix(X, labels, NAMES, TrainConfig(min_samples_leaf=1))
         for row in X:
-            # The one leaf whose stored path explain returns is the leaf
-            # whose verdict and p_weak classify reports.
-            text = explain(model, row)
+            # No other leaf has the stored path of the leaf a row reaches,
+            # so the path printed names the leaf whose verdict is printed.
+            text = model.paths[model.leaf(row)]
             (leaf,) = [i for i, node in enumerate(model.nodes)
                        if isinstance(node, Leaf) and model.paths[i] == text]
-            p_weak = model.nodes[leaf].p_weak
-            assert classify(model, row) == (model.verdict(p_weak), p_weak)
+            assert leaf == model.leaf(row)
 
 
 # Thresholds and values on one grid, so instances often sit exactly on a
@@ -592,9 +578,7 @@ def assert_walk_matches_oracle(model, X):
         leaf, _ = reference_leaf_for(model, row)
         path = reference_decision_path(model, row)
         assert model.leaf(row) == leaf
-        p_weak = model.nodes[leaf].p_weak
-        assert classify(model, row) == (model.verdict(p_weak), p_weak)
-        assert model.paths[leaf] == explain(model, row) == path
+        assert model.paths[leaf] == path
 
 
 class TestCompiledWalk:
@@ -660,8 +644,9 @@ class TestPersistence:
         model = train_matrix(X, labels, NAMES)
         clone = deserialize_model(serialize_model(model))
         assert clone == model
-        for row in X:
-            assert classify(clone, row) == classify(model, row)
+        p_weak = model.p_weak(model.walk(X))
+        assert clone.p_weak(clone.walk(X)).tolist() == p_weak.tolist()
+        assert [clone.verdict(p) for p in p_weak] == [model.verdict(p) for p in p_weak]
 
     def test_two_runs_byte_identical(self):
         X, labels = make_separable(n=100, seed=13)
