@@ -12,10 +12,10 @@ import numpy as np
 from nrfilter import (
     ClassSchema,
     Chunk,
-    build_feature_schema,
     canonical_feature_name,
     decode_spans,
-    featurize_chunk,
+    feature_names,
+    featurize_chunks,
 )
 from nrfilter.features import SCOPE_ORDER
 
@@ -35,8 +35,8 @@ chunk = Chunk(
     ]),
 )
 (span,) = decode_spans(chunk)
-row = featurize_chunk(chunk, [span])[0]  # one span's row of the (n_spans, n_features) matrix
-names = build_feature_schema(chunk.schema).names  # the matrix's columns
+row = featurize_chunks([chunk], [[span]])[0]  # one span's row of the (n_spans, n_features) matrix
+names = feature_names(chunk.schema)  # the matrix's columns
 value = dict(zip(names, row.tolist()))
 
 print("1. Scope sizes for the span", (span.start, span.end), repr(span.text))

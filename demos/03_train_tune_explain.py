@@ -9,9 +9,9 @@ from nrfilter import (
     STRONG,
     SynthConfig,
     TrainConfig,
-    build_feature_schema,
     decode_spans,
-    featurize_chunk,
+    feature_names,
+    featurize_chunks,
     generate,
     train_matrix,
 )
@@ -24,15 +24,16 @@ from nrfilter.tree import cut_threshold
 # imperfect review.
 config = SynthConfig(n_strong=800, n_weak=800, label_flip_rate=0.05, seed=11)
 records = generate(config)
-fschema = build_feature_schema(records[0].chunk.schema)
+names = feature_names(records[0].chunk.schema)
 
-# One row per span; the matrix's columns are fschema.names.
-X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk), schema=fschema) for r in records])
+# One kernel call, one row per span; the matrix's columns are `names`.
+chunks = [r.chunk for r in records]
+X = featurize_chunks(chunks, [decode_spans(chunk) for chunk in chunks])
 labels = np.array([record.label for record in records])  # one span per record
 is_val = validation_draws(11, len(records)) < 0.2
 is_tp = labels == STRONG
 
-model = train_matrix(X[~is_val], labels[~is_val].tolist(), fschema.names, TrainConfig())
+model = train_matrix(X[~is_val], labels[~is_val].tolist(), names, TrainConfig())
 print(f"trained: {len(model.nodes)} nodes, {len(model.leaves)} leaves")
 
 # Sweep the leaf weak-probability threshold on held-out data: keep the

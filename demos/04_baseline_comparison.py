@@ -14,9 +14,9 @@ from nrfilter import (
     SynthConfig,
     TrainConfig,
     baseline_grid,
-    build_feature_schema,
     decode_spans,
-    featurize_chunk,
+    feature_names,
+    featurize_chunks,
     generate,
     train_matrix,
 )
@@ -26,7 +26,7 @@ from nrfilter.tree import cut_threshold
 
 SEED = 23
 records = generate(SynthConfig(n_strong=700, n_weak=700, seed=SEED))
-fschema = build_feature_schema(records[0].chunk.schema)
+names = feature_names(records[0].chunk.schema)
 
 in_val = validation_draws(SEED, len(records)) < 0.25
 labeled_spans = []
@@ -36,7 +36,7 @@ for record, is_val in zip(records, in_val.tolist()):
     is_tp = record.label == STRONG
     if is_val:
         labeled_spans.append((record.chunk, span, is_tp))
-    rows.append((featurize_chunk(record.chunk, [span], schema=fschema)[0], is_tp, is_val))
+    rows.append((featurize_chunks([record.chunk], [[span]])[0], is_tp, is_val))
 
 # Grid-search each reference method on the validation spans.
 results = {}
@@ -53,11 +53,11 @@ for method, grid in (
     results[method] = (best["tp_drop_pct"], best["fp_drop_pct"])
 
 # The noise tree, trained on the rest and tuned under the same budget.
-X = np.vstack([row for row, _, _ in rows])  # columns: fschema.names
+X = np.vstack([row for row, _, _ in rows])  # columns: `names`
 is_tp = np.array([tp for _, tp, _ in rows])
 is_val = np.array([val for _, _, val in rows])
 labels = ["strong" if tp else "weak" for tp in is_tp[~is_val]]
-model = train_matrix(X[~is_val], labels, fschema.names, TrainConfig())
+model = train_matrix(X[~is_val], labels, names, TrainConfig())
 tune = cut_threshold(model.p_weak(model.walk(X[is_val])), is_tp[is_val], 0.06)
 results["noise tree"] = (100 * tune.tp_drop, 100 * tune.fp_drop)
 

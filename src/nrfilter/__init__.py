@@ -30,10 +30,8 @@ from .pdm import (
 )
 from .features import (
     FeatureConfig,
-    FeatureSchema,
-    build_feature_schema,
     canonical_feature_name,
-    featurize_chunk,
+    feature_names,
     featurize_chunks,
 )
 from .baselines import (
@@ -57,7 +55,7 @@ from .synth import SynthConfig, generate, iter_generate
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
-    featurize_records,
+    featurize_blocks,
     run_pipeline,
     stream_classify,
 )
@@ -79,10 +77,8 @@ __all__ = [
     "compute_pdm",
     "cumulative_bins",
     "FeatureConfig",
-    "FeatureSchema",
-    "build_feature_schema",
     "canonical_feature_name",
-    "featurize_chunk",
+    "feature_names",
     "featurize_chunks",
     "baseline_grid",
     "mc_dropout_aggregate",
@@ -104,7 +100,7 @@ __all__ = [
     "iter_generate",
     "PipelineConfig",
     "PipelineResult",
-    "featurize_records",
+    "featurize_blocks",
     "run_pipeline",
     "stream_classify",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import os
@@ -40,11 +41,11 @@ from .errors import (
     SchemaMismatch,
 )
 from .baselines import baseline_grid
-from .features import feature_row_obj, read_feature_csv, write_feature_csv
+from .features import feature_names, feature_row_obj, read_feature_csv, write_feature_csv
 from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
 from .pipeline import (
     PipelineConfig,
-    featurize_records,
+    featurize_blocks,
     run_pipeline,
     stream_classify,
 )
@@ -143,8 +144,8 @@ def cmd_featurize(args) -> int:
     config = _pipeline_config(args)
 
     def blocks(dump):
-        records = iter_records(args.input)
-        for record, spans, schema, matrix in featurize_records(records, config, batch=True):
+        featurized = featurize_blocks(iter_records(args.input), config, batch=True)
+        for record, spans, matrix in itertools.chain.from_iterable(featurized):
             if dump is not None:
                 K = record.chunk.schema.K
                 for span, values in zip(spans, matrix):
@@ -154,7 +155,8 @@ def cmd_featurize(args) -> int:
                         "chunk_id": record.chunk.id, "anchor": span.anchor, "bins": config.bins,
                         "decay_rate": config.decay_rate, "values": grid.tolist(),
                     }) + "\n")
-            yield schema.names, spans, record.span_labels(spans), matrix
+            names = feature_names(record.chunk.schema, config)
+            yield names, spans, record.span_labels(spans), matrix
 
     with _output(args.dump_pdm) if args.dump_pdm else contextlib.nullcontext() as dump:
         if args.format == "csv":
@@ -246,9 +248,8 @@ def cmd_explain(args) -> int:
     model = load_model(args.model)
     config = PipelineConfig.from_model(model)
     n_records = shown = 0
-    for record, spans, _, matrix in featurize_records(
-        iter_records(args.record), config, model.feature_names
-    ):
+    blocks = featurize_blocks(iter_records(args.record), config, model.feature_names)
+    for record, spans, matrix in itertools.chain.from_iterable(blocks):
         n_records += 1
         for i, (span, leaf) in enumerate(zip(spans, model.walk(matrix))):
             if args.span_index is not None and i != args.span_index:

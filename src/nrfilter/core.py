@@ -111,14 +111,14 @@ class Chunk:
 
     Immutable after construction; the probability matrix is marked
     read-only. ``word_ids`` groups sub-word tokens into words; None means
-    every token is its own word.
+    every token is its own word, and so is a token whose id is None.
     """
 
     id: str
     schema: ClassSchema
     texts: tuple[str, ...]
     probs: np.ndarray
-    word_ids: tuple[int, ...] | None = None
+    word_ids: tuple[int | float | str | None, ...] | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -260,9 +260,10 @@ def decode_spans(chunk: Chunk, orphan_policy: str = "promote") -> list[EntitySpa
 #
 # One record per line:
 #   {"id": str, "classes": [str, ...],
-#    "tokens": [{"text": str, "probs": [float, ...], "word_id": int?}, ...],
+#    "tokens": [{"text": str, "probs": [float, ...], "word_id": int|float|str?}, ...],
 #    "label": "strong"|"weak"?, "gold_spans": [{"entity_type", "start", "end"}]?}
-# Unknown fields are ignored.
+# A token without a word_id (or with null) is a word of its own. Unknown
+# fields are ignored.
 # ---------------------------------------------------------------------------
 
 
@@ -300,12 +301,13 @@ def _probability_matrix(rows: list, fail) -> np.ndarray:
     return probs.astype(np.float64, copy=False)
 
 
-_WORD_ID_TYPES = frozenset((int, float, str))
+_WORD_ID_TYPES = frozenset((int, float, str, type(None)))
 
 
 def _check_word_ids(word_ids: list, fail) -> None:
     """Word ids group tokens by equality, so each must be an integer, a
-    finite number or a string: NaN equals nothing, not even itself."""
+    finite number or a string (None: a word of its own): NaN equals
+    nothing, not even itself."""
     types = set(map(type, word_ids))
     if types <= _WORD_ID_TYPES and (
         float not in types or all(map(math.isfinite, (w for w in word_ids if type(w) is float)))
@@ -364,7 +366,7 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         rows.append(row)
         wid = tok.get("word_id")
         has_word_ids = has_word_ids or wid is not None
-        word_ids.append(wid if wid is not None else i)
+        word_ids.append(wid)
     try:
         "".join(texts)  # one C-level check that every text is a str
     except TypeError:
@@ -426,7 +428,7 @@ def record_to_obj(record: CorpusRecord) -> dict:
     tokens = []
     for i in range(chunk.n_tokens):
         tok: dict = {"text": chunk.texts[i], "probs": [float(p) for p in chunk.probs[i]]}
-        if chunk.word_ids is not None:
+        if chunk.word_ids is not None and chunk.word_ids[i] is not None:
             tok["word_id"] = chunk.word_ids[i]
         tokens.append(tok)
     obj: dict = {"id": chunk.id, "classes": list(chunk.schema.class_names), "tokens": tokens}

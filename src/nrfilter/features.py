@@ -111,43 +111,23 @@ def bin_labels(bins: int) -> tuple[str, ...]:
     return tuple(f"{lo:.{d}f}-{hi:.{d}f}" for lo, hi in bin_edges(bins))
 
 
-class FeatureSchema:
-    """Ordered, immutable feature-name layout for one configuration.
-
-    The name sequence is a pure function of (class schema, config), so
-    every span featurized under the same configuration produces a row
-    whose columns are these names, in this order.
-    """
-
-    def __init__(self, class_schema: ClassSchema, config: FeatureConfig):
-        self.class_schema = class_schema
-        self.config = config
-        self.tags = class_tags(class_schema)
-        names: list[str] = []
-        for tag in self.tags:
-            for label in bin_labels(config.bins):
-                names.append(f"PDM_{tag}_WCount_bkt_{label}")
-        for scope in config.scopes:
-            for tag in self.tags:
-                for stat in _CLASS_STATS:
-                    names.append(f"{scope}_{tag}_{stat}")
-            for stat in _SCOPE_STATS:
-                names.append(f"{scope}_{stat}")
-        self.names: tuple[str, ...] = tuple(names)
-
-    def __len__(self) -> int:
-        return len(self.names)
+def feature_names(
+    class_schema: ClassSchema, config: FeatureConfig = FeatureConfig()
+) -> tuple[str, ...]:
+    """The ordered feature names of one configuration: the columns of
+    every row ``featurize_chunks`` builds for chunks of ``class_schema``.
+    Equal class schemas and configs give the same tuple object."""
+    return _feature_names(class_schema.entity_names, config)
 
 
 @lru_cache(maxsize=64)
-def _cached_schema(entity_names: tuple[str, ...], config: FeatureConfig) -> FeatureSchema:
-    return FeatureSchema(ClassSchema(entity_names), config)
-
-
-def build_feature_schema(
-    class_schema: ClassSchema, config: FeatureConfig = FeatureConfig()
-) -> FeatureSchema:
-    return _cached_schema(class_schema.entity_names, config)
+def _feature_names(entity_names: tuple[str, ...], config: FeatureConfig) -> tuple[str, ...]:
+    tags = class_tags(ClassSchema(entity_names))
+    names = [f"PDM_{tag}_WCount_bkt_{label}" for tag in tags for label in bin_labels(config.bins)]
+    for scope in config.scopes:
+        names.extend(f"{scope}_{tag}_{stat}" for tag in tags for stat in _CLASS_STATS)
+        names.extend(f"{scope}_{stat}" for stat in _SCOPE_STATS)
+    return tuple(names)
 
 
 def token_entropies(probs: np.ndarray) -> np.ndarray:
@@ -315,15 +295,18 @@ def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     order. ``rows`` are the chunk's own bound rows.
 
     A span's Word scope can be non-contiguous when word ids interleave,
-    and it is empty if the anchor's id equals nothing (NaN).
+    and it is empty if the anchor's id equals nothing (NaN). A token whose
+    id is None is a word of its own.
     """
     try:
         wid = np.asarray(word_ids)
     except ValueError:  # ids of differing shapes, such as lists
         wid = None
     if wid is None or wid.ndim != 1 or wid.dtype.kind not in "biuf":
-        # Compare ids as Python objects, so that 5 and "5" stay distinct.
-        wid = np.fromiter(word_ids, dtype=object, count=len(word_ids))
+        # Compare ids as Python objects, so that 5 and "5" stay distinct;
+        # a None becomes an object equal only to itself.
+        wid = np.fromiter((object() if w is None else w for w in word_ids),
+                          dtype=object, count=len(word_ids))
     off = rows[0, _ZERO]
     starts, lengths = rows[:, _START], rows[:, _STOP] - rows[:, _START]
     owner = np.repeat(np.arange(len(rows)), lengths)
@@ -359,12 +342,11 @@ def featurize_chunks(
     chunks: Sequence[Chunk],
     spans: Sequence[Sequence[EntitySpan]],
     config: FeatureConfig = FeatureConfig(),
-    schema: FeatureSchema | None = None,
 ) -> np.ndarray:
     """Feature matrix (n_spans, n_features) for the spans of a block of
     chunks of one class schema, ``spans[i]`` belonging to ``chunks[i]``:
     rows in chunk order, then span order; columns are density cells then
-    every configured scope, in schema order.
+    every configured scope, in ``feature_names`` order.
 
     One token table covers the stacked probabilities of the chunks with
     spans, with one trailing zero pad row, and every span's bounds are
@@ -379,9 +361,8 @@ def featurize_chunks(
     """
     if len(chunks) != len(spans):
         raise ValueError(f"{len(chunks)} chunks but {len(spans)} span lists")
-    if schema is None:
-        schema = build_feature_schema(chunks[0].schema, config)
-    class_schema = schema.class_schema
+    class_schema = chunks[0].schema
+    names = feature_names(class_schema, config)
     for chunk in chunks:
         if chunk.schema is not class_schema and chunk.schema != class_schema:
             raise SchemaMismatch(
@@ -393,8 +374,8 @@ def featurize_chunks(
     kinds = config.scopes
     step = 5 * K + 6
     width = bins * K + len(kinds) * step
-    if width != len(schema):
-        raise SchemaMismatch(f"assembling {width} features, schema expects {len(schema)}")
+    if width != len(names):
+        raise SchemaMismatch(f"assembling {width} features, schema expects {len(names)}")
     rows = _span_rows(chunks, spans, config.neighbor_window)
     n = len(rows)
     out = np.empty((n, width), dtype=np.float64)
@@ -459,20 +440,9 @@ def featurize_chunks(
 
     finite = np.isfinite(out)
     if not finite.all():
-        bad = schema.names[int(np.argmin(finite.all(axis=0)))]
+        bad = names[int(np.argmin(finite.all(axis=0)))]
         raise ValueError(f"non-finite feature value for {bad!r}")
     return out
-
-
-def featurize_chunk(
-    chunk: Chunk,
-    spans: Sequence[EntitySpan],
-    config: FeatureConfig = FeatureConfig(),
-    schema: FeatureSchema | None = None,
-) -> np.ndarray:
-    """Feature matrix (n_spans, n_features) for spans of one chunk: a
-    block of one chunk."""
-    return featurize_chunks((chunk,), (spans,), config, schema)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from .core import (
 from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
 from .features import (
     FeatureConfig,
-    FeatureSchema,
-    build_feature_schema,
+    feature_names,
     featurize_chunks,
     write_feature_csv,
 )
@@ -116,86 +115,62 @@ def validation_draws(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, _SPLIT_SALT]).random(n)
 
 
-Featurized = tuple[CorpusRecord, list[EntitySpan], FeatureSchema, np.ndarray]
-
-
-def featurize_records(
+def featurize_blocks(
     records: Iterable[CorpusRecord],
-    config: PipelineConfig,
-    feature_names: tuple[str, ...] | None = None,
+    config: FeatureConfig,
+    names: tuple[str, ...] | None = None,
     batch: bool = False,
-) -> Iterator[Featurized]:
-    """Decode and featurize records: yields each record with its decoded
-    spans, feature schema and (n_spans, n_features) matrix, in order.
+) -> Iterator[Iterator[tuple[CorpusRecord, list[EntitySpan], np.ndarray]]]:
+    """Decode and featurize records in blocks: yields one iterator per
+    block over each of its records with its decoded spans and
+    (n_spans, n_features) rows, in order. No reference to a block's
+    records survives once its iterator is exhausted.
 
-    ``feature_names``, when given, must equal every record's schema (a
-    model's training schema). One kernel call featurizes a block of
-    records of one class schema. With ``batch`` a block holds at most
-    _BLOCK_CELLS (span, token, class) cells, unless it is one record.
-    Without it (a stream) a block holds at most _STREAM_WIDTHS times the
-    tokens of the widest record seen so far, so a stream's memory follows
-    its widest record, not the corpus. A record's rows are the same bits
-    in any block.
+    ``names``, when given, must equal every record's ``feature_names``
+    (a model's training names). One kernel call featurizes a block, and a
+    block ends where the class schema changes. With ``batch`` a block
+    holds at most _BLOCK_CELLS (span, token, class) cells, unless it is
+    one record. Without it (a stream) a block holds at most
+    _STREAM_WIDTHS times the tokens of the widest record seen so far, so
+    a stream's memory follows its widest record, not the corpus. A
+    record's rows are the same bits in any block.
     """
-    return itertools.chain.from_iterable(
-        _featurized_blocks(records, config, feature_names, batch)
-    )
 
+    def featurized(block: list) -> Iterator[tuple[CorpusRecord, list[EntitySpan], np.ndarray]]:
+        matrix = featurize_chunks([record.chunk for record, _ in block],
+                                  [spans for _, spans in block], config)
+        lo = 0
+        for record, spans in block:
+            yield record, spans, matrix[lo : lo + len(spans)]
+            lo += len(spans)
 
-def _featurized_blocks(
-    records: Iterable[CorpusRecord],
-    config: PipelineConfig,
-    feature_names: tuple[str, ...] | None,
-    batch: bool,
-) -> Iterator[Iterator[Featurized]]:
-    """The blocks of ``featurize_records``, each an iterator over its
-    records. No reference to a block's records survives once its
-    iterator is exhausted."""
-
-    def decode(record: CorpusRecord):
-        """(record, spans, schema, the record's cells in a block)"""
+    block: list = []
+    schema = None
+    cells = tokens = widest = 0
+    for record in records:
         chunk = record.chunk
-        schema = build_feature_schema(chunk.schema, config)
-        if feature_names is not None and schema.names != feature_names:
+        new_schema = chunk.schema is not schema and chunk.schema != schema
+        if new_schema and names is not None and feature_names(chunk.schema, config) != names:
             raise SchemaMismatch(
                 f"record {chunk.id!r}: the model was trained under a different "
                 "feature schema than this corpus/configuration produces"
             )
         spans = decode_spans(chunk, config.orphan_policy)
-        return record, spans, schema, max(len(spans), 1) * chunk.n_tokens * chunk.schema.K
-
-    block: list = []
-    cells = tokens = widest = 0
-    for record in records:
-        item = decode(record)
-        n_tokens = record.chunk.n_tokens
-        del record
-        widest = max(widest, n_tokens)
+        n_cells = max(len(spans), 1) * chunk.n_tokens * chunk.schema.K
+        widest = max(widest, chunk.n_tokens)
         if block and (
-            item[2] is not block[0][2]
-            or (cells + item[3] > _BLOCK_CELLS if batch
-                else tokens + n_tokens > _STREAM_WIDTHS * widest)
+            new_schema
+            or (cells + n_cells > _BLOCK_CELLS if batch
+                else tokens + chunk.n_tokens > _STREAM_WIDTHS * widest)
         ):
-            yield _featurize_block(block, config)
+            yield featurized(block)
             block, cells, tokens = [], 0, 0
-        block.append(item)
-        cells += item[3]
-        tokens += n_tokens
-        del item
+        schema = chunk.schema
+        block.append((record, spans))
+        cells += n_cells
+        tokens += chunk.n_tokens
     if block:
-        yield _featurize_block(block, config)
-
-
-def _featurize_block(block: list, config: FeatureConfig) -> Iterator[Featurized]:
-    """One kernel call over a block of decoded records of one schema."""
-    matrix = featurize_chunks(
-        [record.chunk for record, *_ in block], [spans for _, spans, *_ in block],
-        config, block[0][2],
-    )
-    lo = 0
-    for record, spans, schema, _ in block:
-        yield record, spans, schema, matrix[lo : lo + len(spans)]
-        lo += len(spans)
+        yield featurized(block)
 
 
 @dataclass
@@ -221,16 +196,16 @@ def run_pipeline(
     labels: list[str] = []
     blocks: list[np.ndarray] = []  # each record's rows, a view into the kernel's block
     golds: list[tuple[EntitySpan, ...]] = []  # each record's gold spans
-    schema: FeatureSchema | None = None
-    records = iter_records(corpus, unique_ids=True)
-    for record, rec_spans, rec_schema, matrix in featurize_records(records, config, batch=True):
+    schema = None
+    featurized = featurize_blocks(iter_records(corpus, unique_ids=True), config, batch=True)
+    for record, rec_spans, matrix in itertools.chain.from_iterable(featurized):
+        rec_schema = record.chunk.schema
         if schema is None:
             schema = rec_schema
-        elif rec_schema is not schema and rec_schema.class_schema != schema.class_schema:
+        elif rec_schema is not schema and rec_schema != schema:
             raise SchemaMismatch(
-                f"record {record.chunk.id!r} has classes "
-                f"{list(record.chunk.schema.class_names)}; the corpus began with "
-                f"{list(schema.class_schema.class_names)}"
+                f"record {record.chunk.id!r} has classes {list(rec_schema.class_names)}; "
+                f"the corpus began with {list(schema.class_names)}"
             )
         spans.extend(rec_spans)
         labels.extend(record.span_labels(rec_spans, required=True))
@@ -238,6 +213,7 @@ def run_pipeline(
         golds.append(record.gold_spans)
     if not spans:
         raise InvalidConfig("corpus produced no predicted spans")
+    names = feature_names(schema, config)
     in_val = (validation_draws(config.seed, len(blocks)) < config.validation_fraction).tolist()
     tp = np.array([label == STRONG for label in labels])
     val = np.repeat(in_val, [len(rows) for rows in blocks])
@@ -252,7 +228,7 @@ def run_pipeline(
 
     # The training rows are copied out of the blocks for this call alone.
     model = train_matrix(np.vstack([rows for rows, v in zip(blocks, in_val) if not v]),
-                         list(itertools.compress(labels, ~val)), schema.names, config.tree)
+                         list(itertools.compress(labels, ~val)), names, config.tree)
     # Each span is walked once: θ, the verdicts and the report read its leaf.
     leaves = model.walk(itertools.chain.from_iterable(blocks))
     p_weak = model.p_weak(leaves)
@@ -271,7 +247,7 @@ def run_pipeline(
     ends = np.cumsum([len(rows) for rows in blocks]).tolist()
     with open(paths["features"], "w", encoding="utf-8", newline="") as handle:
         write_feature_csv(handle, (
-            (schema.names, spans[end - len(rows) : end], labels[end - len(rows) : end], rows)
+            (names, spans[end - len(rows) : end], labels[end - len(rows) : end], rows)
             for end, rows in zip(ends, blocks)
         ))
     save_model(model, paths["model"])
@@ -309,7 +285,7 @@ def stream_classify(
     include_path: bool = True,
 ) -> dict[str, int]:
     """Classify every decoded span of a corpus in input order, one block
-    of records at a time (see ``featurize_records``).
+    of records at a time (see ``featurize_blocks``).
 
     The spans are decoded and featurized as the model records
     (``PipelineConfig.from_model``).
@@ -322,10 +298,10 @@ def stream_classify(
     """
     counts = {STRONG: 0, WEAK: 0}
     lines = _verdict_lines(model, include_path)
-    blocks = _featurized_blocks(iter_records(corpus), PipelineConfig.from_model(model),
-                                model.feature_names, batch=False)
+    blocks = featurize_blocks(iter_records(corpus), PipelineConfig.from_model(model),
+                              model.feature_names)
     for block in blocks:
-        for _, spans, _, matrix in block:
+        for _, spans, matrix in block:
             for verdict, line in lines(spans, model.walk(matrix)):
                 out.write(line + "\n")
                 counts[verdict] += 1

@@ -93,7 +93,9 @@ def reference_scopes(T, start, end, anchor, word_ids=None, neighbor_window=1):
     filtering token ranges one position at a time."""
     phrase = tuple(range(start, end + 1))
     if word_ids is not None:
-        word = tuple(t for t in phrase if word_ids[t] == word_ids[anchor])
+        # A None id is a word of its own: an object equal only to itself.
+        ids = [object() if w is None else w for w in word_ids]
+        word = tuple(t for t in phrase if ids[t] == ids[anchor])
     else:
         word = (anchor,)
     before = tuple(range(max(0, start - neighbor_window), start))

@@ -22,12 +22,12 @@ from nrfilter import (
     SynthConfig,
     TrainConfig,
     WEAK,
-    build_feature_schema,
     compute_pdm,
     cumulative_bins,
     decode_spans,
     entity_f1,
-    featurize_chunk,
+    feature_names,
+    featurize_chunks,
     generate,
     iter_generate,
     run_pipeline,
@@ -128,12 +128,12 @@ def noise_filter_run():
         label_flip_rate=0.05, noise_sigma=0.002, seed=CORPUS_SEED,
     )
     records = generate(config)
-    fschema = build_feature_schema(records[0].chunk.schema)
+    names = feature_names(records[0].chunk.schema)
     is_val = validation_draws(CORPUS_SEED, len(records)) < 0.2
     rows = []
     for index, record in enumerate(records):
         (span,) = decode_spans(record.chunk)
-        fv = featurize_chunk(record.chunk, [span], schema=fschema)[0]
+        fv = featurize_chunks([record.chunk], [[span]])[0]
         rows.append({
             "fv": fv,
             "is_tp": record.label == STRONG,
@@ -144,7 +144,7 @@ def noise_filter_run():
     val_rows = [r for r in rows if r["is_val"]]
     X = np.vstack([r["fv"] for r in train_rows])
     labels = [STRONG if r["is_tp"] else WEAK for r in train_rows]
-    model = train_matrix(X, labels, fschema.names, TrainConfig())
+    model = train_matrix(X, labels, names, TrainConfig())
     val_leaves = model.walk(np.vstack([r["fv"] for r in val_rows]))
     tune = cut_threshold(model.p_weak(val_leaves), [r["is_tp"] for r in val_rows], MAX_TP_DROP)
     elapsed = time.perf_counter() - start
@@ -153,7 +153,7 @@ def noise_filter_run():
         "tune": tune,
         "train_X": X,
         "train_labels": labels,
-        "names": fschema.names,
+        "names": names,
         "val_rows": val_rows,
         "elapsed": elapsed,
     }

@@ -16,6 +16,7 @@ from nrfilter import (
     iter_generate,
     iter_records,
     load_model,
+    record_to_obj,
     stream_classify,
     write_records,
 )
@@ -502,7 +503,9 @@ class TestCorpusContract:
               for i in range(10)]
         path = write_lines(tmp_path / "mixed.jsonl", corpus_lines(workdir, 40) + k5)
         assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
-        assert "'k5-0'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"record 'k5-0' has classes {classes}" in err
+        assert "the corpus began with ['O', 'B-Biomarker', 'I-Biomarker']" in err
 
     def test_pipeline_single_entity_names_change(self, workdir, tmp_path, capsys):
         # Both schemas have one entity type, so their feature names agree.
@@ -517,7 +520,9 @@ class TestCorpusContract:
         mixed = [line for pair in zip(corpus_lines(workdir, 120), drug) for line in pair]
         path = write_lines(tmp_path / "mixed.jsonl", mixed)
         assert run(["pipeline", "--corpus", path, "--out-dir", tmp_path / "out"]) == EXIT_SCHEMA
-        assert "'B-Drug'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "record 'drug-synth-000000' has classes ['O', 'B-Drug', 'I-Drug']" in err
+        assert "the corpus began with ['O', 'B-Biomarker', 'I-Biomarker']" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_featurize_feature_names_change(self, tmp_path, capsys, fmt):
@@ -543,6 +548,30 @@ class TestCorpusContract:
             assert len(rows) == 6
             assert "PDM_B-A-tag_WCount_bkt_0.9-1.0" in rows[2]["features"]
             assert "PDM_B-C-tag_WCount_bkt_0.9-1.0" in rows[3]["features"]
+
+    def test_token_without_word_id_is_a_word_of_its_own(self, tmp_path):
+        # Span [0, 2] is anchored at token 0, whose word is tokens 0-1.
+        # Token 2's id is omitted or null, so it joins no word, even one
+        # whose explicit id equals its index.
+        probs = [[0.0, 1.0, 0.0], [0.1, 0.0, 0.9], [0.1, 0.0, 0.9], [1.0, 0.0, 0.0]]
+        lines = []
+        for i, (word, absent) in enumerate([(2, "omitted"), (9, "omitted"),
+                                            (2, "null"), (9, "null")]):
+            tokens = [{"text": text, "probs": p} for text, p in zip("abcd", probs)]
+            tokens[0]["word_id"] = tokens[1]["word_id"] = word
+            tokens[3]["word_id"] = 7
+            if absent == "null":
+                tokens[2]["word_id"] = None
+            lines.append(json.dumps({"id": f"r{i}", "classes": ["O", "B", "I"],
+                                     "tokens": tokens}) + "\n")
+        path = write_lines(tmp_path / "words.jsonl", lines)
+        out = tmp_path / "features.csv"
+        assert run(["featurize", "--input", path, "--out", out]) == EXIT_OK
+        table = read_feature_csv(str(out))
+        assert table.matrix[:, table.names.index("Word_size")].tolist() == [2.0] * 4
+        for record in iter_records(path):
+            assert record.chunk.word_ids[2] is None
+            assert "word_id" not in record_to_obj(record)["tokens"][2]
 
     @pytest.mark.parametrize("command", ["decode", "featurize", "classify"])
     def test_failed_stream_leaves_no_output(self, workdir, trained, tmp_path, capsys, command):

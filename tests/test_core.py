@@ -10,7 +10,7 @@ from nrfilter import (
     ClassSchema,
     CorpusRecord,
     decode_spans,
-    featurize_chunk,
+    featurize_chunks,
     iter_records,
     parse_record,
     record_to_obj,
@@ -332,7 +332,7 @@ class TestParseFuzz:
         except NrFilterError:
             return
         assert isinstance(record, CorpusRecord)
-        featurize_chunk(record.chunk, decode_spans(record.chunk))
+        featurize_chunks([record.chunk], [decode_spans(record.chunk)])
 
 
 def record_to_obj_minimal():

@@ -1,8 +1,9 @@
 """Smoke test: every narrative script in demos/ runs to completion.
 
-The demos call the public API (density maps, the feature kernel and
-its scope columns, training, the tree walk and cut, the CLI), so a
-change that breaks a documented call shows up here.
+The demos call the public API (density maps, the feature kernel
+`featurize_chunks` and its columns `feature_names`, training, the tree
+walk and cut, the CLI), so a change that breaks a documented call shows
+up here.
 """
 
 import glob

@@ -11,10 +11,10 @@ from nrfilter import (
     Chunk,
     ClassSchema,
     FeatureConfig,
-    build_feature_schema,
     canonical_feature_name,
     decode_spans,
-    featurize_chunk,
+    feature_names,
+    featurize_chunks,
 )
 from nrfilter.core import EntitySpan
 from nrfilter.errors import InvalidConfig, ParseError, SchemaMismatch
@@ -47,8 +47,8 @@ def single_token_chunk(probs_row):
 
 def named_row(chunk, span, config=FeatureConfig()):
     """One span's feature row, keyed by its schema's names."""
-    names = build_feature_schema(chunk.schema, config).names
-    return dict(zip(names, featurize_chunk(chunk, [span], config)[0].tolist()))
+    names = feature_names(chunk.schema, config)
+    return dict(zip(names, featurize_chunks([chunk], [[span]], config)[0].tolist()))
 
 
 def single_token_row(probs_row):
@@ -63,7 +63,7 @@ def scopes_of(chunk, span, neighbor_window=1):
     checked against the oracle's row over them and each ``*_size`` column
     against their count."""
     config = FeatureConfig(neighbor_window=neighbor_window)
-    assert_matches_reference(chunk, [span], config, featurize_chunk(chunk, [span], config))
+    assert_matches_reference(chunk, [span], config, featurize_chunks([chunk], [[span]], config))
     scopes = reference_scopes(chunk.n_tokens, span.start, span.end, span.anchor,
                               chunk.word_ids, neighbor_window)
     row = named_row(chunk, span, config)
@@ -128,7 +128,7 @@ class TestStatisticalFeatures:
         assert out["Neighbor_size"] == 0.0
 
     def test_required_split_feature_name_exists(self, sentence1):
-        names = build_feature_schema(sentence1.chunk.schema).names
+        names = feature_names(sentence1.chunk.schema)
         # each must exist under exactly this name
         assert "Token_prob_class_ratio_3_by_2" in names
         assert "PDM_B-tag_WCount_bkt_0.9-1.0" in names
@@ -170,10 +170,10 @@ class TestScopes:
 class TestAssembledVector:
     def test_schema_size_k3_b10(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
-        row = featurize_chunk(sentence1.chunk, [span])[0]
+        row = featurize_chunks([sentence1.chunk], [[span]])[0]
         # 30 density cells + 5 scopes x (3 classes x 5 stats + 6 scope stats)
         assert row.shape == (30 + 5 * 21,) == (135,)
-        assert len(build_feature_schema(sentence1.chunk.schema).names) == 135
+        assert len(feature_names(sentence1.chunk.schema)) == 135
 
     def test_sentence_fixture_density_cells(self, sentence1, sentence2):
         (span1,) = decode_spans(sentence1.chunk)
@@ -203,9 +203,9 @@ class TestAssembledVector:
         count = 0
         while count < 1000:
             chunk = random_chunk(rng, max_tokens=12, k_choices=(3,))
-            names = build_feature_schema(chunk.schema, config).names
+            names = feature_names(chunk.schema, config)
             for span in decode_spans(chunk):
-                row = featurize_chunk(chunk, [span], config)[0]
+                row = featurize_chunks([chunk], [[span]], config)[0]
                 if reference is None:
                     reference = names
                 assert names == reference and row.shape == (len(names),)
@@ -236,14 +236,14 @@ class TestAssembledVector:
         assert class_tags(schema) == (
             "O-tag", "B-Gene-tag", "I-Gene-tag", "B-Drug-tag", "I-Drug-tag"
         )
-        fschema = build_feature_schema(schema)
-        assert "PDM_B-Gene-tag_WCount_bkt_0.9-1.0" in fschema.names
-        assert "Context_I-Drug-tag_mean_prob" in fschema.names
+        names = feature_names(schema)
+        assert "PDM_B-Gene-tag_WCount_bkt_0.9-1.0" in names
+        assert "Context_I-Drug-tag_mean_prob" in names
 
     def test_scope_subset_config(self, sentence1):
         (span,) = decode_spans(sentence1.chunk)
         config = FeatureConfig(scopes=(SCOPE_TOKEN, SCOPE_CONTEXT))
-        row = featurize_chunk(sentence1.chunk, [span], config)[0]
+        row = featurize_chunks([sentence1.chunk], [[span]], config)[0]
         assert row.shape == (30 + 2 * 21,)
         with pytest.raises(InvalidConfig):
             FeatureConfig(scopes=("Sentence",))
@@ -254,11 +254,11 @@ class TestAliasAndExport:
         pdm_name = "PDM_O-tag_WCount_bkt_0.9-1.0"
         assert canonical_feature_name("SPD_O-tag_WCount_bkt_0.9-1.0") == pdm_name
         (span,) = decode_spans(sentence1.chunk)
-        names = build_feature_schema(sentence1.chunk.schema).names
+        names = feature_names(sentence1.chunk.schema)
         legacy = tuple("SPD_" + n[4:] if n.startswith("PDM_") else n for n in names)
         buffer = io.StringIO()
         write_feature_csv(buffer, [(legacy, [span], [None],
-                                    featurize_chunk(sentence1.chunk, [span]))])
+                                    featurize_chunks([sentence1.chunk], [[span]]))])
         buffer.seek(0)
         assert read_feature_csv(buffer).names == names
 
@@ -269,8 +269,8 @@ class TestAliasAndExport:
         from nrfilter.features import feature_row_obj
 
         (span,) = decode_spans(sentence1.chunk)
-        names = build_feature_schema(sentence1.chunk.schema).names
-        row = featurize_chunk(sentence1.chunk, [span])[0]
+        names = feature_names(sentence1.chunk.schema)
+        row = featurize_chunks([sentence1.chunk], [[span]])[0]
         obj = json.loads(json.dumps(feature_row_obj(span, "strong", names, row)))
         got_span = EntitySpan(obj["chunk_id"], obj["entity_type"], obj["start"],
                               obj["end"], obj["anchor"], text="")
@@ -279,11 +279,11 @@ class TestAliasAndExport:
         assert obj["features"] == dict(zip(names, row.tolist()))
 
     def test_csv_roundtrip(self, sentence1, sentence2):
-        names = build_feature_schema(sentence1.chunk.schema).names
+        names = feature_names(sentence1.chunk.schema)
         blocks = []
         for record in (sentence1, sentence2):
             spans = decode_spans(record.chunk)
-            blocks.append((names, spans, [record.label], featurize_chunk(record.chunk, spans)))
+            blocks.append((names, spans, [record.label], featurize_chunks([record.chunk], [spans])))
         buffer = io.StringIO()
         assert write_feature_csv(buffer, blocks) == 2
         buffer.seek(0)
@@ -299,8 +299,8 @@ class TestAliasAndExport:
         # rows of another width, is a SchemaMismatch. No block with a span
         # writes nothing at all.
         (span,) = decode_spans(sentence1.chunk)
-        names = build_feature_schema(sentence1.chunk.schema).names
-        row = featurize_chunk(sentence1.chunk, [span])
+        names = feature_names(sentence1.chunk.schema)
+        row = featurize_chunks([sentence1.chunk], [[span]])
         other = names[:-1] + ("other",)
         empty = np.empty((0, len(names)))
         buffer = io.StringIO()
@@ -325,8 +325,8 @@ class TestAliasAndExport:
         from dataclasses import replace
 
         (span,) = decode_spans(sentence1.chunk)
-        names = build_feature_schema(sentence1.chunk.schema).names
-        values = featurize_chunk(sentence1.chunk, [span])[0]
+        names = feature_names(sentence1.chunk.schema)
+        values = featurize_chunks([sentence1.chunk], [[span]])[0]
         values[:3] = (-0.0, 1e-300, 1 / 3)
         spans = [replace(span, chunk_id=chunk_id)] * 2
         labels = ["strong", None]
@@ -345,10 +345,8 @@ class TestAliasAndExport:
         assert table.matrix.tobytes() == np.vstack([values, values]).tobytes()
 
 
-# A small real schema (27 features), so that Hypothesis can vary every cell.
-SMALL_SCHEMA = build_feature_schema(
-    ClassSchema(("",)), FeatureConfig(bins=2, scopes=(SCOPE_TOKEN,))
-)
+# A small real schema's 27 names, so that Hypothesis can vary every cell.
+SMALL_NAMES = feature_names(ClassSchema(("",)), FeatureConfig(bins=2, scopes=(SCOPE_TOKEN,)))
 # Chunk ids that need quoting, and cells at the edges of float repr:
 # signed zero, the smallest subnormal, the largest double, 1 + 1 ulp.
 QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", ""]
@@ -368,7 +366,7 @@ def feature_rows(draw, edge_cells=EDGE_CELLS):
                       text="")
     label = draw(st.sampled_from(["strong", "weak", None]))
     cells = st.sampled_from(edge_cells) | st.floats(allow_nan=False, allow_infinity=False)
-    values = draw(st.lists(cells, min_size=len(SMALL_SCHEMA), max_size=len(SMALL_SCHEMA)))
+    values = draw(st.lists(cells, min_size=len(SMALL_NAMES), max_size=len(SMALL_NAMES)))
     return span, label, np.array(values)
 
 
@@ -386,7 +384,7 @@ class TestFeatureCsvReader:
     @given(rows=st.lists(feature_rows(), min_size=1, max_size=5))
     def test_matches_reference_reader(self, rows):
         buffer = io.StringIO(newline="")
-        write_feature_csv(buffer, [(SMALL_SCHEMA.names, [span], [label], values[None])
+        write_feature_csv(buffer, [(SMALL_NAMES, [span], [label], values[None])
                                    for span, label, values in rows])
         got = read_feature_csv(io.StringIO(buffer.getvalue(), newline=""))
         assert_same_table(got, reference_read_feature_csv(io.StringIO(buffer.getvalue(),
@@ -395,20 +393,20 @@ class TestFeatureCsvReader:
 
     def test_header_only(self):
         header = ",".join(("chunk_id", "entity_type", "start", "end", "anchor", "label")
-                          + SMALL_SCHEMA.names) + "\r\n"
+                          + SMALL_NAMES) + "\r\n"
         got = read_feature_csv(io.StringIO(header, newline=""))
-        assert got.matrix.shape == (0, len(SMALL_SCHEMA))
+        assert got.matrix.shape == (0, len(SMALL_NAMES))
         assert_same_table(got, reference_read_feature_csv(io.StringIO(header, newline="")))
 
     def write_table(self, tmp_path, change):
-        """A 40-row SMALL_SCHEMA table on disk, its line 30 (the 29th
+        """A 40-row SMALL_NAMES table on disk, its line 30 (the 29th
         row) passed through ``change`` as bytes. Rows are about 400
         bytes, so line 30 lies past the first 8 KB that a text handle
         decodes ahead of the line being read."""
         meta = ("chunk_id", "entity_type", "start", "end", "anchor", "label")
-        lines = [",".join(meta + SMALL_SCHEMA.names).encode()]
+        lines = [",".join(meta + SMALL_NAMES).encode()]
         for i in range(40):
-            cells = [f"c{i}", "B", "2", "4", "3", "strong"] + ["0.123456789"] * len(SMALL_SCHEMA)
+            cells = [f"c{i}", "B", "2", "4", "3", "strong"] + ["0.123456789"] * len(SMALL_NAMES)
             lines.append(",".join(cells).encode())
         lines[29] = change(lines[29])
         path = tmp_path / "features.csv"
@@ -431,7 +429,7 @@ class TestFeatureCsvReader:
 
     def test_non_ascii_utf8_text_reads(self, tmp_path):
         path = self.write_table(tmp_path, lambda line: "é".encode() + line)
-        assert read_feature_csv(path).matrix.shape == (40, len(SMALL_SCHEMA))
+        assert read_feature_csv(path).matrix.shape == (40, len(SMALL_NAMES))
 
     @pytest.mark.parametrize("anchor", [b"1", b"5"])
     def test_anchor_outside_span_cites_its_line(self, tmp_path, anchor):
@@ -454,8 +452,8 @@ class TestFeatureCsvWriter:
     @given(blocks=st.lists(st.lists(feature_rows(EDGE_CELLS + WRITER_CELLS), max_size=4),
                            min_size=1, max_size=5))
     def test_matches_reference_writer(self, group_cells, blocks):
-        width = len(SMALL_SCHEMA)
-        blocks = [(SMALL_SCHEMA.names, [span for span, _, _ in rows],
+        width = len(SMALL_NAMES)
+        blocks = [(SMALL_NAMES, [span for span, _, _ in rows],
                    [label for _, label, _ in rows],
                    np.array([values for _, _, values in rows]).reshape(-1, width))
                   for rows in blocks]
@@ -467,11 +465,11 @@ class TestFeatureCsvWriter:
 
     def test_signed_zeros_in_one_group(self):
         span = EntitySpan("a,b", "B", 0, 0, 0, text="")
-        values = np.zeros((2, len(SMALL_SCHEMA)))
+        values = np.zeros((2, len(SMALL_NAMES)))
         values[0, :2] = (-0.0, 0.0)
         values[1, :2] = (0.0, -0.0)
         buffer = io.StringIO(newline="")
-        write_feature_csv(buffer, [(SMALL_SCHEMA.names, [span] * 2, ["weak", None], values)])
+        write_feature_csv(buffer, [(SMALL_NAMES, [span] * 2, ["weak", None], values)])
         rows = buffer.getvalue().split("\r\n")[1:3]
-        zeros = ",0.0" * (len(SMALL_SCHEMA) - 2)
+        zeros = ",0.0" * (len(SMALL_NAMES) - 2)
         assert rows == ['"a,b",B,0,0,0,weak,-0.0,0.0' + zeros, '"a,b",B,0,0,0,,0.0,-0.0' + zeros]

@@ -7,7 +7,7 @@ replaced. Every feature must agree within 1e-12 relative, except the
 *_cov_prob features, which must agree within 1e-12 absolute: the
 reference takes the two-pass sqrt(mean((x - mean)^2)) / mean, and the
 kernel E[x^2] - E[x]^2 wherever that cannot cancel. A block's rows must
-equal one-record calls (featurize_chunk) bit for bit.
+equal one-record calls bit for bit.
 """
 
 import math
@@ -25,9 +25,8 @@ from nrfilter import (
     ClassSchema,
     EntitySpan,
     FeatureConfig,
-    build_feature_schema,
     compute_pdm,
-    featurize_chunk,
+    feature_names,
 )
 from nrfilter import features
 from nrfilter.errors import AnchorOutOfRange, SchemaMismatch
@@ -79,7 +78,7 @@ def chunks_with_spans(draw):
 
 
 def assert_matches_reference(chunk, spans, config, got):
-    names = build_feature_schema(chunk.schema, config).names
+    names = feature_names(chunk.schema, config)
     want = np.array([
         reference_features(
             chunk.probs, s.start, s.end, s.anchor, chunk.word_ids, config.decay_rate,
@@ -110,7 +109,7 @@ class TestKernelAgainstReference:
     @given(chunks_with_spans())
     def test_every_feature_of_every_span(self, case):
         chunk, spans, config = case
-        assert_matches_reference(chunk, spans, config, featurize_chunk(chunk, spans, config))
+        assert_matches_reference(chunk, spans, config, featurize_chunks([chunk], [spans], config))
 
     def test_fixture_spans(self, sentence1, sentence2):
         from nrfilter import decode_spans
@@ -119,7 +118,7 @@ class TestKernelAgainstReference:
             spans = decode_spans(record.chunk)
             config = FeatureConfig()
             assert_matches_reference(
-                record.chunk, spans, config, featurize_chunk(record.chunk, spans, config)
+                record.chunk, spans, config, featurize_chunks([record.chunk], [spans], config)
             )
 
     @pytest.mark.parametrize("span, word_ids, scope", [
@@ -135,9 +134,9 @@ class TestKernelAgainstReference:
         chunk = Chunk("c", ClassSchema(("E0", "E1")), ("t",) * 4, probs, word_ids)
         spans = [EntitySpan("c", "E0", *span, "")]
         config = FeatureConfig(neighbor_window=3)
-        got = featurize_chunk(chunk, spans, config)
+        got = featurize_chunks([chunk], [spans], config)
         name = f"{scope}_I-E0-tag_cov_prob"
-        cov = got[0, build_feature_schema(chunk.schema, config).names.index(name)]
+        cov = got[0, feature_names(chunk.schema, config).index(name)]
         assert abs(cov - exact_cov(NEARLY_EQUAL)) <= COV_ATOL
         assert_matches_reference(chunk, spans, config, got)
 
@@ -147,9 +146,9 @@ class TestKernelShape:
     @given(chunks_with_spans())
     def test_rows_equal_one_span_calls(self, case):
         chunk, spans, config = case
-        matrix = featurize_chunk(chunk, spans, config)
+        matrix = featurize_chunks([chunk], [spans], config)
         for span, row in zip(spans, matrix):
-            np.testing.assert_array_equal(featurize_chunk(chunk, [span], config)[0], row)
+            np.testing.assert_array_equal(featurize_chunks([chunk], [[span]], config)[0], row)
 
     @settings(max_examples=100, deadline=None)
     @given(chunks_with_spans())
@@ -158,7 +157,7 @@ class TestKernelShape:
         # one-anchor map with the span excluded.
         chunk, spans, config = case
         bins, K = config.bins, chunk.schema.K
-        matrix = featurize_chunk(chunk, spans, config)
+        matrix = featurize_chunks([chunk], [spans], config)
         for span, row in zip(spans, matrix):
             pdm = compute_pdm(chunk, span.anchor, config, exclude=span.positions)
             np.testing.assert_array_equal(row[: bins * K], pdm.T.ravel())
@@ -174,30 +173,24 @@ class TestKernelShape:
         spans = [EntitySpan("long", "A", s, s + 2, s + 1, "") for s in range(0, T - 3, 15)]
         tracemalloc.start()
         try:
-            matrix = featurize_chunk(chunk, spans)
+            matrix = featurize_chunks([chunk], [spans])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(spans) == 200
         assert peak < 8 * 2**20
         for i in (0, 1, 2, 3, 99, 199):
-            np.testing.assert_array_equal(featurize_chunk(chunk, [spans[i]])[0], matrix[i])
+            np.testing.assert_array_equal(featurize_chunks([chunk], [[spans[i]]])[0], matrix[i])
 
     def test_no_spans(self, sentence1):
         config = FeatureConfig()
-        matrix = featurize_chunk(sentence1.chunk, [], config)
-        assert matrix.shape == (0, len(build_feature_schema(sentence1.chunk.schema, config)))
+        matrix = featurize_chunks([sentence1.chunk], [[]], config)
+        assert matrix.shape == (0, len(feature_names(sentence1.chunk.schema, config)))
 
     def test_span_outside_chunk(self, sentence1):
         T = sentence1.chunk.n_tokens
         with pytest.raises(AnchorOutOfRange):
-            featurize_chunk(sentence1.chunk, [EntitySpan("c", "", T - 1, T, T - 1, "")])
-
-    def test_schema_from_other_config(self, sentence1):
-        other = build_feature_schema(sentence1.chunk.schema, FeatureConfig(scopes=("Token",)))
-        span = EntitySpan("c", "", 4, 4, 4, "")
-        with pytest.raises(SchemaMismatch):
-            featurize_chunk(sentence1.chunk, [span], FeatureConfig(), other)
+            featurize_chunks([sentence1.chunk], [[EntitySpan("c", "", T - 1, T, T - 1, "")]])
 
 
 class TestWordIds:
@@ -207,16 +200,18 @@ class TestWordIds:
         ([0], [1], [1], [0, 1], [1]),
         (0, 1.0, 1, 2.5, 1),
         (0, 1, float("nan"), 1, float("nan")),
-    ], ids=["strings", "int-and-string", "lists", "mixed-numbers", "nan"])
+        (None, 0, None, 0, None),
+    ], ids=["strings", "int-and-string", "lists", "mixed-numbers", "nan", "none"])
     def test_any_json_word_id(self, word_ids):
         # Chunks may carry any word ids; they group by Python equality, as
-        # in the reference, so a NaN anchor has an empty Word scope.
+        # in the reference, so a NaN anchor has an empty Word scope; a None
+        # id is a word of its own.
         rng = np.random.default_rng(3)
         probs = rng.dirichlet(np.ones(3), size=5)
         chunk = Chunk("w", ClassSchema(("",)), tuple("abcde"), probs, word_ids)
         spans = [EntitySpan("w", "", 0, 4, a, "") for a in range(5)]
         config = FeatureConfig()
-        assert_matches_reference(chunk, spans, config, featurize_chunk(chunk, spans, config))
+        assert_matches_reference(chunk, spans, config, featurize_chunks([chunk], [spans], config))
 
 
 @st.composite
@@ -259,8 +254,8 @@ def blocks(draw):
 
 
 def one_record_calls(chunks, spans, config):
-    width = len(build_feature_schema(chunks[0].schema, config))
-    rows = [featurize_chunk(c, s, config) for c, s in zip(chunks, spans)]
+    width = len(feature_names(chunks[0].schema, config))
+    rows = [featurize_chunks([c], [s], config) for c, s in zip(chunks, spans)]
     return np.concatenate(rows) if rows else np.empty((0, width))
 
 

@@ -37,3 +37,25 @@ def test_readme_quickstart_runs(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split()[0] in ("strong", "weak")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = os.path.join(ROOT, "src", "nrfilter")
+    unused = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name), "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {imported_name}" for imported_name, line in imported.items()
+                   if imported_name not in used]
+    assert not unused, unused

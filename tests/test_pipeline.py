@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 from collections import Counter
@@ -13,9 +14,8 @@ from hypothesis import strategies as st
 
 from nrfilter import (
     PipelineConfig,
-    build_feature_schema,
     decode_spans,
-    featurize_chunk,
+    featurize_chunks,
     STRONG,
     SynthConfig,
     WEAK,
@@ -30,7 +30,7 @@ from nrfilter.core import EntitySpan, iter_records, parse_record, record_to_obj
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
-from nrfilter.pipeline import featurize_records, validation_draws
+from nrfilter.pipeline import featurize_blocks, validation_draws
 from nrfilter.tree import Internal, Leaf, TrainConfig, TreeModel, cut_threshold
 
 from oracles import reference_decision_path, reference_leaf_for, reference_verdict_line
@@ -248,18 +248,17 @@ class TestReportMatchesPredictions:
 
 
 def one_record_at_a_time(records, config):
-    """The oracle: (spans, schema, rows) of each record, one kernel call
-    per record."""
+    """The oracle: (spans, rows) of each record, one kernel call per
+    record."""
     for record in records:
         spans = decode_spans(record.chunk, config.orphan_policy)
-        schema = build_feature_schema(record.chunk.schema, config)
-        yield spans, schema, featurize_chunk(record.chunk, spans, config, schema)
+        yield spans, featurize_chunks([record.chunk], [spans], config)
 
 
 def one_record_at_a_time_lines(records, model, config):
     """The oracle's classify output: each span's line, rendered whole by
     json.dumps, from one kernel call per record."""
-    for spans, _, rows in one_record_at_a_time(records, config):
+    for spans, rows in one_record_at_a_time(records, config):
         for span, row in zip(spans, rows):
             leaf, _ = reference_leaf_for(model, row)
             p_weak = model.nodes[leaf].p_weak
@@ -304,13 +303,15 @@ class TestFeaturizeBlocks:
             records.insert(7 * i, record)
         config = PipelineConfig()
         single = list(one_record_at_a_time(records, config))
-        assert len({schema.class_schema for _, schema, _ in single}) == 2
+        assert len({record.chunk.schema for record in records}) == 2
         for batch in (True, False):
             with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
-                blocked = list(featurize_records(records, config, batch=batch))
+                blocks = [list(block) for block in featurize_blocks(records, config, batch=batch)]
+            assert all(len({r.chunk.schema for r, *_ in block}) == 1 for block in blocks)
+            blocked = [item for block in blocks for item in block]
             assert [r.chunk.id for r, *_ in blocked] == [r.chunk.id for r in records]
-            for (_, spans_a, schema_a, a), (spans_b, schema_b, b) in zip(blocked, single):
-                assert spans_a == spans_b and schema_a is schema_b
+            for (_, spans_a, a), (spans_b, b) in zip(blocked, single):
+                assert spans_a == spans_b
                 assert a.tobytes() == b.tobytes()
 
     def test_stream_holds_at_most_its_budget(self):
@@ -328,7 +329,8 @@ class TestFeaturizeBlocks:
                 held_records.append(len(held))
                 yield record
 
-        for record, *_ in featurize_records(pulled(), PipelineConfig()):
+        blocks = featurize_blocks(pulled(), PipelineConfig())
+        for record, *_ in itertools.chain.from_iterable(blocks):
             assert record is records[consumed]
             consumed += 1
         assert consumed == len(records)
@@ -360,7 +362,7 @@ class TestFeaturizeBlocks:
             cells = len(decode_spans(chunk)) * chunk.n_tokens * chunk.schema.K
             assert cells > pipeline._BLOCK_CELLS
         sizes, seen = [], []
-        for block in pipeline._featurized_blocks(iter(records), config, None, batch=False):
+        for block in featurize_blocks(iter(records), config):
             held = [record.chunk.n_tokens for record, *_ in block]
             seen.extend(held)
             assert sum(held) <= pipeline._STREAM_WIDTHS * max(seen)

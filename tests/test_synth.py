@@ -14,7 +14,7 @@ from nrfilter import (
     train_matrix,
     validate_chunk,
 )
-from nrfilter import build_feature_schema, featurize_chunk
+from nrfilter import feature_names, featurize_chunks
 from nrfilter.errors import InvalidConfig
 from nrfilter.features import SCOPE_CONTEXT
 from nrfilter.tree import Internal, TrainConfig
@@ -105,11 +105,11 @@ class TestSeparability:
     def test_depth_one_tree_on_bottom_bin_density(self):
         config = SynthConfig(n_strong=80, n_weak=80, seed=23)
         records = generate(config)
-        fschema = build_feature_schema(records[0].chunk.schema)
-        column = fschema.names.index("PDM_I-tag_WCount_bkt_0.0-0.1")
+        names = feature_names(records[0].chunk.schema)
+        column = names.index("PDM_I-tag_WCount_bkt_0.0-0.1")
         X, labels = [], []
         for record in records:
-            (row,) = featurize_chunk(record.chunk, decode_spans(record.chunk))
+            (row,) = featurize_chunks([record.chunk], [decode_spans(record.chunk)])
             X.append([row[column]])
             labels.append(record.label)
         model = train_matrix(np.array(X), labels, ("bottom_bin_i_density",),
@@ -121,9 +121,9 @@ class TestSeparability:
     def test_full_depth_one_tree_splits_on_bottom_bin(self):
         config = SynthConfig(n_strong=80, n_weak=80, seed=29)
         records = generate(config)
-        X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk)) for r in records])
+        X = np.vstack([featurize_chunks([r.chunk], [decode_spans(r.chunk)]) for r in records])
         labels = [record.label for record in records]
-        model = train_matrix(X, labels, build_feature_schema(records[0].chunk.schema).names,
+        model = train_matrix(X, labels, feature_names(records[0].chunk.schema),
                              TrainConfig(max_depth=1, min_samples_leaf=1))
         root = model.nodes[0]
         assert isinstance(root, Internal)

@@ -16,11 +16,11 @@ from nrfilter import (
     WEAK,
     PipelineConfig,
     SynthConfig,
-    build_feature_schema,
     decode_spans,
     deserialize_model,
-    featurize_chunk,
-    featurize_records,
+    feature_names,
+    featurize_blocks,
+    featurize_chunks,
     iter_generate,
     serialize_model,
     train_matrix,
@@ -195,9 +195,9 @@ class TestTrain:
 
     def test_train_from_feature_vectors(self, sentence1, sentence2):
         records = (sentence1, sentence2)
-        X = np.vstack([featurize_chunk(r.chunk, decode_spans(r.chunk)) for r in records])
+        X = np.vstack([featurize_chunks([r.chunk], [decode_spans(r.chunk)]) for r in records])
         labels = [sentence1.label, sentence2.label]
-        names = build_feature_schema(sentence1.chunk.schema).names
+        names = feature_names(sentence1.chunk.schema)
         model = train_matrix(X, labels, names, TrainConfig(min_samples_leaf=1))
         for row, label in zip(X, labels):
             assert model.verdict(model.nodes[model.leaf(row)].p_weak) == label
@@ -324,9 +324,11 @@ class TestPresortedSearch:
         # What pipeline featurizes in memory and what train reads back
         # from features.csv give the same model (repr floats round-trip).
         corpus = iter_generate(SynthConfig(n_strong=150, n_weak=150, noise_sigma=0.01, seed=5))
+        config = PipelineConfig()
         blocks = [
-            (schema.names, spans, [record.label] * len(spans), matrix)
-            for record, spans, schema, matrix in featurize_records(corpus, PipelineConfig())
+            (feature_names(record.chunk.schema, config), spans, [record.label] * len(spans), matrix)
+            for block in featurize_blocks(corpus, config)
+            for record, spans, matrix in block
         ]
         buffer = io.StringIO()
         write_feature_csv(buffer, blocks)
@@ -594,7 +596,8 @@ class TestCompiledWalk:
         config = PipelineConfig()
         records = list(iter_records(fixture_path("v1_heldout.jsonl")))
         records += list(iter_generate(SynthConfig(n_strong=150, n_weak=150, seed=15)))
-        X = np.concatenate([m for *_, m in featurize_records(records, config, batch=True)])
+        X = np.concatenate([m for block in featurize_blocks(records, config, batch=True)
+                            for *_, m in block])
 
         def leaf_rows(i, row):
             # One row per leaf below node i, on the thresholds where "<=" holds.
