@@ -91,8 +91,8 @@ def check_passes(chunk: Chunk, passes: Sequence[Chunk]) -> None:
 def mc_dropout_aggregate(
     passes: Sequence[Chunk], span: EntitySpan
 ) -> tuple[float, float]:
-    """Mean and population variance of the anchor's predicted-class
-    probability across stochastic forward passes of the same input.
+    """Mean and population variance of the anchor's B-tag probability of
+    the span's entity across stochastic forward passes of the same input.
     """
     if not passes:
         raise PassMisalignment("need >= 2 passes, got 0")

@@ -25,8 +25,8 @@ from .core import (
     WEAK,
     config_kwargs,
     decode_spans,
-    is_utf8,
     iter_records,
+    json_lines,
     read_config_file,
     span_from_obj,
     span_to_obj,
@@ -271,22 +271,15 @@ def cmd_explain(args) -> int:
 
 def _load_spans(path: str, keep_only: bool):
     spans = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not is_utf8(line):
-                raise ParseError(line_no, "bytes that are not UTF-8", path)
-            line = line.strip()
-            if not line:
+    for line_no, obj in json_lines(path):
+        try:
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a span object, got {obj!r}")
+            if keep_only and obj.get("verdict") == WEAK:
                 continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a span object, got {obj!r}")
-                if keep_only and obj.get("verdict") == WEAK:
-                    continue
-                spans.append(span_from_obj(obj))
-            except (KeyError, TypeError, ValueError, SchemaMismatch) as exc:
-                raise ParseError(line_no, f"not a span: {exc!r}", path) from exc
+            spans.append(span_from_obj(obj))
+        except (KeyError, TypeError, SchemaMismatch) as exc:
+            raise ParseError(line_no, f"not a span: {exc!r}", path) from exc
     return spans
 
 

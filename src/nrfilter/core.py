@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
@@ -339,9 +339,9 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(str(exc))
     except (TypeError, AttributeError):
         fail("'classes' must be a list of class-name strings")
-    if type(chunk_id) is not str:
+    if not is_json(chunk_id, str):
         fail(f"'id' must be a string, got {type(chunk_id).__name__}")
-    if not isinstance(raw_tokens, list):
+    if not is_json(raw_tokens, list):
         fail(f"'tokens' must be a list, got {type(raw_tokens).__name__}")
     if not raw_tokens:
         fail("record has no tokens")
@@ -391,34 +391,20 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         label = STRONG if label == STRONG else WEAK
 
     raw_gold = obj.get("gold_spans")
-    if raw_gold is not None and not isinstance(raw_gold, list):
+    if raw_gold is not None and not is_json(raw_gold, list):
         fail(f"'gold_spans' must be a list, got {type(raw_gold).__name__}")
     gold = []
     for g in raw_gold or ():
-        try:
-            start, end = g["start"], g["end"]
-            entity_type = g["entity_type"]
-            if type(start) is not int or type(end) is not int:  # not 0.5, "0" or true
-                raise TypeError
-        except (KeyError, TypeError):
-            fail("gold span needs integer 'start'/'end' and 'entity_type'")
-        if type(entity_type) is not str:
-            fail(f"gold span 'entity_type' must be a string, got {type(entity_type).__name__}")
-        if not (0 <= start <= end < chunk.n_tokens):
-            fail(f"gold span [{start}, {end}] outside chunk of {chunk.n_tokens} tokens")
-        if entity_type not in schema.entity_names:
-            fail(f"gold span type {entity_type!r} is not among the record's entity types "
+        try:  # evaluate's span rule; the record gives the id, the start is the anchor
+            span = span_from_obj({**g, "chunk_id": chunk_id, "anchor": g["start"], "text": ""})
+        except (KeyError, TypeError, SchemaMismatch) as exc:
+            fail(f"gold span needs integer 'start' <= 'end' and string 'entity_type': {exc!r}")
+        if not (0 <= span.start and span.end < chunk.n_tokens):
+            fail(f"gold span [{span.start}, {span.end}] outside chunk of {chunk.n_tokens} tokens")
+        if span.entity_type not in schema.entity_names:
+            fail(f"gold span type {span.entity_type!r} is not among the record's entity types "
                  f"{list(schema.entity_names)}")
-        gold.append(
-            EntitySpan(
-                chunk_id=chunk_id,
-                entity_type=entity_type,
-                start=start,
-                end=end,
-                anchor=start,
-                text=" ".join(texts[start : end + 1]),
-            )
-        )
+        gold.append(replace(span, text=" ".join(texts[span.start : span.end + 1])))
     return CorpusRecord(chunk, label, tuple(gold))
 
 
@@ -453,30 +439,35 @@ def is_utf8(text: str) -> bool:
         return False
 
 
-def iter_records(source: str | IO[str], unique_ids: bool = False) -> Iterator[CorpusRecord]:
-    """Stream validated CorpusRecords from a JSONL path or open text handle.
-
-    Reads one line at a time; memory stays bounded by the largest record.
-    A line with bytes that are not UTF-8 is a ParseError. ``unique_ids``
-    makes a repeated record id a ParseError; it keeps every id seen, so a
-    stream that must stay bounded does not ask for it.
-    """
+def json_lines(source: str | IO[str]) -> Iterator[tuple[int, object]]:
+    """(line number, decoded value) of each non-blank line of a JSONL path
+    or open text handle; a line that is not UTF-8 or does not decode is a
+    ParseError. A value is not kept once yielded: its caller may drop it."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            yield from iter_records(handle, unique_ids=unique_ids)
+            yield from json_lines(handle)
         return
     path = getattr(source, "name", None)
-    first_line: dict[str, int] | None = {} if unique_ids else None
     for line_no, line in enumerate(source, start=1):
         if not is_utf8(line):
             raise ParseError(line_no, "bytes that are not UTF-8", path)
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
+        try:  # the yield is inside, so this frame keeps no reference to the value
+            yield line_no, decode_json(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}", path) from exc
+
+
+def iter_records(source: str | IO[str], unique_ids: bool = False) -> Iterator[CorpusRecord]:
+    """Stream validated CorpusRecords from a JSONL path or open text handle
+    (``json_lines``); memory stays bounded by the largest record.
+    ``unique_ids`` makes a repeated record id a ParseError; it keeps every
+    id seen, so a stream that must stay bounded does not ask for it."""
+    path = source if isinstance(source, str) else getattr(source, "name", None)
+    first_line: dict[str, int] | None = {} if unique_ids else None
+    for line_no, obj in json_lines(source):
         record = parse_record(obj, line_no, path)
         obj = None  # drop the raw dict before yielding; it dominates the working set
         if first_line is not None:
@@ -502,7 +493,7 @@ def write_records(target: str | IO[str], records: Iterable[CorpusRecord]) -> int
     return n
 
 
-# A span's JSON object: EntitySpan's fields in order, with the JSON type
+# A span's JSON object: EntitySpan's fields in order, with the JSON kind
 # each must have.
 _SPAN_FIELDS = (("chunk_id", str), ("entity_type", str), ("start", int), ("end", int),
                 ("anchor", int), ("text", str))
@@ -513,38 +504,54 @@ def span_to_obj(span: EntitySpan) -> dict:
 
 
 def span_from_obj(obj: dict) -> EntitySpan:
-    """The span of one JSON object, by ``parse_record``'s rule: positions
-    must be JSON integers and the id, type and text JSON strings, else
-    TypeError (so 0.4, "2" or true is never a position)."""
+    """The span of one JSON object, for span files and gold spans alike:
+    positions must be JSON integers and the id, type and text JSON
+    strings, else TypeError (so 0.4, "2" or true is never a position)."""
     obj = {"anchor": obj["start"], "text": "", **obj}
     for name, kind in _SPAN_FIELDS:
-        if type(obj[name]) is not kind:
-            raise TypeError(f"{name!r} must be a JSON {'string' if kind is str else 'integer'}, "
-                            f"got {obj[name]!r}")
+        if not is_json(obj[name], kind):
+            raise TypeError(f"{name!r} must be {_KIND_NAMES[kind]}, got {obj[name]!r}")
     return EntitySpan(*(obj[name] for name, _ in _SPAN_FIELDS))
 
 
 # ---------------------------------------------------------------------------
-# JSON config objects
+# JSON input: every reader decodes and type-checks through these
 # ---------------------------------------------------------------------------
 
-# The JSON values a config field accepts, by the type of its default.
-# bool comes first: it is an int subclass.
-_JSON_KINDS = (
-    (bool, (bool,), "a boolean"),
-    (int, (int,), "an integer"),
-    (float, (int, float), "a finite number"),
-    (str, (str,), "a string"),
-    (tuple, (list, tuple), "a list"),
-    (dict, (dict,), "an object"),
-)
+
+def decode_json(text: str):
+    """The value of one JSON text. A value nested too deeply to decode is
+    a json.JSONDecodeError, like any other malformed text."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("value nested too deeply", text, 0) from None
+
+
+# What each JSON kind is called in a message.
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def is_json(value, kind: type) -> bool:
+    """Whether ``value`` is a JSON ``kind`` of _KIND_NAMES: a bool is only a
+    boolean, a float is an int or float finite as a float, and a list may
+    be a tuple (a config round-trips through ``asdict``)."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, (list, tuple) if kind is list else kind)
 
 
 def read_config_file(path: str):
     """The parsed JSON of a config file; InvalidConfig if it is not JSON."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return decode_json(handle.read())
         except ValueError as exc:
             raise InvalidConfig(f"{path}: not a JSON config file ({exc})") from exc
 
@@ -564,12 +571,7 @@ def config_kwargs(cls, obj, what: str) -> dict:
     if unknown:
         raise InvalidConfig(f"unknown {what} fields: {unknown}")
     for key, value in obj.items():
-        default = defaults[key]
-        _, accepted, kind = next(k for k in _JSON_KINDS if isinstance(default, k[0]))
-        if (
-            isinstance(value, bool) != isinstance(default, bool)
-            or not isinstance(value, accepted)
-            or (isinstance(value, float) and not math.isfinite(value))
-        ):
-            raise InvalidConfig(f"{what} field {key!r} must be {kind}, got {value!r}")
+        kind = next(kind for kind in _KIND_NAMES if is_json(defaults[key], kind))
+        if not is_json(value, kind):
+            raise InvalidConfig(f"{what} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return dict(obj)

@@ -302,9 +302,9 @@ def _word_positions(word_ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         wid = np.asarray(word_ids)
     except ValueError:  # ids of differing shapes, such as lists
         wid = None
-    if wid is None or wid.ndim != 1 or wid.dtype.kind not in "biuf":
-        # Compare ids as Python objects, so that 5 and "5" stay distinct;
-        # a None becomes an object equal only to itself.
+    if wid is None or wid.ndim != 1 or wid.dtype.kind not in "biu":
+        # Compare ids as Python objects, so that 5 and "5", or ints that a
+        # float rounds together, stay distinct; a None is equal only to itself.
         wid = np.fromiter((object() if w is None else w for w in word_ids),
                           dtype=object, count=len(word_ids))
     off = rows[0, _ZERO]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import STRONG, WEAK, config_kwargs
+from .core import STRONG, WEAK, config_kwargs, decode_json, is_json
 from .errors import (
     InvalidConfig,
     NoFeasibleThreshold,
@@ -439,47 +439,46 @@ def serialize_model(model: TreeModel) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
-def _json_float(value) -> float:
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    return float(value)
+def _json_number(value, kind: type):
+    """``value`` if it is a JSON ``kind`` (int, or float returned as one), else TypeError."""
+    if not is_json(value, kind):
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def deserialize_model(text: str) -> TreeModel:
     """Rebuild a model from ``serialize_model`` output; anything else,
     down to a malformed node or config block, is a SchemaMismatch. A
-    node index or feature is a JSON integer and a threshold or p_weak a
-    JSON number: no string, bool or (for an index) fraction is coerced."""
+    node index or feature is a JSON integer, a threshold or p_weak a
+    finite JSON number and a feature name a JSON string: no string, bool
+    or (for an index) fraction is coerced."""
     try:
-        payload = json.loads(text)
+        payload = decode_json(text)
         if payload.get("format_version") != FORMAT_VERSION:
             raise SchemaMismatch(
                 f"unsupported model format version {payload.get('format_version')!r}"
             )
+        names = payload["feature_names"]
+        if not (is_json(names, list) and all(is_json(name, str) for name in names)):
+            raise TypeError("feature_names must be a list of strings")
         nodes: list[Internal | Leaf] = []
         for raw in payload["nodes"]:
             if "f" in raw:
-                nodes.append(Internal(_json_int(raw["f"]), _json_float(raw["t"]),
-                                      _json_int(raw["l"]), _json_int(raw["r"])))
+                nodes.append(Internal(_json_number(raw["f"], int), _json_number(raw["t"], float),
+                                      _json_number(raw["l"], int), _json_number(raw["r"], int)))
             else:
-                nodes.append(Leaf(raw["ns"], raw["nw"], _json_float(raw["pw"])))
+                nodes.append(Leaf(raw["ns"], raw["nw"], _json_number(raw["pw"], float)))
         # Models written while TrainConfig had an (inert) seed carry "seed": 0.
         stored = {k: v for k, v in payload["config"].items() if k != "seed"}
         model = TreeModel(
-            feature_names=tuple(payload["feature_names"]),
+            feature_names=tuple(names),
             nodes=tuple(nodes),
-            decision_threshold=_json_float(payload["decision_threshold"]),
+            decision_threshold=_json_number(payload["decision_threshold"], float),
             config=TrainConfig(**config_kwargs(TrainConfig, stored, "model config")),
             featurization=payload.get("featurization", {}),
         )
         stored_hash = payload["schema_hash"]
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, InvalidConfig) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise SchemaMismatch(f"malformed model file: {exc!r}") from exc
     if model.schema_hash != stored_hash:
         raise SchemaMismatch("feature-name hash does not match the stored schema_hash")

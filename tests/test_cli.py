@@ -51,6 +51,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# A JSON value nested too deeply for the decoder: malformed like any
+# other text that does not decode, whichever reader meets it.
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 class TestValidate:
     def test_ok(self, workdir, capsys):
         assert run(["validate", "--input", workdir["corpus"]]) == EXIT_OK
@@ -672,6 +677,11 @@ class TestCorpusContract:
         assert run(["classify", "--input", path, "--model", trained["model"],
                     "--out", tmp_path / "out.jsonl"]) == EXIT_OK
 
+    def test_value_nested_too_deep(self, workdir, tmp_path, capsys):
+        path = write_lines(tmp_path / "deep.jsonl", corpus_lines(workdir, 3) + [TOO_DEEP + "\n"])
+        assert run(["validate", "--input", path]) == EXIT_PARSE
+        assert ":4: invalid JSON" in capsys.readouterr().err
+
     def test_gold_span_of_unknown_type(self, workdir, tmp_path, capsys):
         record = json.loads(corpus_lines(workdir, 1)[0])
         record["gold_spans"] = [{"entity_type": "Drug", "start": 0, "end": 0}]
@@ -696,6 +706,9 @@ BAD_CONFIGS = {
     "seed-negative-flag": (None, ["--seed", -1], "seed must be >= 0"),
     "seed-negative": ('{"seed": -1}', [], "seed must be >= 0"),
     "scopes-repeated": ('{"scopes": ["Token", "Token"]}', [], "more than once"),
+    "nested-too-deep": (TOO_DEEP, [], "JSON"),
+    # A JSON integer that no float holds: not a finite number.
+    "decay-rate-huge-int": ('{"decay_rate": 1' + "0" * 400 + "}", [], "decay_rate"),
 }
 
 
@@ -727,6 +740,7 @@ BAD_FEATURIZATIONS = {
     "featurization-bins-zero": {"bins": 0},
     "featurization-decay-zero": {"decay_rate": 0.0},
     "featurization-unknown-scope": {"scopes": ["Token", "Sentence"]},
+    "featurization-decay-rate-huge-int": {"decay_rate": 10**400},
 }
 # A malformed field of a model file's first node that holds it, by case
 # name: a leaf's "ns"/"pw" or a split's "f"/"t"/"l". An index is a JSON
@@ -751,9 +765,9 @@ BAD_THRESHOLDS = {
     "threshold-nan": float("nan"),  # would keep every span
     "threshold-string": "0.5",
 }
-BAD_MODELS = ["not-json", "not-utf8", "no-nodes", "unknown-config-key", "self-loop",
-              "shared-child", "feature-out-of-range", *BAD_THRESHOLDS, *BAD_FEATURIZATIONS,
-              *BAD_NODE_FIELDS]
+BAD_MODELS = ["not-json", "not-utf8", "nested-too-deep", "no-nodes", "unknown-config-key",
+              "self-loop", "shared-child", "feature-out-of-range", "feature-name-not-string",
+              *BAD_THRESHOLDS, *BAD_FEATURIZATIONS, *BAD_NODE_FIELDS]
 
 
 def write_bad_model(trained, model, name):
@@ -762,10 +776,14 @@ def write_bad_model(trained, model, name):
         model.write_text("nodes: []\n", encoding="utf-8")
     elif name == "not-utf8":
         model.write_bytes(b"\xff\xfe{}\n")
+    elif name == "nested-too-deep":
+        model.write_text(TOO_DEEP, encoding="utf-8")
     elif name == "no-nodes":
         mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
     elif name == "unknown-config-key":
         mangle_model(trained["model"], model, lambda p: p["config"].update(depth=3))
+    elif name == "feature-name-not-string":  # a name that is a number
+        mangle_model(trained["model"], model, lambda p: p["feature_names"].insert(3, 3))
     elif name == "self-loop":  # a walk that never reaches a leaf
         mangle_model(trained["model"], model, lambda p: p["nodes"][0].update(l=0))
     elif name == "shared-child":  # node 3's path would be one parent's only
@@ -998,6 +1016,7 @@ class TestOneSupervisionRule:
 class TestSynthConfigContract:
     @pytest.mark.parametrize("text, word", [('{"n_strongs": 3}', "n_strongs"),
                                             ("n_strong = 3\n", "JSON"),
+                                            pytest.param(TOO_DEEP, "JSON", id="nested-too-deep"),
                                             ('{"seed": -1}', "seed must be >= 0")])
     def test_exits_config(self, tmp_path, capsys, text, word):
         (tmp_path / "synth.json").write_text(text, encoding="utf-8")
@@ -1152,6 +1171,7 @@ class TestEvaluateSpanContract:
     @pytest.mark.parametrize("flag", ["--pred", "--base"])
     # "\udcff\udcfe" is written as the bytes ff fe: not UTF-8.
     @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]",
+                                      pytest.param(TOO_DEEP, id="nested-too-deep"),
                                       pytest.param('{"chunk_id": "\udcff\udcfe"}',
                                                    id="not-utf8")]
                              + [pytest.param(json.dumps({**SPAN, **fields}), id=name)

@@ -201,7 +201,12 @@ class TestWordIds:
         (0, 1.0, 1, 2.5, 1),
         (0, 1, float("nan"), 1, float("nan")),
         (None, 0, None, 0, None),
-    ], ids=["strings", "int-and-string", "lists", "mixed-numbers", "nan", "none"])
+        # Ids that no int64 or uint64 holds, or big ints beside a
+        # float: float64 would round distinct ids together.
+        (2**63, 2**63 + 1, -1, 2**63 + 1, 0),
+        (2**53, 2**53 + 1, 0.5, 2**53, 1),
+    ], ids=["strings", "int-and-string", "lists", "mixed-numbers", "nan", "none",
+            "beyond-int64", "beyond-float53"])
     def test_any_json_word_id(self, word_ids):
         # Chunks may carry any word ids; they group by Python equality, as
         # in the reference, so a NaN anchor has an empty Word scope; a None

@@ -59,3 +59,26 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{name}:{line} {imported_name}" for imported_name, line in imported.items()
                    if imported_name not in used]
     assert not unused, unused
+
+
+def test_json_is_decoded_in_decode_json_alone():
+    """Every JSON input goes through core.decode_json, so one rule says how
+    a text that does not decode (nesting too deep included) fails."""
+    src = os.path.join(ROOT, "src", "nrfilter")
+    sites = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        # ast.walk goes outside in, so an inner function names its own calls.
+        owner = {id(node): function.name for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                sites += [f"{name}:{node.lineno} imports json.{alias.name}"
+                          for alias in node.names if alias.name in ("load", "loads")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                sites.append(f"{name} {owner.get(id(node))}")
+    assert sites == ["core.py decode_json"], sites
