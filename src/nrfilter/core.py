@@ -528,7 +528,8 @@ def decode_json(text: str):
         raise json.JSONDecodeError("value nested too deeply", text, 0) from None
 
 
-# What each JSON kind is called in a message.
+# What each JSON kind is called in a message. A config field's kind is the
+# first that holds its default, so int comes before float.
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
                list: "a list", dict: "an object"}
 
