@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
@@ -375,13 +375,8 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
     probs = _probability_matrix(rows, fail)
     if has_word_ids:
         _check_word_ids(word_ids, fail)
-    chunk = Chunk(
-        chunk_id,
-        schema,
-        tuple(texts),
-        probs,
-        tuple(word_ids) if has_word_ids else None,
-    )
+    chunk = Chunk(chunk_id, schema, tuple(texts), probs,
+                  tuple(word_ids) if has_word_ids else None)
 
     label = obj.get("label")
     if label is not None:
@@ -395,8 +390,9 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         fail(f"'gold_spans' must be a list, got {type(raw_gold).__name__}")
     gold = []
     for g in raw_gold or ():
-        try:  # evaluate's span rule; the record gives the id, the start is the anchor
-            span = span_from_obj({**g, "chunk_id": chunk_id, "anchor": g["start"], "text": ""})
+        try:  # evaluate's span rule; the record gives the id and text, the start is the anchor
+            span = span_from_obj({**g, "chunk_id": chunk_id, "anchor": g["start"],
+                                  "text": " ".join(texts[g["start"] : g["end"] + 1])})
         except (KeyError, TypeError, SchemaMismatch) as exc:
             fail(f"gold span needs integer 'start' <= 'end' and string 'entity_type': {exc!r}")
         if not (0 <= span.start and span.end < chunk.n_tokens):
@@ -404,7 +400,7 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
         if span.entity_type not in schema.entity_names:
             fail(f"gold span type {span.entity_type!r} is not among the record's entity types "
                  f"{list(schema.entity_names)}")
-        gold.append(replace(span, text=" ".join(texts[span.start : span.end + 1])))
+        gold.append(span)
     return CorpusRecord(chunk, label, tuple(gold))
 
 
@@ -520,12 +516,14 @@ def span_from_obj(obj: dict) -> EntitySpan:
 
 
 def decode_json(text: str):
-    """The value of one JSON text. A value nested too deeply to decode is
-    a json.JSONDecodeError, like any other malformed text."""
+    """One JSON text's value. A text the decoder cannot hold (nested too
+    deeply, an integer of too many digits) is a json.JSONDecodeError."""
     try:
         return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("value nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 # What each JSON kind is called in a message. A config field's kind is the

@@ -51,9 +51,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-# A JSON value nested too deeply for the decoder: malformed like any
-# other text that does not decode, whichever reader meets it.
+# A JSON value nested too deeply for the decoder, and an integer of more
+# digits than Python converts: malformed like any other text that does
+# not decode, whichever reader meets it.
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
+TOO_LONG = "1" * 5000
 
 
 class TestValidate:
@@ -677,8 +679,10 @@ class TestCorpusContract:
         assert run(["classify", "--input", path, "--model", trained["model"],
                     "--out", tmp_path / "out.jsonl"]) == EXIT_OK
 
-    def test_value_nested_too_deep(self, workdir, tmp_path, capsys):
-        path = write_lines(tmp_path / "deep.jsonl", corpus_lines(workdir, 3) + [TOO_DEEP + "\n"])
+    @pytest.mark.parametrize("text", [pytest.param(TOO_DEEP, id="nested-too-deep"),
+                                      pytest.param(TOO_LONG, id="int-too-long")])
+    def test_value_does_not_decode(self, workdir, tmp_path, capsys, text):
+        path = write_lines(tmp_path / "deep.jsonl", corpus_lines(workdir, 3) + [text + "\n"])
         assert run(["validate", "--input", path]) == EXIT_PARSE
         assert ":4: invalid JSON" in capsys.readouterr().err
 
@@ -707,6 +711,7 @@ BAD_CONFIGS = {
     "seed-negative": ('{"seed": -1}', [], "seed must be >= 0"),
     "scopes-repeated": ('{"scopes": ["Token", "Token"]}', [], "more than once"),
     "nested-too-deep": (TOO_DEEP, [], "JSON"),
+    "int-too-long": ('{"bins": ' + TOO_LONG + "}", [], "JSON"),
     # A JSON integer that no float holds: not a finite number.
     "decay-rate-huge-int": ('{"decay_rate": 1' + "0" * 400 + "}", [], "decay_rate"),
 }
@@ -765,7 +770,8 @@ BAD_THRESHOLDS = {
     "threshold-nan": float("nan"),  # would keep every span
     "threshold-string": "0.5",
 }
-BAD_MODELS = ["not-json", "not-utf8", "nested-too-deep", "no-nodes", "unknown-config-key",
+BAD_MODELS = ["not-json", "not-utf8", "nested-too-deep", "int-too-long", "no-nodes",
+              "unknown-config-key",
               "self-loop", "shared-child", "feature-out-of-range", "feature-name-not-string",
               *BAD_THRESHOLDS, *BAD_FEATURIZATIONS, *BAD_NODE_FIELDS]
 
@@ -778,6 +784,8 @@ def write_bad_model(trained, model, name):
         model.write_bytes(b"\xff\xfe{}\n")
     elif name == "nested-too-deep":
         model.write_text(TOO_DEEP, encoding="utf-8")
+    elif name == "int-too-long":
+        model.write_text(TOO_LONG, encoding="utf-8")
     elif name == "no-nodes":
         mangle_model(trained["model"], model, lambda p: p.pop("nodes"))
     elif name == "unknown-config-key":
@@ -1172,6 +1180,7 @@ class TestEvaluateSpanContract:
     # "\udcff\udcfe" is written as the bytes ff fe: not UTF-8.
     @pytest.mark.parametrize("line", ['{"chunk_id": "x"}', "{oops", "[1, 2]",
                                       pytest.param(TOO_DEEP, id="nested-too-deep"),
+                                      pytest.param(TOO_LONG, id="int-too-long"),
                                       pytest.param('{"chunk_id": "\udcff\udcfe"}',
                                                    id="not-utf8")]
                              + [pytest.param(json.dumps({**SPAN, **fields}), id=name)
