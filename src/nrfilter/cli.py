@@ -16,17 +16,17 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 from . import __version__
 from .core import (
     ORPHAN_POLICIES,
     STRONG,
     WEAK,
-    config_kwargs,
     decode_spans,
     iter_records,
     json_lines,
+    read_config,
     read_config_file,
     span_from_obj,
     span_to_obj,
@@ -46,6 +46,7 @@ from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
 from .pipeline import (
     PipelineConfig,
     featurize_blocks,
+    model_featurization,
     run_pipeline,
     stream_classify,
 )
@@ -71,22 +72,35 @@ EXIT_CONFIG = 7
 EXIT_DOMAIN = 8
 
 
-def _given(args: argparse.Namespace, config_cls) -> dict:
-    """The fields of ``config_cls`` that were set on the command line."""
-    values = {f.name: getattr(args, f.name, None) for f in fields(config_cls)}
-    return {name: value for name, value in values.items() if value is not None}
+def _config(args: argparse.Namespace, cls, obj, what: str):
+    """``read_config`` of the parsed JSON object ``obj`` with each field
+    of the config class ``cls`` that was given as a flag set in it (a
+    nested config's in its own object), so a flag passes the checks a
+    file's value passes."""
+
+    def flagged(cls, obj):
+        if not isinstance(obj, dict):
+            return obj  # read_config names it
+        obj = dict(obj)
+        defaults = cls()
+        for f in fields(cls):
+            default = getattr(defaults, f.name)
+            if is_dataclass(default):
+                obj[f.name] = flagged(type(default), obj.get(f.name, {}))
+            elif getattr(args, f.name, None) is not None:
+                obj[f.name] = getattr(args, f.name)
+        return obj
+
+    return read_config(cls, flagged(cls, obj), what)
+
+
+def _config_file(path: str | None):
+    """The parsed JSON of an optional config file; no file is ``{}``."""
+    return read_config_file(path) if path is not None else {}
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
-    obj = config.to_obj()
-    obj.update(_given(args, PipelineConfig))
-    obj["tree"].update(_given(args, TrainConfig))
-    return PipelineConfig.from_obj(obj)
+    return _config(args, PipelineConfig, _config_file(args.config), "config")
 
 
 def _add_decode_flags(sub: argparse.ArgumentParser):
@@ -158,7 +172,7 @@ def cmd_featurize(args) -> int:
             names = feature_names(record.chunk.schema, config)
             yield names, spans, record.span_labels(spans), matrix
 
-    with _output(args.dump_pdm) if args.dump_pdm else contextlib.nullcontext() as dump:
+    with _output(args.dump_pdm) if args.dump_pdm is not None else contextlib.nullcontext() as dump:
         if args.format == "csv":
             with _output(args.out, newline="") as out:
                 n = write_feature_csv(out, blocks(dump))
@@ -174,13 +188,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kwargs = (
-        config_kwargs(SynthConfig, read_config_file(args.synth_config), "synth config")
-        if args.synth_config
-        else {}
-    )
-    kwargs.update(_given(args, SynthConfig))
-    config = SynthConfig(**kwargs)
+    config = _config(args, SynthConfig, _config_file(args.synth_config), "synth config")
     n = write_records(args.out, iter_generate(config))
     print(f"generated {n} records -> {args.out}")
     return EXIT_OK
@@ -214,13 +222,13 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     model = load_model(args.model)
-    PipelineConfig.from_model(model)  # a model classify would reject is not saved
+    model_featurization(model)  # a model classify would reject is not saved
     table = _training_table(args.features)
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")
     is_tp = [label == STRONG for label in table.labels]
     # The model records the budget it is tuned under.
-    config = replace(model.config, **_given(args, TrainConfig))
+    config = _config(args, TrainConfig, asdict(model.config), "tree config")
     result = cut_threshold(model.p_weak(model.walk(table.matrix)), is_tp, config.max_tp_drop)
     save_model(replace(model, decision_threshold=result.threshold, config=config), args.model)
     print(
@@ -246,7 +254,7 @@ def cmd_classify(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.model)
-    config = PipelineConfig.from_model(model)
+    config = model_featurization(model)
     n_records = shown = 0
     blocks = featurize_blocks(iter_records(args.record), config, model.feature_names)
     for record, spans, matrix in itertools.chain.from_iterable(blocks):
@@ -305,7 +313,7 @@ def cmd_evaluate(args) -> int:
         "drops": drops,
         "total_drops": drop_pcts(base_report.totals, filt_report.totals),
     }
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")

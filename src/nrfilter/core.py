@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
@@ -357,12 +357,10 @@ def parse_record(obj: dict, line_no: int = 0, path: str | None = None) -> Corpus
             row = tok["probs"]
         except (KeyError, TypeError):
             fail(f"token {i} missing 'text' or 'probs'")
-        try:
-            n_probs = len(row)
-        except TypeError:
+        if type(row) is not list:  # a string or an object has a length too
             fail(f"token {i} probabilities must be a list, got {type(row).__name__}")
-        if n_probs != K:
-            fail(f"token {i} has {n_probs} probabilities, schema K={K}")
+        if len(row) != K:
+            fail(f"token {i} has {len(row)} probabilities, schema K={K}")
         rows.append(row)
         wid = tok.get("word_id")
         has_word_ids = has_word_ids or wid is not None
@@ -535,7 +533,7 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", s
 def is_json(value, kind: type) -> bool:
     """Whether ``value`` is a JSON ``kind`` of _KIND_NAMES: a bool is only a
     boolean, a float is an int or float finite as a float, and a list may
-    be a tuple (a config round-trips through ``asdict``)."""
+    be a tuple (the kind of a config's tuple field, or of its ``asdict``)."""
     if isinstance(value, bool) != (kind is bool):
         return False
     if kind is float:
@@ -555,22 +553,31 @@ def read_config_file(path: str):
             raise InvalidConfig(f"{path}: not a JSON config file ({exc})") from exc
 
 
-def config_kwargs(cls, obj, what: str) -> dict:
-    """Keyword arguments for the config dataclass ``cls`` from a parsed
-    JSON object.
+def read_config(cls, obj, what: str):
+    """The config dataclass ``cls`` of a parsed JSON object: the one rule
+    for config files, command-line flags and a model file's records.
 
     Every key must name a field of ``cls`` and every value must be of the
-    JSON kind of that field's default (a nested config is an object);
-    otherwise InvalidConfig names the key. Range checks stay with ``cls``.
+    JSON kind of that field's default, else InvalidConfig names the key.
+    A tuple field takes a list, and a field whose default is a config
+    takes an object, read by this rule. Range checks stay with ``cls``.
     """
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{what} must be a JSON object, got {obj!r}")
-    defaults = asdict(cls())
-    unknown = sorted(set(obj) - set(defaults))
+    defaults = cls()
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise InvalidConfig(f"unknown {what} fields: {unknown}")
+    kwargs = {}
     for key, value in obj.items():
-        kind = next(kind for kind in _KIND_NAMES if is_json(defaults[key], kind))
+        default = getattr(defaults, key)
+        kind = dict if is_dataclass(default) else next(
+            kind for kind in _KIND_NAMES if is_json(default, kind))
         if not is_json(value, kind):
             raise InvalidConfig(f"{what} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return dict(obj)
+        if kind is dict:
+            value = read_config(type(default), value, f"{key} config")
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)

@@ -22,10 +22,9 @@ from .core import (
     EntitySpan,
     STRONG,
     WEAK,
-    config_kwargs,
     decode_spans,
     iter_records,
-    read_config_file,
+    read_config,
 )
 from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
 from .features import (
@@ -78,33 +77,17 @@ class PipelineConfig(FeatureConfig):
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
-    def to_obj(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "PipelineConfig":
-        kwargs = config_kwargs(cls, obj, "config")
-        if "scopes" in kwargs:
-            kwargs["scopes"] = tuple(kwargs["scopes"])
-        if "tree" in kwargs:
-            tree = config_kwargs(TrainConfig, kwargs["tree"], "tree config")
-            kwargs["tree"] = TrainConfig(**tree)
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
-        return cls.from_obj(read_config_file(path))
-
-    @classmethod
-    def from_model(cls, model: TreeModel) -> "PipelineConfig":
-        """The config of a model's recorded featurization, its other
-        fields at their defaults. A model that records none was trained
-        under the defaults; a malformed record is a SchemaMismatch, like
-        any other malformed part of a model file."""
-        try:
-            return cls.from_obj(config_kwargs(FeatureConfig, model.featurization, "featurization"))
-        except InvalidConfig as exc:
-            raise SchemaMismatch(f"malformed model file: {exc}") from exc
+def model_featurization(model: TreeModel) -> FeatureConfig:
+    """The featurization a model records, by ``read_config``: how
+    ``classify``, ``explain`` and ``stream_classify`` decode and
+    featurize. A model that records none was trained under the
+    defaults; a malformed record is a SchemaMismatch, like any other
+    malformed part of a model file."""
+    try:
+        return read_config(FeatureConfig, model.featurization, "featurization")
+    except InvalidConfig as exc:
+        raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
 def validation_draws(seed: int, n: int) -> np.ndarray:
@@ -261,7 +244,7 @@ def run_pipeline(
         "n_records": len(blocks),
         "n_spans": len(spans),
         "decision_threshold": tune.threshold,
-        "config": config.to_obj(),
+        "config": asdict(config),
     }
     for split, mask in (("train", ~val), ("validation", val)):
         base, filtered = filter_counts(tp[mask], kept[mask])
@@ -288,7 +271,7 @@ def stream_classify(
     of records at a time (see ``featurize_blocks``).
 
     The spans are decoded and featurized as the model records
-    (``PipelineConfig.from_model``).
+    (``model_featurization``).
 
     Dropped spans are kept in the output flagged "weak" so rejections
     stay reviewable. ``out`` is flushed after each block. A record that
@@ -298,7 +281,7 @@ def stream_classify(
     """
     counts = {STRONG: 0, WEAK: 0}
     lines = _verdict_lines(model, include_path)
-    blocks = featurize_blocks(iter_records(corpus), PipelineConfig.from_model(model),
+    blocks = featurize_blocks(iter_records(corpus), model_featurization(model),
                               model.feature_names)
     for block in blocks:
         for _, spans, matrix in block:

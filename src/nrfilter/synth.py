@@ -64,10 +64,6 @@ class SynthConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
-    @property
-    def total(self) -> int:
-        return self.n_strong + self.n_weak
-
 
 def _strong_flags(config: SynthConfig) -> Iterator[bool]:
     # Alternate classes while both remain so stream prefixes stay balanced.

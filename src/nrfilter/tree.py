@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import STRONG, WEAK, config_kwargs, decode_json, is_json
+from .core import STRONG, WEAK, decode_json, is_json, read_config
 from .errors import (
     InvalidConfig,
     NoFeasibleThreshold,
@@ -167,8 +167,6 @@ class TreeModel:
 
 def _weighted_gini(w_strong: float, w_weak: float) -> float:
     total = w_strong + w_weak
-    if total <= 0:
-        return 0.0
     p_s = w_strong / total
     p_w = w_weak / total
     return 1.0 - p_s * p_s - p_w * p_w
@@ -195,15 +193,14 @@ def _best_split(
     are midpoints of consecutive distinct sorted values, or the lower
     value where the midpoint rounds onto the upper. The first
     strictly-best candidate wins, so ties fall to the lower feature
-    index and then the lower threshold.
+    index and then the lower threshold. The node holds both classes,
+    each of positive weight, so its impurity is positive.
     """
     n = rows.size
     w_node = weights[rows]
     w_total = float(w_node.sum())
     w_weak_total = float(w_node[is_weak[rows]].sum())
     parent = _weighted_gini(w_total - w_weak_total, w_weak_total)
-    if parent <= 0.0:
-        return None
 
     def weighted_gini(total, weak):
         # total * (1 - ps^2 - pw^2), computed in place
@@ -474,7 +471,7 @@ def deserialize_model(text: str) -> TreeModel:
             feature_names=tuple(names),
             nodes=tuple(nodes),
             decision_threshold=_json_number(payload["decision_threshold"], float),
-            config=TrainConfig(**config_kwargs(TrainConfig, stored, "model config")),
+            config=read_config(TrainConfig, stored, "model config"),
             featurization=payload.get("featurization", {}),
         )
         stored_hash = payload["schema_hash"]

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -193,7 +194,8 @@ class TestTrainTuneClassifyExplain:
         out = capsys.readouterr().out
         assert "Decision Path:" in out
         assert "(" in out and ("<=" in out or ">" in out)
-        # A span index past the record's spans, and a record without spans.
+        # A span index past the record's spans, a record without spans and
+        # a file without records.
         code = run(["explain", "--model", trained["model"], "--record", record_file,
                     "--span-index", 99])
         assert code == EXIT_CONFIG
@@ -207,6 +209,9 @@ class TestTrainTuneClassifyExplain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"no span was decoded in {record_file}" in err and "--span-index" not in err
+        empty = write_lines(tmp_path / "empty.jsonl", [])
+        assert run(["explain", "--model", trained["model"], "--record", empty]) == EXIT_CONFIG
+        assert f"no records in {empty}" in capsys.readouterr().err
 
     def test_explain_agrees_with_classify(self, workdir, trained, tmp_path, capsys):
         """Every span's verdict, p_weak and path block printed by explain
@@ -302,7 +307,7 @@ class TestPipelineCommand:
         from nrfilter import PipelineConfig
 
         with open(config_path, "w", encoding="utf-8") as handle:
-            json.dump(PipelineConfig(bins=10).to_obj(), handle)
+            json.dump(asdict(PipelineConfig(bins=10)), handle)
         out_dir = str(tmp_path / "out")
         code = run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", out_dir,
                     "--config", config_path, "--max-tp-drop", 0.02])
@@ -379,13 +384,19 @@ class TestConsoleEntrypoint:
         assert proc.returncode == 0
 
 
-# A bad value, the token it goes in, and the exit code it must give.
+# The token a bad value goes in, the value, the exit code it must give
+# and a word of its message.
 BAD_TOKENS = {
-    "nan": (1, {"probs": [float("nan"), 0.5, 0.5]}, EXIT_VALIDATION),
-    "ragged": (1, {"probs": [[1], 0, 0]}, EXIT_PARSE),
-    "string": (1, {"probs": ["1.0", 0, 0]}, EXIT_PARSE),
-    "boolean": (1, {"probs": [True, False, False]}, EXIT_PARSE),
-    "nan-word-id": (0, {"word_id": float("nan")}, EXIT_PARSE),
+    "nan": (1, {"probs": [float("nan"), 0.5, 0.5]}, EXIT_VALIDATION, "token 1"),
+    "ragged": (1, {"probs": [[1], 0, 0]}, EXIT_PARSE, "is not a number"),
+    "string": (1, {"probs": ["1.0", 0, 0]}, EXIT_PARSE, "is not a number"),
+    "boolean": (1, {"probs": [True, False, False]}, EXIT_PARSE, "is not a number"),
+    "nan-word-id": (0, {"word_id": float("nan")}, EXIT_PARSE, "word_id"),
+    # Three characters or three keys for K=3: not a list, whatever its length.
+    "probs-string": (1, {"probs": "abc"}, EXIT_PARSE, "token 1 probabilities must be a list"),
+    "probs-object": (1, {"probs": {"a": 0, "b": 1, "c": 0}}, EXIT_PARSE,
+                     "token 1 probabilities must be a list"),
+    "probability-huge-int": (1, {"probs": [10**400, 0, 0]}, EXIT_PARSE, "too large"),
 }
 
 
@@ -393,7 +404,7 @@ def write_bad_corpus(workdir, name):
     """Three valid records, then one whose B token (token 0) or the
     token after it carries the bad value, so a span would be featurized
     over it."""
-    index, fields, _ = BAD_TOKENS[name]
+    index, fields, _, _ = BAD_TOKENS[name]
     path = str(workdir["root"] / f"bad_{name}.jsonl")
     with open(workdir["corpus"], "r", encoding="utf-8") as src:
         lines = src.readlines()[:3]
@@ -408,9 +419,13 @@ def write_bad_corpus(workdir, name):
     return path
 
 
-# A record-level field that breaks the corpus contract: the field, its
-# value, and the gold span to put it in (None: the record itself).
+# A record-level field that breaks the corpus contract: the field (None:
+# the value replaces the whole record), its value, and the gold span to
+# put it in (None: the record itself).
 BAD_FIELDS = {
+    "record-list": (None, [1, 2], None),
+    "label-unknown": ("label", "maybe", None),
+    "gold-end-outside": ("end", 99, 0),
     "tokens-number": ("tokens", 5, None),
     "tokens-boolean": ("tokens", True, None),
     "gold-spans-number": ("gold_spans", 3, None),
@@ -435,28 +450,31 @@ class TestInputContract:
         record["gold_spans"] = [{"entity_type": "Biomarker", "start": 0, "end": 1}]
         if key == "classes":
             del record["gold_spans"]  # "OBI" would read as an unnamed entity type
-        (record if gold is None else record["gold_spans"][gold])[key] = value
+        if key is None:
+            record = value
+        else:
+            (record if gold is None else record["gold_spans"][gold])[key] = value
         path = write_lines(tmp_path / "bad.jsonl", lines + [json.dumps(record) + "\n"])
         assert run(["validate", "--input", path]) == EXIT_PARSE
         assert ":4:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(BAD_TOKENS))
     def test_validate(self, workdir, capsys, name):
-        code = BAD_TOKENS[name][2]
+        _, _, code, word = BAD_TOKENS[name]
         path = write_bad_corpus(workdir, name)
         assert run(["validate", "--input", path]) == code
         err = capsys.readouterr().err
-        assert (":4:" in err) if code == EXIT_PARSE else ("token 1" in err)
+        assert word in err and ((":4:" in err) or code != EXIT_PARSE)
 
     @pytest.mark.parametrize("name", sorted(BAD_TOKENS))
     def test_classify(self, workdir, trained, capsys, name):
-        code = BAD_TOKENS[name][2]
+        _, _, code, word = BAD_TOKENS[name]
         path = write_bad_corpus(workdir, name)
         out = str(workdir["root"] / f"bad_{name}_out.jsonl")
         assert run(["classify", "--input", path, "--model", trained["model"],
                     "--out", out]) == code
         err = capsys.readouterr().err
-        assert (":4:" in err) if code == EXIT_PARSE else ("token 1" in err)
+        assert word in err and ((":4:" in err) or code != EXIT_PARSE)
 
     def test_classify_k7_corpus_with_k3_model(self, workdir, trained):
         path = str(workdir["root"] / "k7.jsonl")
@@ -628,6 +646,27 @@ class TestCorpusContract:
         ids = [json.loads(line)["chunk_id"] for line in handle.getvalue().splitlines()]
         assert ids == [f"copy-{i}" for i in range(_STREAM_WIDTHS)]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("decode", "--config"), ("featurize", "--config"), ("train", "--config"),
+        ("pipeline", "--config"), ("synth", "--config"), ("evaluate", "--out"),
+        ("featurize", "--dump-pdm"),
+    ])
+    def test_empty_path_exits_io(self, workdir, trained, tmp_path, capsys, command, flag):
+        """An empty path is a path that does not open, not a flag left out."""
+        spans = tmp_path / "spans.jsonl"
+        argv = {
+            "decode": ["--input", workdir["corpus"], "--out", tmp_path / "out"],
+            "featurize": ["--input", workdir["corpus"], "--out", tmp_path / "out"],
+            "train": ["--features", trained["features"], "--model", tmp_path / "model.json"],
+            "pipeline": ["--corpus", workdir["corpus"], "--out-dir", tmp_path / "run"],
+            "synth": ["--out", tmp_path / "out"],
+            "evaluate": ["--pred", spans, "--gold", workdir["corpus"], "--base", spans],
+        }[command]
+        if command == "evaluate":
+            assert run(["decode", "--input", workdir["corpus"], "--out", spans]) == EXIT_OK
+        assert run([command, *argv, flag, ""]) == EXIT_IO
+        assert "No such file or directory: ''" in capsys.readouterr().err
+
     def test_failed_command_keeps_file_it_did_not_open(self, workdir, tmp_path):
         out = tmp_path / "verdicts.jsonl"
         out.write_text("an earlier run\n", encoding="utf-8")
@@ -714,6 +753,14 @@ BAD_CONFIGS = {
     "int-too-long": ('{"bins": ' + TOO_LONG + "}", [], "JSON"),
     # A JSON integer that no float holds: not a finite number.
     "decay-rate-huge-int": ('{"decay_rate": 1' + "0" * 400 + "}", [], "decay_rate"),
+    "tree-max-depth-zero": ('{"tree": {"max_depth": 0}}', [], "max_depth must be >= 1"),
+    "tree-min-samples-leaf-zero": ('{"tree": {"min_samples_leaf": 0}}', [],
+                                   "min_samples_leaf must be >= 1"),
+    "tree-min-impurity-decrease-negative": ('{"tree": {"min_impurity_decrease": -1}}', [],
+                                            "min_impurity_decrease must be >= 0"),
+    "neighbor-window-negative": ('{"neighbor_window": -1}', [], "neighbor window must be >= 0"),
+    # The second --corpus wins: an empty corpus decodes no span.
+    "corpus-without-spans": (None, ["--corpus", os.devnull], "no predicted spans"),
 }
 
 
@@ -858,8 +905,10 @@ def on_line_4(change):
 
 # A malformed feature CSV: the line of its bad row, and how its rows
 # (header first) are changed. Every case must be a parse error that
-# cites that line; lines count as csv.reader counts them.
+# cites that line, but for a bad header (line None), a schema mismatch;
+# lines count as csv.reader counts them.
 BAD_FEATURE_ROWS = {
+    "header-without-meta-columns": (None, lambda rows: [rows[0][6:]] + rows[1:]),
     "nan": on_line_4(lambda row: row[:-1] + ["nan"]),
     "inf": on_line_4(lambda row: row[:-1] + ["inf"]),
     "minus-inf": on_line_4(lambda row: row[:-1] + ["-inf"]),
@@ -892,8 +941,12 @@ class TestFeatureCsvContract:
             argv = ["train", "--features", bad, "--model", tmp_path / "model.json"]
         else:
             argv = ["tune", "--model", trained["model"], "--features", bad]
-        assert run(argv) == EXIT_PARSE
-        assert f":{line}:" in capsys.readouterr().err
+        if line is None:
+            assert run(argv) == EXIT_SCHEMA
+            assert "header missing metadata columns" in capsys.readouterr().err
+        else:
+            assert run(argv) == EXIT_PARSE
+            assert f":{line}:" in capsys.readouterr().err
 
     def test_header_only_train_exits_domain(self, trained, tmp_path):
         with open(trained["features"], newline="", encoding="utf-8") as handle:
@@ -1022,14 +1075,21 @@ class TestOneSupervisionRule:
 
 
 class TestSynthConfigContract:
+    # A config file's text, or a list of flags given in its place.
     @pytest.mark.parametrize("text, word", [('{"n_strongs": 3}', "n_strongs"),
                                             ("n_strong = 3\n", "JSON"),
                                             pytest.param(TOO_DEEP, "JSON", id="nested-too-deep"),
-                                            ('{"seed": -1}', "seed must be >= 0")])
+                                            ('{"seed": -1}', "seed must be >= 0"),
+                                            pytest.param(["--noise-sigma", 0.1], "noise_sigma",
+                                                         id="noise-sigma-flag")])
     def test_exits_config(self, tmp_path, capsys, text, word):
-        (tmp_path / "synth.json").write_text(text, encoding="utf-8")
-        code = run(["synth", "--out", tmp_path / "gen.jsonl", "--config", tmp_path / "synth.json"])
-        assert code == EXIT_CONFIG
+        argv = ["synth", "--out", tmp_path / "gen.jsonl"]
+        if isinstance(text, list):
+            argv += text
+        else:
+            (tmp_path / "synth.json").write_text(text, encoding="utf-8")
+            argv += ["--config", tmp_path / "synth.json"]
+        assert run(argv) == EXIT_CONFIG
         assert word in capsys.readouterr().err
 
     def test_flags_override_config_file(self, tmp_path):

@@ -2,6 +2,7 @@
 library quickstart."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -61,19 +62,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+def module_trees():
+    """(file name, parsed tree) of each module of the package."""
+    src = os.path.join(ROOT, "src", "nrfilter")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "r", encoding="utf-8") as handle:
+                yield name, ast.parse(handle.read())
+
+
+def owners(tree):
+    """The name of the innermost function around each node of ``tree``,
+    by node id. ast.walk goes outside in, so an inner function names its
+    own nodes."""
+    return {id(node): function.name for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+
+
 def test_json_is_decoded_in_decode_json_alone():
     """Every JSON input goes through core.decode_json, so one rule says how
     a text that does not decode (nesting too deep included) fails."""
-    src = os.path.join(ROOT, "src", "nrfilter")
     sites = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        # ast.walk goes outside in, so an inner function names its own calls.
-        owner = {id(node): function.name for function in ast.walk(tree)
-                 if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+    for name, tree in module_trees():
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 sites += [f"{name}:{node.lineno} imports json.{alias.name}"
@@ -82,3 +93,20 @@ def test_json_is_decoded_in_decode_json_alone():
                   and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 sites.append(f"{name} {owner.get(id(node))}")
     assert sites == ["core.py decode_json"], sites
+
+
+def test_configs_are_built_in_read_config_alone():
+    """Every config read from a file, a flag or a model file goes through
+    core.read_config, so one rule checks its keys and value kinds: no
+    other function calls a config class, ``cls`` or ``replace`` with a
+    ``**`` mapping."""
+    builders = {name for name in nrfilter.__all__
+                if name.endswith("Config") and dataclasses.is_dataclass(getattr(nrfilter, name))}
+    builders |= {"cls", "replace"}
+    sites = []
+    for name, tree in module_trees():
+        owner = owners(tree)
+        sites += [f"{name} {owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in builders and any(k.arg is None for k in node.keywords)]
+    assert sites == ["core.py read_config"], sites

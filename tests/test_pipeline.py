@@ -26,7 +26,14 @@ from nrfilter import (
     write_records,
 )
 from nrfilter.cli import main
-from nrfilter.core import EntitySpan, iter_records, parse_record, record_to_obj
+from nrfilter.core import (
+    EntitySpan,
+    iter_records,
+    parse_record,
+    read_config,
+    read_config_file,
+    record_to_obj,
+)
 from nrfilter.errors import InvalidConfig, SchemaMismatch
 from nrfilter.features import read_feature_csv
 from nrfilter import pipeline
@@ -481,12 +488,12 @@ class TestPipelineConfigFile:
         config = PipelineConfig(decay_rate=2.0, bins=8, seed=2)
         path = str(tmp_path / "config.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(config.to_obj(), handle)
-        assert PipelineConfig.from_file(path) == config
+            json.dump(dataclasses.asdict(config), handle)
+        assert read_config(PipelineConfig, read_config_file(path), "config") == config
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfig):
-            PipelineConfig.from_obj({"decay": 1.0})
+            read_config(PipelineConfig, {"decay": 1.0}, "config")
 
     def test_validation_fraction_bounds(self):
         with pytest.raises(InvalidConfig):
