@@ -17,7 +17,7 @@ from nrfilter import (
     feature_names,
     featurize_chunks,
 )
-from nrfilter.features import SCOPE_ORDER
+from nrfilter.core import SCOPE_ORDER
 
 schema = ClassSchema(("",))
 chunk = Chunk(

@@ -24,7 +24,6 @@ from .core import (
     write_records,
 )
 from .pdm import (
-    DecayConfig,
     compute_pdm,
     cumulative_bins,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "record_to_obj",
     "validate_chunk",
     "write_records",
-    "DecayConfig",
     "compute_pdm",
     "cumulative_bins",
     "FeatureConfig",

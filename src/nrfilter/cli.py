@@ -46,7 +46,6 @@ from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
 from .pipeline import (
     PipelineConfig,
     featurize_blocks,
-    model_featurization,
     run_pipeline,
     stream_classify,
 )
@@ -189,7 +188,8 @@ def cmd_featurize(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _config(args, SynthConfig, _config_file(args.synth_config), "synth config")
-    n = write_records(args.out, iter_generate(config))
+    with _output(args.out) as out:
+        n = write_records(out, iter_generate(config))
     print(f"generated {n} records -> {args.out}")
     return EXIT_OK
 
@@ -222,7 +222,6 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     model = load_model(args.model)
-    model_featurization(model)  # a model classify would reject is not saved
     table = _training_table(args.features)
     if table.names != model.feature_names:
         raise SchemaMismatch("the feature CSV's columns differ from the model's features")
@@ -254,9 +253,9 @@ def cmd_classify(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.model)
-    config = model_featurization(model)
     n_records = shown = 0
-    blocks = featurize_blocks(iter_records(args.record), config, model.feature_names)
+    blocks = featurize_blocks(iter_records(args.record), model.featurization,
+                              model.feature_names)
     for record, spans, matrix in itertools.chain.from_iterable(blocks):
         n_records += 1
         for i, (span, leaf) in enumerate(zip(spans, model.walk(matrix))):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InvalidConfig,
+    NonPositiveDecayRate,
     ParseError,
     ProbabilityOutOfRange,
     ProbabilitySumViolation,
@@ -37,6 +38,59 @@ WEAK = "weak"
 
 # How decode_spans treats an I token with no open span of its entity.
 ORPHAN_POLICIES = ("promote", "ignore")
+
+# The token sets a span's statistics are taken over, in feature-column order.
+SCOPE_TOKEN = "Token"
+SCOPE_WORD = "Word"
+SCOPE_PHRASE = "Phrase"
+SCOPE_NEIGHBOR = "Neighbor"
+SCOPE_CONTEXT = "Context"
+SCOPE_ORDER = (SCOPE_TOKEN, SCOPE_WORD, SCOPE_PHRASE, SCOPE_NEIGHBOR, SCOPE_CONTEXT)
+
+# A span's feature row holds bins x K float64 density cells: at this
+# bound 56 KB at K = 7, so the feature matrix of 10,000 spans stays under
+# 600 MB. A larger count is refused before anything is built.
+MAX_BINS = 1000
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    """The featurization: the density maps' Gaussian decay rate and bin
+    count, the neighbor window, the scopes and the orphan policy. Every
+    field changes a decoded span or a feature row, so a model records
+    them all (``TreeModel.featurization``)."""
+
+    decay_rate: float = 1.0
+    bins: int = 10
+    neighbor_window: int = 1
+    scopes: tuple[str, ...] = SCOPE_ORDER
+    orphan_policy: str = "promote"
+
+    def __post_init__(self):
+        if not self.decay_rate > 0:
+            raise NonPositiveDecayRate(f"decay rate must be > 0, got {self.decay_rate}")
+        if not 1 <= self.bins <= MAX_BINS:
+            raise InvalidConfig(f"bin count must be in [1, {MAX_BINS}], got {self.bins}")
+        if self.orphan_policy not in ORPHAN_POLICIES:
+            raise InvalidConfig(
+                f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
+            )
+        if self.neighbor_window < 0:
+            raise InvalidConfig(f"neighbor window must be >= 0, got {self.neighbor_window}")
+        unknown = [s for s in self.scopes if s not in SCOPE_ORDER]
+        if unknown:
+            raise InvalidConfig(f"unknown scopes: {unknown}")
+        # A scope named twice would name each of its columns twice.
+        repeated = [s for s in SCOPE_ORDER if self.scopes.count(s) > 1]
+        if repeated:
+            raise InvalidConfig(f"scopes named more than once: {repeated}")
+
+    @property
+    def featurization(self) -> FeatureConfig:
+        """The FeatureConfig of this config's five fields (a
+        PipelineConfig's too): what a model records so that it is
+        classified as it was trained."""
+        return FeatureConfig(*(getattr(self, f.name) for f in fields(FeatureConfig)))
 
 
 @dataclass(frozen=True)
@@ -559,8 +613,10 @@ def read_config(cls, obj, what: str):
 
     Every key must name a field of ``cls`` and every value must be of the
     JSON kind of that field's default, else InvalidConfig names the key.
-    A tuple field takes a list, and a field whose default is a config
-    takes an object, read by this rule. Range checks stay with ``cls``.
+    A float field stores a float (``2`` and ``2.0`` are one config and
+    write one value), a tuple field takes a list, and a field whose
+    default is a config takes an object, read by this rule. Range checks
+    stay with ``cls``.
     """
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{what} must be a JSON object, got {obj!r}")
@@ -577,6 +633,8 @@ def read_config(cls, obj, what: str):
             raise InvalidConfig(f"{what} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
         if kind is dict:
             value = read_config(type(default), value, f"{key} config")
+        elif kind is float:
+            value = float(value)
         elif isinstance(default, tuple):
             value = tuple(value)
         kwargs[key] = value

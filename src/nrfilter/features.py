@@ -18,23 +18,27 @@ import io
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import ORPHAN_POLICIES, Chunk, ClassSchema, EntitySpan, is_utf8
-from .errors import AnchorOutOfRange, InvalidConfig, ParseError, SchemaMismatch
-from .pdm import DecayConfig, bin_edges, binned_mass, decay_table
-
-SCOPE_TOKEN = "Token"
-SCOPE_WORD = "Word"
-SCOPE_PHRASE = "Phrase"
-SCOPE_NEIGHBOR = "Neighbor"
-SCOPE_CONTEXT = "Context"
-SCOPE_ORDER = (SCOPE_TOKEN, SCOPE_WORD, SCOPE_PHRASE, SCOPE_NEIGHBOR, SCOPE_CONTEXT)
+from .core import (
+    SCOPE_CONTEXT,
+    SCOPE_NEIGHBOR,
+    SCOPE_PHRASE,
+    SCOPE_TOKEN,
+    SCOPE_WORD,
+    Chunk,
+    ClassSchema,
+    EntitySpan,
+    FeatureConfig,
+    is_utf8,
+)
+from .errors import AnchorOutOfRange, ParseError, SchemaMismatch
+from .pdm import bin_edges, binned_mass, decay_table
 
 _CLASS_STATS = ("count", "ratio", "max_prob", "mean_prob", "cov_prob")
 _SCOPE_STATS = (
@@ -45,42 +49,6 @@ _SCOPE_STATS = (
     "mean_entropy",
     "size",
 )
-
-
-@dataclass(frozen=True)
-class FeatureConfig(DecayConfig):
-    """The featurization: the density-map knobs of DecayConfig plus the
-    neighbor window, the scopes and the orphan policy. Every field
-    changes a decoded span or a feature row, so a model records them
-    all (``featurization``)."""
-
-    neighbor_window: int = 1
-    scopes: tuple[str, ...] = SCOPE_ORDER
-    orphan_policy: str = "promote"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.orphan_policy not in ORPHAN_POLICIES:
-            raise InvalidConfig(
-                f"orphan_policy must be one of {list(ORPHAN_POLICIES)}, got {self.orphan_policy!r}"
-            )
-        if self.neighbor_window < 0:
-            raise InvalidConfig(f"neighbor window must be >= 0, got {self.neighbor_window}")
-        unknown = [s for s in self.scopes if s not in SCOPE_ORDER]
-        if unknown:
-            raise InvalidConfig(f"unknown scopes: {unknown}")
-        # A scope named twice would name each of its columns twice.
-        repeated = [s for s in SCOPE_ORDER if self.scopes.count(s) > 1]
-        if repeated:
-            raise InvalidConfig(f"scopes named more than once: {repeated}")
-
-    @property
-    def featurization(self) -> dict:
-        """The JSON object of the FeatureConfig fields, which a model
-        records so that it is classified as it was trained."""
-        obj = {f.name: getattr(self, f.name) for f in fields(FeatureConfig)}
-        obj["scopes"] = list(self.scopes)
-        return obj
 
 
 def canonical_feature_name(name: str) -> str:

@@ -9,31 +9,13 @@ bin, which is easier to read when inspecting single chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .core import Chunk
-from .errors import AnchorOutOfRange, InvalidConfig, NonPositiveDecayRate
-
-DEFAULT_DECAY_RATE = 1.0
-DEFAULT_BINS = 10
-
-
-@dataclass(frozen=True)
-class DecayConfig:
-    """Gaussian decay rate and bin count for density maps."""
-
-    decay_rate: float = DEFAULT_DECAY_RATE
-    bins: int = DEFAULT_BINS
-
-    def __post_init__(self):
-        if not self.decay_rate > 0:
-            raise NonPositiveDecayRate(f"decay rate must be > 0, got {self.decay_rate}")
-        if self.bins < 1:
-            raise InvalidConfig(f"bin count must be >= 1, got {self.bins}")
+from .core import Chunk, FeatureConfig
+from .errors import AnchorOutOfRange
 
 
 def _check_anchor(chunk: Chunk, t_predicted: int):
@@ -90,7 +72,7 @@ def decay_table(length: int, decay_rate: float) -> np.ndarray:
 def compute_pdm(
     chunk: Chunk,
     t_predicted: int,
-    config: DecayConfig = DecayConfig(),
+    config: FeatureConfig = FeatureConfig(),
     exclude: Iterable[int] | None = None,
 ) -> np.ndarray:
     """Decay-weighted (bins, K) density map around ``t_predicted``.
@@ -111,7 +93,7 @@ def compute_pdm(
                        config.bins, np.array([float(T)]))[0]
 
 
-def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = DEFAULT_BINS) -> np.ndarray:
+def cumulative_bins(chunk: Chunk, t_predicted: int, bins: int = FeatureConfig.bins) -> np.ndarray:
     """Unweighted per-bin probability sums around ``t_predicted``.
 
     Same binning as compute_pdm but each token adds its raw probability:

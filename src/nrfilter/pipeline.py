@@ -24,7 +24,6 @@ from .core import (
     WEAK,
     decode_spans,
     iter_records,
-    read_config,
 )
 from .errors import InvalidConfig, SchemaMismatch, SingleClassTrainingSet
 from .features import (
@@ -76,18 +75,6 @@ class PipelineConfig(FeatureConfig):
             )
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-
-
-def model_featurization(model: TreeModel) -> FeatureConfig:
-    """The featurization a model records, by ``read_config``: how
-    ``classify``, ``explain`` and ``stream_classify`` decode and
-    featurize. A model that records none was trained under the
-    defaults; a malformed record is a SchemaMismatch, like any other
-    malformed part of a model file."""
-    try:
-        return read_config(FeatureConfig, model.featurization, "featurization")
-    except InvalidConfig as exc:
-        raise SchemaMismatch(f"malformed model file: {exc}") from exc
 
 
 def validation_draws(seed: int, n: int) -> np.ndarray:
@@ -271,7 +258,7 @@ def stream_classify(
     of records at a time (see ``featurize_blocks``).
 
     The spans are decoded and featurized as the model records
-    (``model_featurization``).
+    (``model.featurization``).
 
     Dropped spans are kept in the output flagged "weak" so rejections
     stay reviewable. ``out`` is flushed after each block. A record that
@@ -281,8 +268,7 @@ def stream_classify(
     """
     counts = {STRONG: 0, WEAK: 0}
     lines = _verdict_lines(model, include_path)
-    blocks = featurize_blocks(iter_records(corpus), model_featurization(model),
-                              model.feature_names)
+    blocks = featurize_blocks(iter_records(corpus), model.featurization, model.feature_names)
     for block in blocks:
         for _, spans, matrix in block:
             for verdict, line in lines(spans, model.walk(matrix)):

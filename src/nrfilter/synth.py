@@ -32,6 +32,11 @@ _CONTEXT_WORDS = (
 )
 
 
+# A generated record costs about 0.6 KB per token to write and 0.75 KB to
+# read back, so one of this many tokens stays under about 75 MB.
+MAX_TOKENS = 100_000
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_strong: int = 500
@@ -51,10 +56,9 @@ class SynthConfig:
             raise InvalidConfig(
                 f"pull_strength must be in (0, 0.1), got {self.pull_strength}"
             )
-        if self.min_tokens < 4 or self.max_tokens < self.min_tokens:
-            raise InvalidConfig(
-                f"bad token range [{self.min_tokens}, {self.max_tokens}]"
-            )
+        if not 4 <= self.min_tokens <= self.max_tokens <= MAX_TOKENS:
+            raise InvalidConfig(f"bad token range [{self.min_tokens}, {self.max_tokens}]: "
+                                f"need 4 <= min_tokens <= max_tokens <= {MAX_TOKENS}")
         if not 0.0 <= self.label_flip_rate <= 1.0:
             raise InvalidConfig("label_flip_rate must be in [0, 1]")
         if not 0.0 <= self.noise_sigma <= 0.05:

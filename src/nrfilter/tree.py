@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import STRONG, WEAK, decode_json, is_json, read_config
+from .core import STRONG, WEAK, FeatureConfig, decode_json, is_json, read_config
 from .errors import (
     InvalidConfig,
     NoFeasibleThreshold,
@@ -78,15 +78,14 @@ class TreeModel:
     """An immutable trained tree; node 0 is the root. ``paths[i]`` is the
     rendered decision path to node i, one predicate per internal node on
     the way: at a leaf, the path of every instance that reaches it.
-    ``featurization`` is the JSON object of the settings that made the
-    tree's feature rows, kept as read; ``nrfilter.pipeline`` interprets
-    it, and an empty one means its defaults."""
+    ``featurization`` is the config that made the tree's feature rows,
+    under which its spans are decoded and featurized."""
 
     feature_names: tuple[str, ...]
     nodes: tuple[Internal | Leaf, ...]
     decision_threshold: float
     config: TrainConfig
-    featurization: dict = field(default_factory=dict)
+    featurization: FeatureConfig = FeatureConfig()
     paths: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -430,7 +429,7 @@ def serialize_model(model: TreeModel) -> str:
         "feature_names": list(model.feature_names),
         "decision_threshold": model.decision_threshold,
         "config": asdict(model.config),
-        "featurization": model.featurization,
+        "featurization": asdict(model.featurization),
         "nodes": nodes,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -445,10 +444,11 @@ def _json_number(value, kind: type):
 
 def deserialize_model(text: str) -> TreeModel:
     """Rebuild a model from ``serialize_model`` output; anything else,
-    down to a malformed node or config block, is a SchemaMismatch. A
-    node index or feature is a JSON integer, a threshold or p_weak a
-    finite JSON number and a feature name a JSON string: no string, bool
-    or (for an index) fraction is coerced."""
+    down to a malformed node, config or featurization block, is a
+    SchemaMismatch. A node index or feature is a JSON integer, a
+    threshold or p_weak a finite JSON number and a feature name a JSON
+    string: no string, bool or (for an index) fraction is coerced. A
+    model without a featurization was trained under ``FeatureConfig()``."""
     try:
         payload = decode_json(text)
         if payload.get("format_version") != FORMAT_VERSION:
@@ -472,7 +472,8 @@ def deserialize_model(text: str) -> TreeModel:
             nodes=tuple(nodes),
             decision_threshold=_json_number(payload["decision_threshold"], float),
             config=read_config(TrainConfig, stored, "model config"),
-            featurization=payload.get("featurization", {}),
+            featurization=read_config(FeatureConfig, payload.get("featurization", {}),
+                                      "model featurization"),
         )
         stored_hash = payload["schema_hash"]
     except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:

@@ -31,6 +31,7 @@ from nrfilter.cli import (
     EXIT_VALIDATION,
     main,
 )
+from nrfilter.core import MAX_BINS
 from nrfilter.errors import NrFilterError
 from nrfilter.features import read_feature_csv
 from nrfilter.pipeline import _STREAM_WIDTHS
@@ -316,6 +317,18 @@ class TestPipelineCommand:
             report = json.load(handle)
         assert report["config"]["tree"]["max_tp_drop"] == 0.02
         assert report["validation"]["tp_drop_pct"] <= 2.0
+
+    def test_integer_and_float_spellings_write_one_model(self, workdir, tmp_path):
+        """A float field stores a float: ``{"decay_rate": 2}`` and
+        ``--decay-rate 2`` write byte-identical models and reports."""
+        config = tmp_path / "config.json"
+        config.write_text('{"decay_rate": 2}', encoding="utf-8")
+        for name, flags in (("file", ["--config", config]), ("flag", ["--decay-rate", 2])):
+            assert run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", tmp_path / name,
+                        *flags]) == EXIT_OK
+        for artifact in ("model.json", "report.json"):
+            assert (tmp_path / "file" / artifact).read_bytes() == \
+                (tmp_path / "flag" / artifact).read_bytes(), artifact
 
     def test_train_records_the_config_as_pipeline_does(self, workdir, tmp_path):
         """``train --config`` writes the featurization and tree settings that
@@ -759,6 +772,9 @@ BAD_CONFIGS = {
     "tree-min-impurity-decrease-negative": ('{"tree": {"min_impurity_decrease": -1}}', [],
                                             "min_impurity_decrease must be >= 0"),
     "neighbor-window-negative": ('{"neighbor_window": -1}', [], "neighbor window must be >= 0"),
+    # Refused before a bin is labelled or a density cell allocated.
+    "bins-too-many": (f'{{"bins": {2**40}}}', [], "bin count"),
+    "bins-too-many-flag": (None, ["--bins", MAX_BINS + 1], "bin count"),
     # The second --corpus wins: an empty corpus decodes no span.
     "corpus-without-spans": (None, ["--corpus", os.devnull], "no predicted spans"),
 }
@@ -793,6 +809,7 @@ BAD_FEATURIZATIONS = {
     "featurization-decay-zero": {"decay_rate": 0.0},
     "featurization-unknown-scope": {"scopes": ["Token", "Sentence"]},
     "featurization-decay-rate-huge-int": {"decay_rate": 10**400},
+    "featurization-bins-too-many": {"bins": 2**40},  # refused before a bin is labelled
 }
 # A malformed field of a model file's first node that holds it, by case
 # name: a leaf's "ns"/"pw" or a split's "f"/"t"/"l". An index is a JSON
@@ -1081,9 +1098,14 @@ class TestSynthConfigContract:
                                             pytest.param(TOO_DEEP, "JSON", id="nested-too-deep"),
                                             ('{"seed": -1}', "seed must be >= 0"),
                                             pytest.param(["--noise-sigma", 0.1], "noise_sigma",
-                                                         id="noise-sigma-flag")])
+                                                         id="noise-sigma-flag"),
+                                            pytest.param(["--max-tokens", 2**64], "max_tokens",
+                                                         id="max-tokens-flag"),
+                                            pytest.param('{"max_tokens": 100001}', "max_tokens",
+                                                         id="max-tokens")])
     def test_exits_config(self, tmp_path, capsys, text, word):
-        argv = ["synth", "--out", tmp_path / "gen.jsonl"]
+        out = tmp_path / "gen.jsonl"
+        argv = ["synth", "--out", out]
         if isinstance(text, list):
             argv += text
         else:
@@ -1091,6 +1113,7 @@ class TestSynthConfigContract:
             argv += ["--config", tmp_path / "synth.json"]
         assert run(argv) == EXIT_CONFIG
         assert word in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_override_config_file(self, tmp_path):
         (tmp_path / "synth.json").write_text('{"n_strong": 3, "n_weak": 2}', encoding="utf-8")

@@ -30,7 +30,8 @@ from nrfilter import (
 )
 from nrfilter import features
 from nrfilter.errors import AnchorOutOfRange, SchemaMismatch
-from nrfilter.features import SCOPE_ORDER, featurize_chunks
+from nrfilter.core import SCOPE_ORDER
+from nrfilter.features import featurize_chunks
 
 from oracles import reference_features
 

@@ -110,3 +110,29 @@ def test_configs_are_built_in_read_config_alone():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in builders and any(k.arg is None for k in node.keywords)]
     assert sites == ["core.py read_config"], sites
+
+
+def test_featurization_is_declared_and_read_in_one_place():
+    """FeatureConfig alone declares the five featurization fields, and
+    tree alone reads a model payload's "featurization" key, so a model is
+    applied under the one config type its file holds."""
+    featurization = {f.name for f in dataclasses.fields(nrfilter.FeatureConfig)}
+    assert featurization == {"decay_rate", "bins", "neighbor_window", "scopes", "orphan_policy"}
+    declared, readers = [], []
+    for name, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                declared += [f"{name} {node.name}.{item.target.id}" for item in node.body
+                             if isinstance(item, ast.AnnAssign)
+                             and isinstance(item.target, ast.Name)
+                             and item.target.id in featurization]
+            key = None
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("get", "pop", "setdefault") and node.args):
+                key = node.args[0]
+            if isinstance(key, ast.Constant) and key.value == "featurization":
+                readers.append(name)
+    assert sorted(declared) == [f"core.py FeatureConfig.{field}" for field in sorted(featurization)]
+    assert set(readers) == {"tree.py"}, readers

@@ -6,7 +6,7 @@ import pytest
 from nrfilter import (
     Chunk,
     ClassSchema,
-    DecayConfig,
+    FeatureConfig,
     compute_pdm,
     cumulative_bins,
     decode_spans,
@@ -39,9 +39,9 @@ class TestDecayWeight:
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(NonPositiveDecayRate):
-            DecayConfig(decay_rate=0.0)
+            FeatureConfig(decay_rate=0.0)
         with pytest.raises(NonPositiveDecayRate):
-            DecayConfig(decay_rate=-1.0)
+            FeatureConfig(decay_rate=-1.0)
 
 
 class TestWorkedExamples:
@@ -84,7 +84,7 @@ class TestAgainstBruteForce:
             anchor = int(rng.integers(chunk.n_tokens))
             r = float(rng.uniform(0.3, 4.0))
             bins = int(rng.choice([4, 10, 16]))
-            got = compute_pdm(chunk, anchor, DecayConfig(r, bins))
+            got = compute_pdm(chunk, anchor, FeatureConfig(r, bins))
             want = brute_force_pdm(chunk.probs.tolist(), anchor, r, bins)
             np.testing.assert_allclose(got, np.array(want), atol=1e-12, rtol=0)
 

@@ -2,7 +2,7 @@ import io
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nrfilter import (
     STRONG,
+    FeatureConfig,
     iter_records,
     WEAK,
     PipelineConfig,
@@ -26,6 +27,7 @@ from nrfilter import (
     train_matrix,
 )
 from nrfilter import tree
+from nrfilter.core import read_config
 from nrfilter.features import read_feature_csv, write_feature_csv
 from nrfilter.errors import (
     InvalidConfig,
@@ -676,14 +678,20 @@ class TestPersistence:
         model = train_matrix(X, labels, NAMES).with_threshold(0.75)
         assert deserialize_model(serialize_model(model)).decision_threshold == 0.75
 
-    def test_featurization_kept_as_read(self):
-        """The object round-trips as read, through a threshold change too;
-        the tree does not interpret it. Without the key it reads as {}."""
+    def test_featurization_read_and_written_whole(self):
+        """The object is a FeatureConfig read by read_config, written back
+        whole, through a threshold change too; a model without the key
+        was trained under FeatureConfig()."""
         X, labels = make_separable()
         payload = json.loads(serialize_model(train_matrix(X, labels, NAMES)))
-        assert payload["featurization"] == {}
-        payload["featurization"] = {"bins": 8, "anything": [1, "a"]}
+        assert payload["featurization"] == json.loads(json.dumps(asdict(FeatureConfig())))
+        payload["featurization"] = {"bins": 8, "decay_rate": 2, "scopes": ["Word"]}
         model = deserialize_model(json.dumps(payload)).with_threshold(0.75)
-        assert json.loads(serialize_model(model))["featurization"] == payload["featurization"]
+        assert model.featurization == read_config(FeatureConfig, payload["featurization"],
+                                                  "featurization")
+        written = json.loads(serialize_model(model))["featurization"]
+        assert written == {**asdict(FeatureConfig()), "bins": 8, "decay_rate": 2.0,
+                           "scopes": ["Word"]}
+        assert type(written["decay_rate"]) is float
         del payload["featurization"]
-        assert deserialize_model(json.dumps(payload)).featurization == {}
+        assert deserialize_model(json.dumps(payload)).featurization == FeatureConfig()
