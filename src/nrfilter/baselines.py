@@ -27,6 +27,17 @@ LOGIT_FLOOR = 1e-12
 # iff its scaled weakest-token confidence reaches this fixed cut.
 TEMP_GRID_THRESHOLD = 0.9
 
+# The setting columns of each method's grid rows, and every column of a
+# grid row in the order of the baseline CSV's header.
+SETTINGS = {
+    "softmax": ("threshold",),
+    "temp": ("temperature",),
+    "entropy": ("entropy_cutoff",),
+    "mcdropout": ("mc_mean_cutoff", "mc_var_cutoff"),
+}
+GRID_COLUMNS = ("method", *(name for names in SETTINGS.values() for name in names),
+                "tp_drop_pct", "fp_drop_pct", "precision", "recall", "f1")
+
 # The values a grid may hold, as (test, error, message); NaN passes no test.
 _THRESHOLD = (lambda v: 0.0 <= v <= 1.0, InvalidConfig, "threshold must be in [0, 1], got {}")
 _TEMPERATURE = (lambda v: v > 0, NonPositiveTemperature, "temperature must be > 0, got {}")
@@ -136,11 +147,11 @@ def baseline_grid(
     def scores(score, *args) -> np.ndarray:
         return np.array([score(c, s, *args) for c, s, _ in labeled_spans], dtype=np.float64)
 
-    def row(kept: np.ndarray, **setting: float) -> dict[str, float]:
+    def row(kept: np.ndarray, *setting: float) -> dict[str, float]:
         base, filtered = filter_counts(is_tp, kept)
         return {
             "method": method,
-            **setting,
+            **dict(zip(SETTINGS[method], map(float, setting))),
             **drop_pcts(base, filtered),
             "precision": filtered.precision,
             "recall": filtered.recall,
@@ -150,17 +161,14 @@ def baseline_grid(
     if method == "softmax":
         _check(grid, _THRESHOLD)
         confidence = scores(span_confidence)
-        return [row(confidence >= tau, threshold=float(tau)) for tau in grid]
+        return [row(confidence >= tau, tau) for tau in grid]
     if method == "temp":
         _check(grid, _TEMPERATURE)
-        return [
-            row(scores(span_confidence, t) >= TEMP_GRID_THRESHOLD, temperature=float(t))
-            for t in grid
-        ]
+        return [row(scores(span_confidence, t) >= TEMP_GRID_THRESHOLD, t) for t in grid]
     if method == "entropy":
         _check(grid, _ENTROPY_CUTOFF)
         entropy = scores(mean_span_entropy)
-        return [row(entropy <= cutoff, entropy_cutoff=float(cutoff)) for cutoff in grid]
+        return [row(entropy <= cutoff, cutoff) for cutoff in grid]
     if method == "mcdropout":
         if passes_by_chunk is None:
             raise InvalidConfig("mcdropout grid needs passes_by_chunk")
@@ -171,9 +179,5 @@ def baseline_grid(
             check_passes(chunk, passes_by_chunk.get(chunk.id, ()))
         aggregates = scores(lambda c, s: mc_dropout_aggregate(passes_by_chunk[c.id], s))
         mean, var = aggregates.reshape(-1, 2).T
-        return [
-            row((mean >= m) & (var <= v), mc_mean_cutoff=float(m), mc_var_cutoff=float(v))
-            for m in grid
-            for v in var_grid
-        ]
+        return [row((mean >= m) & (var <= v), m, v) for m in grid for v in var_grid]
     raise InvalidConfig(f"unknown baseline method {method!r}")

@@ -20,9 +20,9 @@ from dataclasses import asdict, fields, is_dataclass, replace
 
 from . import __version__
 from .core import (
-    ORPHAN_POLICIES,
     STRONG,
     WEAK,
+    FeatureConfig,
     decode_spans,
     iter_records,
     json_lines,
@@ -40,7 +40,7 @@ from .errors import (
     ProbabilitySumViolation,
     SchemaMismatch,
 )
-from .baselines import baseline_grid
+from .baselines import GRID_COLUMNS, baseline_grid
 from .features import feature_names, feature_row_obj, read_feature_csv, write_feature_csv
 from .metrics import EntityCounts, drop_pcts, entity_f1, format_drop_table
 from .pipeline import (
@@ -102,20 +102,20 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return _config(args, PipelineConfig, _config_file(args.config), "config")
 
 
-def _add_decode_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="pipeline config JSON file")
-    sub.add_argument("--orphan-policy", dest="orphan_policy",
-                     choices=ORPHAN_POLICIES, default=None)
+def _add_config_flags(sub: argparse.ArgumentParser, cls, names):
+    """Add a flag per named field of the config class ``cls``: ``--name``
+    with dashes, parsed as its default's type and None unless given, so
+    that ``_config`` sets only the given ones and ``cls`` alone checks
+    each value, as it checks a file's."""
+    defaults = cls()
+    for name in names:
+        default = getattr(defaults, name)
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default),
+                         default=None, help=f"default {default} unless the config sets it")
 
 
-def _add_feature_flags(sub: argparse.ArgumentParser):
-    _add_decode_flags(sub)
-    sub.add_argument("--decay-rate", dest="decay_rate", type=float, default=None,
-                     help=f"Gaussian decay rate (default {PipelineConfig.decay_rate})")
-    sub.add_argument("--bins", type=int, default=None,
-                     help=f"density bins (default {PipelineConfig.bins})")
-    sub.add_argument("--neighbor-window", dest="neighbor_window", type=int, default=None,
-                     help=f"neighbor tokens per side (default {PipelineConfig.neighbor_window})")
+# The featurization flags of the commands that featurize or record it.
+_FEATURE_FLAGS = ("orphan_policy", "decay_rate", "bins", "neighbor_window")
 
 
 @contextlib.contextmanager
@@ -349,11 +349,8 @@ def cmd_baseline(args) -> int:
             for record in iter_records(path):
                 passes_by_chunk.setdefault(record.chunk.id, []).append(record.chunk)
     rows = baseline_grid(args.method, labeled, grid, passes_by_chunk, var_grid)
-    fields = ["method", "threshold", "temperature", "entropy_cutoff",
-              "mc_mean_cutoff", "mc_var_cutoff", "tp_drop_pct", "fp_drop_pct",
-              "precision", "recall", "f1"]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields, restval="")
+        writer = csv.DictWriter(handle, fieldnames=GRID_COLUMNS, restval="")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -388,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decode", help="decode argmax tags into entity spans")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_decode_flags(p)
+    p.add_argument("--config", help="pipeline config JSON file")
+    _add_config_flags(p, FeatureConfig, ["orphan_policy"])
     p.set_defaults(fn=cmd_decode)
 
     p = subs.add_parser("featurize", help="emit per-span feature vectors")
@@ -397,42 +395,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--dump-pdm", dest="dump_pdm",
                    help="also dump raw density grids as JSONL (debug)")
-    _add_feature_flags(p)
+    p.add_argument("--config", help="pipeline config JSON file")
+    _add_config_flags(p, FeatureConfig, _FEATURE_FLAGS)
     p.set_defaults(fn=cmd_featurize)
 
     p = subs.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config", dest="synth_config", help="SynthConfig JSON file")
-    p.add_argument("--n-strong", dest="n_strong", type=int, default=None)
-    p.add_argument("--n-weak", dest="n_weak", type=int, default=None)
-    p.add_argument("--min-tokens", dest="min_tokens", type=int, default=None)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--pull-strength", dest="pull_strength", type=float, default=None)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--label-flip-rate", dest="label_flip_rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_config_flags(p, SynthConfig, ["n_strong", "n_weak", "min_tokens", "max_tokens",
+                                       "pull_strength", "noise_sigma", "label_flip_rate", "seed"])
     p.set_defaults(fn=cmd_synth)
 
     p = subs.add_parser("train", help="train the strong/weak tree from a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None,
-                   help=f"default {TrainConfig.max_depth}")
-    p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int, default=None,
-                   help=f"default {TrainConfig.min_samples_leaf}")
-    p.add_argument("--min-impurity-decrease", dest="min_impurity_decrease",
-                   type=float, default=None, help=f"default {TrainConfig.min_impurity_decrease}")
-    p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None,
-                   help=f"default {TrainConfig.max_tp_drop}")
+    _add_config_flags(p, TrainConfig, ["max_depth", "min_samples_leaf",
+                                       "min_impurity_decrease", "max_tp_drop"])
     p.add_argument("--no-class-weights", dest="class_weighted", action="store_const",
                    const=False, default=None)
-    _add_feature_flags(p)
+    p.add_argument("--config", help="pipeline config JSON file")
+    _add_config_flags(p, FeatureConfig, _FEATURE_FLAGS)
     p.set_defaults(fn=cmd_train)
 
     p = subs.add_parser("tune", help="pick the decision threshold on validation data")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None)
+    _add_config_flags(p, TrainConfig, ["max_tp_drop"])
     p.set_defaults(fn=cmd_tune)
 
     p = subs.add_parser("classify", help="stream verdicts for every decoded span")
@@ -470,11 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pipeline", help="featurize, train, tune, classify, report")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--max-tp-drop", dest="max_tp_drop", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="validation split seed")
-    p.add_argument("--validation-fraction", dest="validation_fraction",
-                   type=float, default=None)
-    _add_feature_flags(p)
+    _add_config_flags(p, TrainConfig, ["max_tp_drop"])
+    _add_config_flags(p, PipelineConfig, ["seed", "validation_fraction"])
+    p.add_argument("--config", help="pipeline config JSON file")
+    _add_config_flags(p, FeatureConfig, _FEATURE_FLAGS)
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

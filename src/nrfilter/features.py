@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -429,7 +428,8 @@ def write_feature_csv(
     blocks: Iterable[tuple[Sequence[str], Sequence[EntitySpan], Sequence[str | None], np.ndarray]],
 ) -> int:
     """Stream blocks of (names, spans, labels, rows) to a CSV handle opened
-    with newline="": a label and a matrix row per span. The header, meta
+    with newline="": a label and a matrix row per span, or a ValueError
+    naming the three counts when they differ. The header, meta
     columns + names, comes from the first block with a span; a block with
     other names, or rows of another width, is a SchemaMismatch.
 
@@ -457,6 +457,8 @@ def write_feature_csv(
         parts.clear()
 
     for names, spans, labels, rows in blocks:
+        if not len(spans) == len(labels) == len(rows):
+            raise ValueError(f"{len(spans)} spans, {len(labels)} labels and {len(rows)} rows")
         if not len(spans):
             continue
         if header is None:
@@ -465,17 +467,16 @@ def write_feature_csv(
             target.write(metas.pop())
         elif names is not header and tuple(names) != tuple(header):
             raise SchemaMismatch("feature rows use differing schemas")
-        m = min(len(spans), len(labels), len(rows))
-        rows = np.ascontiguousarray(rows[:m], dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.shape[1:] != (len(header),):
             raise SchemaMismatch(f"feature rows of shape {rows.shape} under {len(header)} names")
         writer.writerows(
             (span.chunk_id, span.entity_type, span.start, span.end, span.anchor,
              label if label is not None else "")
-            for span, label in itertools.islice(zip(spans, labels), m)
+            for span, label in zip(spans, labels)
         )
         parts.append(rows)
-        n += m
+        n += len(spans)
         cells += rows.size
         if cells >= _CSV_CELLS:
             flush()

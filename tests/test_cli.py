@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -29,10 +30,11 @@ from nrfilter.cli import (
     EXIT_PARSE,
     EXIT_SCHEMA,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 from nrfilter.core import MAX_BINS
-from nrfilter.errors import NrFilterError
+from nrfilter.errors import NoFeasibleThreshold, NrFilterError
 from nrfilter.features import read_feature_csv
 from nrfilter.pipeline import _STREAM_WIDTHS
 from nrfilter.tree import cut_threshold
@@ -370,6 +372,47 @@ class TestFeaturizationFlags:
             main([command, "--help"])
         text = capsys.readouterr().out
         assert {flag for flag in FEATURIZATION_FLAGS if flag in text} == kept
+
+
+# Each subcommand's options, as "option dest" in parser order, apart from
+# --help. Every config flag is built from its field, and none may change
+# its spelling or dest in doing so.
+COMMAND_OPTIONS = {
+    "validate": ["--input input"],
+    "decode": ["--input input", "--out out", "--config config", "--orphan-policy orphan_policy"],
+    "featurize": ["--input input", "--out out", "--format format", "--dump-pdm dump_pdm",
+                  "--config config", "--orphan-policy orphan_policy", "--decay-rate decay_rate",
+                  "--bins bins", "--neighbor-window neighbor_window"],
+    "synth": ["--out out", "--config synth_config", "--n-strong n_strong", "--n-weak n_weak",
+              "--min-tokens min_tokens", "--max-tokens max_tokens",
+              "--pull-strength pull_strength", "--noise-sigma noise_sigma",
+              "--label-flip-rate label_flip_rate", "--seed seed"],
+    "train": ["--features features", "--model model", "--max-depth max_depth",
+              "--min-samples-leaf min_samples_leaf",
+              "--min-impurity-decrease min_impurity_decrease", "--max-tp-drop max_tp_drop",
+              "--no-class-weights class_weighted", "--config config",
+              "--orphan-policy orphan_policy", "--decay-rate decay_rate", "--bins bins",
+              "--neighbor-window neighbor_window"],
+    "tune": ["--model model", "--features features", "--max-tp-drop max_tp_drop"],
+    "classify": ["--input input", "--model model", "--out out", "--threshold threshold",
+                 "--no-path no_path"],
+    "explain": ["--model model", "--record record", "--span-index span_index"],
+    "evaluate": ["--pred pred", "--gold gold", "--base base", "--out out"],
+    "baseline": ["--method method", "--input input", "--grid grid", "--var-grid var_grid",
+                 "--passes passes", "--out out"],
+    "pipeline": ["--corpus corpus", "--out-dir out_dir", "--max-tp-drop max_tp_drop",
+                 "--seed seed", "--validation-fraction validation_fraction", "--config config",
+                 "--orphan-policy orphan_policy", "--decay-rate decay_rate", "--bins bins",
+                 "--neighbor-window neighbor_window"],
+}
+
+
+def test_every_subcommands_options_are_pinned():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [f"{' '.join(a.option_strings)} {a.dest}" for a in sub._actions
+                  if a.dest != "help"]
+           for name, sub in subs.choices.items()}
+    assert got == COMMAND_OPTIONS
 
 
 class TestConsoleEntrypoint:
@@ -790,6 +833,43 @@ class TestConfigContract:
             argv += ["--config", tmp_path / "config.json"]
         assert run(argv + flags) == EXIT_CONFIG
         assert word in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decode", "featurize", "train", "pipeline"])
+    def test_orphan_policy_flag_exits_config(self, workdir, trained, tmp_path, capsys,
+                                             command):
+        """The flag has no check of its own: FeatureConfig refuses its value
+        as it refuses a file's, before any output is opened."""
+        out = tmp_path / "out"
+        argv = {"decode": ["--input", workdir["corpus"], "--out", out],
+                "featurize": ["--input", workdir["corpus"], "--out", out],
+                "train": ["--features", trained["features"], "--model", out],
+                "pipeline": ["--corpus", workdir["corpus"], "--out-dir", out]}[command]
+        assert run([command, *argv, "--orphan-policy", "drop"]) == EXIT_CONFIG
+        assert "orphan_policy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_fields_without_a_bound(self, workdir, tmp_path):
+        """neighbor_window, max_depth and min_samples_leaf need no upper
+        bound: the window is clipped to its chunk, and the two tree limits
+        are only compared."""
+        huge = 2**70
+        out_dir, model = tmp_path / "run", tmp_path / "model.json"
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", out_dir,
+                    "--neighbor-window", huge]) == EXIT_OK
+        assert run(["classify", "--input", workdir["corpus"], "--model", out_dir / "model.json",
+                    "--out", verdicts]) == EXIT_OK
+        # Every record is shorter than 1,000 tokens.
+        assert run(["featurize", "--input", workdir["corpus"], "--out", tmp_path / "wide.csv",
+                    "--neighbor-window", 1000]) == EXIT_OK
+        assert (tmp_path / "wide.csv").read_bytes() == (out_dir / "features.csv").read_bytes()
+        assert run(["train", "--features", out_dir / "features.csv", "--model", model,
+                    "--max-depth", huge, "--min-samples-leaf", huge]) == EXIT_OK
+        with pytest.warns(NoFeasibleThreshold):  # a single leaf keeps every span
+            assert run(["tune", "--features", out_dir / "features.csv",
+                        "--model", model]) == EXIT_OK
+        assert run(["classify", "--input", workdir["corpus"], "--model", model,
+                    "--out", verdicts]) == EXIT_OK
 
 
 def mangle_model(model_path, out_path, change):

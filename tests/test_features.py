@@ -463,6 +463,19 @@ class TestFeatureCsvWriter:
         assert n == reference_write_feature_csv(want, blocks)
         assert got.getvalue() == want.getvalue()
 
+    @pytest.mark.parametrize("counts", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
+    def test_block_counts_must_agree(self, counts):
+        """A block's spans, labels and rows pair up one to one: a shorter
+        list is an error, not a reason to drop rows."""
+        n_spans, n_labels, n_rows = counts
+        span = EntitySpan("a", "B", 0, 0, 0, text="")
+        buffer = io.StringIO(newline="")
+        with pytest.raises(ValueError, match=f"{n_spans} spans, {n_labels} labels and "
+                                             f"{n_rows} rows"):
+            write_feature_csv(buffer, [(SMALL_NAMES, [span] * n_spans, ["weak"] * n_labels,
+                                        np.zeros((n_rows, len(SMALL_NAMES))))])
+        assert buffer.getvalue() == ""
+
     def test_signed_zeros_in_one_group(self):
         span = EntitySpan("a,b", "B", 0, 0, 0, text="")
         values = np.zeros((2, len(SMALL_NAMES)))

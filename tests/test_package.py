@@ -136,3 +136,29 @@ def test_featurization_is_declared_and_read_in_one_place():
                 readers.append(name)
     assert sorted(declared) == [f"core.py FeatureConfig.{field}" for field in sorted(featurization)]
     assert set(readers) == {"tree.py"}, readers
+
+
+def test_config_flags_are_built_from_their_fields():
+    """cli._add_config_flags alone adds a flag spelled like a config field,
+    so the flag's type comes from its field and the config class alone
+    checks its value. --no-class-weights, the one flag not spelled like
+    its field, is the exception."""
+    config_fields = {f.name for cls in (nrfilter.FeatureConfig, nrfilter.TrainConfig,
+                                        nrfilter.PipelineConfig, nrfilter.SynthConfig)
+                     for f in dataclasses.fields(cls)}
+    with open(os.path.join(ROOT, "src", "nrfilter", "cli.py"), "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    owner = owners(tree)
+    sites = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        flags = [arg.value for arg in node.args
+                 if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")]
+        spelled = {flag[2:].replace("-", "_") for flag in flags}
+        spelled |= {k.value.value for k in node.keywords
+                    if k.arg == "dest" and isinstance(k.value, ast.Constant)}
+        if spelled & config_fields and owner.get(id(node)) != "_add_config_flags":
+            sites.append(f"{owner.get(id(node))} {' '.join(flags)}")
+    assert sites == ["build_parser --no-class-weights"], sites
