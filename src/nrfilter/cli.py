@@ -75,7 +75,9 @@ def _config(args: argparse.Namespace, cls, obj, what: str):
     """``read_config`` of the parsed JSON object ``obj`` with each field
     of the config class ``cls`` that was given as a flag set in it (a
     nested config's in its own object), so a flag passes the checks a
-    file's value passes."""
+    file's value passes. A flag's text is read as its field's type, as
+    Python reads it (``.06``, ``1e-3``); text that does not read so is
+    set as it is, for ``read_config`` to refuse naming the field."""
 
     def flagged(cls, obj):
         if not isinstance(obj, dict):
@@ -87,7 +89,10 @@ def _config(args: argparse.Namespace, cls, obj, what: str):
             if is_dataclass(default):
                 obj[f.name] = flagged(type(default), obj.get(f.name, {}))
             elif getattr(args, f.name, None) is not None:
-                obj[f.name] = getattr(args, f.name)
+                value = getattr(args, f.name)
+                with contextlib.suppress(ValueError):
+                    value = type(default)(value)
+                obj[f.name] = value
         return obj
 
     return read_config(cls, flagged(cls, obj), what)
@@ -104,14 +109,14 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _add_config_flags(sub: argparse.ArgumentParser, cls, names):
     """Add a flag per named field of the config class ``cls``: ``--name``
-    with dashes, parsed as its default's type and None unless given, so
-    that ``_config`` sets only the given ones and ``cls`` alone checks
-    each value, as it checks a file's."""
+    with dashes, kept as text and None unless given, so that ``_config``
+    reads only the given ones and ``read_config`` and ``cls`` alone check
+    each value, as they check a file's."""
     defaults = cls()
     for name in names:
         default = getattr(defaults, name)
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default),
-                         default=None, help=f"default {default} unless the config sets it")
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                         help=f"default {default} unless the config sets it")
 
 
 # The featurization flags of the commands that featurize or record it.
@@ -256,13 +261,13 @@ def cmd_explain(args) -> int:
     n_records = shown = 0
     blocks = featurize_blocks(iter_records(args.record), model.featurization,
                               model.feature_names)
-    for record, spans, matrix in itertools.chain.from_iterable(blocks):
+    for chunk, spans, matrix in itertools.chain.from_iterable(blocks):
         n_records += 1
         for i, (span, leaf) in enumerate(zip(spans, model.walk(matrix))):
             if args.span_index is not None and i != args.span_index:
                 continue
             p_weak = model.nodes[leaf].p_weak
-            print(f"chunk {record.chunk.id} span [{span.start}, {span.end}] "
+            print(f"chunk {chunk.id} span [{span.start}, {span.end}] "
                   f"{span.text!r} -> {model.verdict(p_weak)} (p_weak={p_weak!r})")
             print("Decision Path:")
             print(model.paths[leaf])

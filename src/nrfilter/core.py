@@ -197,12 +197,13 @@ class Chunk:
         return np.argmax(self.probs, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntitySpan:
     """A decoded B/I token run: the prediction unit classified strong/weak.
 
     `anchor` is the position the span was opened at (the B token, or the
-    promoted orphan I token).
+    promoted orphan I token). Slotted: a stream's block holds every span
+    it has decoded.
     """
 
     chunk_id: str

@@ -2,8 +2,11 @@
 
 The training pipeline materializes the feature matrix (training needs
 it anyway); classification is a streaming pass that holds one small
-block of records at a time, a few times its widest record, so corpus
-size does not affect memory.
+block at a time, a few times its widest record, so corpus size does not
+affect memory. A stream's block holds what the kernel and the verdict
+lines read of each record (``HeldChunk`` and the decoded spans), not the
+parsed record, so one kernel call serves twice as many records in the
+memory a block of records took.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    Chunk,
     CorpusRecord,
     EntitySpan,
     STRONG,
@@ -52,9 +56,13 @@ _BLOCK_CELLS = 1 << 12
 # about 64 numpy calls whatever its size: a block of several records
 # pays that once, even records of over _BLOCK_CELLS cells each (a
 # 130-token note of 12 spans is about 11,000), while the density maps
-# still go in groups of _PDM_CELLS. What a stream holds stays a small
-# multiple of its widest record, inside the streaming bound of ten.
-_STREAM_WIDTHS = 4
+# still go in groups of _PDM_CELLS. A HeldChunk and its spans take
+# 55-75 B per token (synth, one-span and 130-token note corpora),
+# against 137-161 B for a parsed record and its spans, so 8 widths hold
+# no more than 4 widths of records did, and 9 would not on the notes: a
+# stream's memory stays a small multiple of its widest record, inside
+# the streaming bound of ten.
+_STREAM_WIDTHS = 8
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,45 @@ def validation_draws(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, _SPLIT_SALT]).random(n)
 
 
+class HeldChunk:
+    """What a stream's block keeps of a record once its spans are
+    decoded: the parts of its chunk that ``featurize_chunks`` reads (id,
+    class schema, token count, probabilities and word ids). The texts,
+    which nothing reads after decoding, and the record's label and gold
+    spans are dropped."""
+
+    __slots__ = ("id", "schema", "n_tokens", "probs", "word_ids")
+
+    def __init__(self, chunk: Chunk):
+        self.id = chunk.id
+        self.schema = chunk.schema
+        self.n_tokens = chunk.n_tokens
+        self.probs = chunk.probs
+        self.word_ids = _narrow_word_ids(chunk.word_ids)
+
+
+def _narrow_word_ids(word_ids):
+    """Integer word ids as the narrowest integer array that holds them,
+    a byte or two per token where a tuple takes eight; any other ids as
+    they are. The kernel compares ids only for equality, as the array
+    ``np.asarray`` makes of them, so this changes no feature."""
+    if word_ids is None:
+        return None
+    try:
+        ids = np.asarray(word_ids)
+    except ValueError:  # ids of differing shapes
+        return word_ids
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        return word_ids
+    return ids.astype(np.result_type(np.min_scalar_type(ids.min()), np.min_scalar_type(ids.max())))
+
+
 def featurize_blocks(
     records: Iterable[CorpusRecord],
     config: FeatureConfig,
     names: tuple[str, ...] | None = None,
     batch: bool = False,
-) -> Iterator[Iterator[tuple[CorpusRecord, list[EntitySpan], np.ndarray]]]:
+) -> Iterator[Iterator[tuple[CorpusRecord | HeldChunk, list[EntitySpan], np.ndarray]]]:
     """Decode and featurize records in blocks: yields one iterator per
     block over each of its records with its decoded spans and
     (n_spans, n_features) rows, in order. No reference to a block's
@@ -99,22 +140,26 @@ def featurize_blocks(
     ``names``, when given, must equal every record's ``feature_names``
     (a model's training names). One kernel call featurizes a block, and a
     block ends where the class schema changes. With ``batch`` a block
-    holds at most _BLOCK_CELLS (span, token, class) cells, unless it is
-    one record. Without it (a stream) a block holds at most
+    holds the records themselves, at most _BLOCK_CELLS (span, token,
+    class) cells of them unless it is one record. Without it (a stream)
+    a block holds each record's ``HeldChunk`` in its place, and it is
+    that which comes out with the spans and rows: the record is dropped
+    as soon as its spans are decoded. A stream's block holds at most
     _STREAM_WIDTHS times the tokens of the widest record seen so far, so
-    a stream's memory follows its widest record, not the corpus. A
-    record's rows are the same bits in any block.
+    its memory follows its widest record, not the corpus. A record's
+    rows are the same bits in any block.
     """
 
-    def featurized(block: list) -> Iterator[tuple[CorpusRecord, list[EntitySpan], np.ndarray]]:
-        matrix = featurize_chunks([record.chunk for record, _ in block],
-                                  [spans for _, spans in block], config)
+    def featurized(items: list, spans: list) -> Iterator[tuple]:
+        chunks = [record.chunk for record in items] if batch else items
+        matrix = featurize_chunks(chunks, spans, config)
         lo = 0
-        for record, spans in block:
-            yield record, spans, matrix[lo : lo + len(spans)]
-            lo += len(spans)
+        for item, item_spans in zip(items, spans):
+            yield item, item_spans, matrix[lo : lo + len(item_spans)]
+            lo += len(item_spans)
 
-    block: list = []
+    items: list = []  # the block's records, or their HeldChunks
+    spans_of: list[list[EntitySpan]] = []
     schema = None
     cells = tokens = widest = 0
     for record in records:
@@ -128,19 +173,22 @@ def featurize_blocks(
         spans = decode_spans(chunk, config.orphan_policy)
         n_cells = max(len(spans), 1) * chunk.n_tokens * chunk.schema.K
         widest = max(widest, chunk.n_tokens)
-        if block and (
+        if items and (
             new_schema
             or (cells + n_cells > _BLOCK_CELLS if batch
                 else tokens + chunk.n_tokens > _STREAM_WIDTHS * widest)
         ):
-            yield featurized(block)
-            block, cells, tokens = [], 0, 0
+            yield featurized(items, spans_of)
+            items, spans_of, cells, tokens = [], [], 0, 0
         schema = chunk.schema
-        block.append((record, spans))
+        items.append(record if batch else HeldChunk(chunk))
+        spans_of.append(spans)
         cells += n_cells
         tokens += chunk.n_tokens
-    if block:
-        yield featurized(block)
+        # A stream's record goes now, not when the next one is read.
+        del record, chunk
+    if items:
+        yield featurized(items, spans_of)
 
 
 @dataclass

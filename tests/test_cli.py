@@ -152,6 +152,18 @@ class TestTrainTuneClassifyExplain:
         assert want != untuned.decision_threshold
         assert load_model(model) == untuned.with_threshold(want)
 
+    def test_tune_does_not_import_numpy_ma(self, trained, tmp_path):
+        """``tune`` finds its candidate cuts without np.unique, which
+        imports numpy.ma in a fresh interpreter."""
+        model = str(tmp_path / "model.json")
+        shutil.copyfile(trained["model"], model)
+        code = ("import sys; from nrfilter.cli import main; "
+                f"code = main(['tune', '--model', {model!r}, '--features', {trained['features']!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == [str(EXIT_OK), "False"]
+
     def test_tune_records_its_budget(self, trained, tmp_path):
         """``tune --max-tp-drop B`` saves B as the model's budget, so a later
         ``tune`` without the flag cuts under B too."""
@@ -820,6 +832,12 @@ BAD_CONFIGS = {
     "bins-too-many-flag": (None, ["--bins", MAX_BINS + 1], "bin count"),
     # The second --corpus wins: an empty corpus decodes no span.
     "corpus-without-spans": (None, ["--corpus", os.devnull], "no predicted spans"),
+    # A flag whose text is not of its field's kind, as a file's value.
+    "bins-fraction-flag": (None, ["--bins", "2.5"], "'bins' must be an integer"),
+    "seed-fraction-flag": (None, ["--seed", "1e3"], "'seed' must be an integer"),
+    "max-tp-drop-text-flag": (None, ["--max-tp-drop", "six"], "'max_tp_drop' must be a finite"),
+    "validation-fraction-text-flag": (None, ["--validation-fraction", "1/5"],
+                                      "'validation_fraction' must be a finite"),
 }
 
 
@@ -833,6 +851,22 @@ class TestConfigContract:
             argv += ["--config", tmp_path / "config.json"]
         assert run(argv + flags) == EXIT_CONFIG
         assert word in capsys.readouterr().err
+
+    def test_flags_read_as_python_reads_their_type(self, workdir, tmp_path):
+        """Each spelling argparse's int and float took is still read."""
+        out_dir = tmp_path / "run"
+        assert run(["pipeline", "--corpus", workdir["corpus"], "--out-dir", out_dir,
+                    "--max-tp-drop", ".06", "--decay-rate", "1e-3", "--bins", " +12",
+                    "--validation-fraction", "2.5E-1"]) == EXIT_OK
+        config = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["config"]
+        assert (config["tree"]["max_tp_drop"], config["decay_rate"], config["bins"],
+                config["validation_fraction"]) == (0.06, 0.001, 12, 0.25)
+
+    def test_synth_flag_of_wrong_kind_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        assert run(["synth", "--out", out, "--n-strong", "1e3"]) == EXIT_CONFIG
+        assert "synth config field 'n_strong' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "featurize", "train", "pipeline"])
     def test_orphan_policy_flag_exits_config(self, workdir, trained, tmp_path, capsys,

@@ -1,10 +1,13 @@
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
 import os
-from collections import Counter
+import sys
+import tracemalloc
+from collections import Counter, deque
 from unittest import mock
 
 import numpy as np
@@ -314,9 +317,12 @@ class TestFeaturizeBlocks:
         for batch in (True, False):
             with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
                 blocks = [list(block) for block in featurize_blocks(records, config, batch=batch)]
-            assert all(len({r.chunk.schema for r, *_ in block}) == 1 for block in blocks)
+            # A batch yields each record, a stream each record's HeldChunk.
+            chunks = [[item.chunk if batch else item for item, *_ in block] for block in blocks]
+            assert all(len({chunk.schema for chunk in block}) == 1 for block in chunks)
+            assert [chunk.id for block in chunks for chunk in block] \
+                == [r.chunk.id for r in records]
             blocked = [item for block in blocks for item in block]
-            assert [r.chunk.id for r, *_ in blocked] == [r.chunk.id for r in records]
             for (_, spans_a, a), (spans_b, b) in zip(blocked, single):
                 assert spans_a == spans_b
                 assert a.tobytes() == b.tobytes()
@@ -337,8 +343,10 @@ class TestFeaturizeBlocks:
                 yield record
 
         blocks = featurize_blocks(pulled(), PipelineConfig())
-        for record, *_ in itertools.chain.from_iterable(blocks):
-            assert record is records[consumed]
+        for held, *_ in itertools.chain.from_iterable(blocks):
+            # Ids repeat in this corpus; the held matrix is the record's own.
+            assert held.id == records[consumed].chunk.id
+            assert held.probs is records[consumed].chunk.probs
             consumed += 1
         assert consumed == len(records)
         assert max(held_records) > 1  # the stream does batch records
@@ -370,7 +378,7 @@ class TestFeaturizeBlocks:
             assert cells > pipeline._BLOCK_CELLS
         sizes, seen = [], []
         for block in featurize_blocks(iter(records), config):
-            held = [record.chunk.n_tokens for record, *_ in block]
+            held = [chunk.n_tokens for chunk, *_ in block]
             seen.extend(held)
             assert sum(held) <= pipeline._STREAM_WIDTHS * max(seen)
             sizes.append(len(held))
@@ -378,6 +386,66 @@ class TestFeaturizeBlocks:
         out = io.StringIO()
         stream_classify(corpus, model, out)
         assert out.getvalue() == "".join(one_record_at_a_time_lines(records, model, config))
+
+    def test_one_kernel_call_per_full_block(self):
+        # Records of one width fill a block _STREAM_WIDTHS at a time.
+        records = list(iter_generate(SynthConfig(
+            n_strong=3 * pipeline._STREAM_WIDTHS, n_weak=2 * pipeline._STREAM_WIDTHS,
+            min_tokens=12, max_tokens=12, seed=49)))
+        assert all(len(decode_spans(record.chunk)) == 1 for record in records)
+        with mock.patch.object(pipeline, "featurize_chunks",
+                               wraps=pipeline.featurize_chunks) as kernel:
+            blocks = featurize_blocks(iter(records), PipelineConfig())
+            assert sum(1 for _ in itertools.chain.from_iterable(blocks)) == len(records)
+        assert kernel.call_count == 5
+
+    def test_stream_block_memory_follows_its_widest_line(self):
+        """Criterion 9's method on three blocks of records of one width:
+        gc.collect and read traced live bytes as the stream pulls each
+        record. A full block holds under 10 times the widest line, and
+        no record's texts outlive the pull of the next record."""
+        records = iter_generate(SynthConfig(
+            n_strong=2 * pipeline._STREAM_WIDTHS, n_weak=pipeline._STREAM_WIDTHS,
+            min_tokens=22, max_tokens=22, seed=50))
+        lines = [json.dumps(record_to_obj(record)) + "\n" for record in records]
+        widest_line = max(len(line.encode("utf-8")) for line in lines)
+        config = PipelineConfig()
+
+        def stream(records):
+            for block in featurize_blocks(records, config):
+                deque(block, maxlen=0)  # keeps no item: a row would keep its block's matrix
+
+        texts_of: list[tuple[str, ...]] = []
+
+        def pulled_texts():
+            for record in iter_records(iter(lines)):
+                # References to each earlier record's texts: this list's,
+                # the loop name's and getrefcount's own, no other.
+                assert [sys.getrefcount(texts) for texts in texts_of] == [3] * len(texts_of)
+                texts_of.append(record.chunk.texts)
+                yield record
+
+        stream(pulled_texts())  # also warms every cache the stream fills
+        assert len(texts_of) == len(lines)
+
+        live = np.zeros(len(lines), dtype=np.int64)  # no allocation per sample
+
+        def sampled_lines():
+            for i, line in enumerate(lines):
+                gc.collect()
+                live[i] = tracemalloc.get_traced_memory()[0]
+                yield line
+
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            stream(iter_records(sampled_lines()))
+        finally:
+            tracemalloc.stop()
+        # Nothing is held when the first line is read; a full block when
+        # line _STREAM_WIDTHS and line 2 * _STREAM_WIDTHS are.
+        held = live - live[0]
+        assert held.max() < 10 * widest_line, (held.tolist(), widest_line)
 
 
 # Strings that json.dumps escapes: quotes, backslashes, control and

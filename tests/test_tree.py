@@ -329,7 +329,7 @@ class TestPresortedSearch:
         config = PipelineConfig()
         blocks = [
             (feature_names(record.chunk.schema, config), spans, [record.label] * len(spans), matrix)
-            for block in featurize_blocks(corpus, config)
+            for block in featurize_blocks(corpus, config, batch=True)
             for record, spans, matrix in block
         ]
         buffer = io.StringIO()
@@ -491,6 +491,10 @@ class TestTuneThreshold:
         assert (result.threshold, result.tp_drop, result.fp_drop) \
             == reference_cut_threshold(scores, is_tp, budget)
         assert (result.n_tp, result.n_fp) == (sum(is_tp), len(is_tp) - sum(is_tp))
+
+    def test_no_scores_is_single_class(self):
+        with pytest.raises(SingleClassTrainingSet):
+            tree.cut_threshold(np.zeros(0), [], 0.06)
 
     @pytest.mark.parametrize("shape", [(39,), (41,), (40, 1), ()])
     def test_score_shape_checked(self, shape):
